@@ -12,7 +12,9 @@ from regime_risk import (
     ConstantYield,
     GibsonSchwartzParams,
     OUParams,
+    RiskQuery,
     SwapClaim,
+    claim_risk_mc,
     swap_risk_mc,
     swap_value,
     validate_generator,
@@ -45,8 +47,12 @@ print(f"\ndegenerate two-period swap: mc {est.value:.6f}, hand value {hand:.6f},
 gs = GibsonSchwartzParams(kappa=1.5, y_bar=0.08, sigma_y=0.12, rho=-0.4, lambda_y=0.02, y0=0.05)
 stochastic = SwapClaim(rates=[0.05] * 4, delta=[1.0, 0.8], yield_spec=gs)
 print("\nsame swap with a mean-reverting stochastic yield (regime-loaded 1.0 / 0.8):")
-for gamma in (1.0, 5.0, 20.0):
-    est = swap_risk_mc(ou, gen, stochastic, gamma=gamma, n_paths=100_000, seed=12)
+# The paths do not depend on gamma: simulate regime 0's paths once and
+# reduce them at every gamma.
+gammas = (1.0, 5.0, 20.0)
+q = RiskQuery(gamma=gammas[0], s=0.0, T=float(stochastic.n_periods), x_s=ou.x0)
+ests = claim_risk_mc(ou, gen, stochastic, q, n_paths=100_000, seed=12, gammas=gammas, states=[0])[0]
+for gamma, est in zip(gammas, ests):
     print(f"  gamma {gamma:5.1f}: risk {est.value:9.4f} +/- {est.std_error:.4f}")
 print("  (risk increases with gamma: the certainty equivalent of the same cash flows)")
 

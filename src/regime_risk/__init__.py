@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     EmptySamples,
     LengthMismatch,
+    NonFinite,
     NonPositiveGamma,
     NotAGenerator,
     NotMeanReverting,
@@ -122,6 +123,7 @@ __all__ = [
     "LengthMismatch",
     "EmptySamples",
     "NonPositiveGamma",
+    "NonFinite",
     "NotSupported",
     "ConfigError",
 ]

@@ -124,29 +124,31 @@ def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     is_swap = isinstance(claim, SwapClaim)
     if is_swap and not use_mc:
         raise ConfigError("swap risk has no closed form; rerun with --mc")
+    if is_swap:
+        T = float(claim.n_periods)
 
     header = ["gamma", "state", "closed", "oracle", "mc_value", "mc_std_error", "z_score"]
     rows: list[list] = []
-    for gamma in cfg.gammas:
-        if is_swap:
-            q = RiskQuery(gamma=gamma, s=0.0, T=float(claim.n_periods), x_s=cfg.ou.x0)
-            closed = [None] * cfg.chain.n
-        else:
-            q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
-            if isinstance(claim, FutureClaim):
-                closed = list(future_risk_closed(cfg.ou, cfg.chain, claim, q).risks)
-            else:
-                closed = list(spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q).risks)
-        oracle = _scalar_oracle(cfg, claim, q) if not is_swap else None
-        ests = (
-            claim_risk_mc(cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers)
-            if use_mc
-            else None
+    ests = None
+    if use_mc:
+        # one payoff sample per starting state, reduced at every gamma
+        q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
+        ests = claim_risk_mc(
+            cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers, gammas=cfg.gammas
         )
+    for j, gamma in enumerate(cfg.gammas):
+        q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
+        if is_swap:
+            closed = [None] * cfg.chain.n
+        elif isinstance(claim, FutureClaim):
+            closed = list(future_risk_closed(cfg.ou, cfg.chain, claim, q).risks)
+        else:
+            closed = list(spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q).risks)
+        oracle = _scalar_oracle(cfg, claim, q) if not is_swap else None
         for state in range(cfg.chain.n):
             row: list = [gamma, state, closed[state], oracle if state == 0 else None]
             if ests is not None:
-                e = ests[state]
+                e = ests[state][j]
                 z = e.z_score(closed[state]) if closed[state] is not None else None
                 row += [e.value, e.std_error, z]
             else:
@@ -185,6 +187,13 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     for i, hd in enumerate(cfg.horizons_days):
         T = horizon_years(hd)
         claim = cfg.build_claim(T)
+        if use_mc:
+            # one payoff sample for the starting regime, reduced at every gamma
+            q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
+            ests = claim_risk_mc(
+                cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers,
+                gammas=cfg.gammas, states=[cfg.z0],
+            )[0]
         for j, gamma in enumerate(cfg.gammas):
             q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
             if isinstance(claim, FutureClaim):
@@ -193,9 +202,7 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
                 rv = spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q)
             cells[i, j] = rv.risk_given_state(cfg.z0)
             if use_mc:
-                est = claim_risk_mc(
-                    cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers
-                )[cfg.z0]
+                est = ests[j]
                 z = est.z_score(cells[i, j])
                 mc_rows.append(
                     [hd, gamma, cells[i, j], est.value, est.std_error, z, abs(z) > 3.0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,6 +176,13 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
     raise ConfigError("ou section needs (alpha, mu, sigma, x0), params_file, or csv")
 
 
+def _finite_grid(grids: dict, key: str) -> list[float]:
+    values = [float(x) for x in grids.get(key, [])]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"grids.{key} must be finite, got {values}")
+    return values
+
+
 def load_config(
     path: str | Path,
     seed_override: int | None = None,
@@ -206,9 +214,9 @@ def load_config(
     if claim is not None and "type" not in claim:
         raise ConfigError("claim section requires a 'type' key")
     grids = raw.get("grids", {})
-    gammas = [float(x) for x in grids.get("gammas", [])]
-    horizons = [float(x) for x in grids.get("horizons_days", [])]
-    yields = [float(x) for x in grids.get("yields", [])]
+    gammas = _finite_grid(grids, "gammas")
+    horizons = _finite_grid(grids, "horizons_days")
+    yields = _finite_grid(grids, "yields")
     n_times = int(grids.get("n_times", 16))
     if any(gm <= 0 for gm in gammas):
         raise ConfigError("grids.gammas must be positive")

@@ -20,6 +20,10 @@ simulates the chain by its exact holding-time/jump construction and the
 spot by its exact Gaussian transition, so the two routes share no kernel
 beyond the transition-law parameters.
 
+Simulate once, reduce many: the payoff sample does not depend on gamma, so
+the MC route simulates one payoff array per (horizon, starting state) and
+reduces that array at every requested gamma.
+
 Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
 path-indexed layout — full-length draw rounds, never active-subset draws —
@@ -30,6 +34,7 @@ identical (seed, n_paths) gives bit-identical estimates at any worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,6 +44,7 @@ from .errors import (
     DimensionError,
     EmptySamples,
     LengthMismatch,
+    NonFinite,
     NonPositiveGamma,
     StateOutOfRange,
     TimeOrder,
@@ -68,8 +74,10 @@ class RiskQuery:
     x_s: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise NonPositiveGamma(f"gamma must be positive, got {self.gamma}")
+        for name in ("s", "T", "x_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFinite(f"{name} must be finite, got {getattr(self, name)}")
+        _check_gamma(self.gamma)
         if not 0 <= self.s < self.T:
             raise TimeOrder(f"need 0 <= s < T, got s={self.s}, T={self.T}")
 
@@ -133,6 +141,13 @@ class MCEstimate:
         return float(diff / self.std_error)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not math.isfinite(gamma):
+        raise NonFinite(f"gamma must be finite, got {gamma}")
+    if gamma <= 0:
+        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+
+
 def entropic_mc(samples, gamma: float, seed: int | None = None) -> MCEstimate:
     """Entropic risk of empirical payoff samples.
 
@@ -141,11 +156,12 @@ def entropic_mc(samples, gamma: float, seed: int | None = None) -> MCEstimate:
     from the delta method on the mean of exp(-psi/gamma) and is invariant
     under the shift.
     """
-    if gamma <= 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     psi = np.asarray(samples, dtype=float).ravel()
     if psi.size == 0:
         raise EmptySamples("no payoff samples")
+    if not np.isfinite(psi).all():
+        raise NonFinite("non-finite payoff samples")
     logw = -psi / gamma
     shift = logw.max()
     w = np.exp(logw - shift)
@@ -393,14 +409,25 @@ def claim_risk_mc(
     n_paths: int,
     seed: int,
     workers: int = 1,
-) -> list[MCEstimate]:
-    """Monte-Carlo entropic risk of a claim, one estimate per starting regime.
+    *,
+    gammas=None,
+    states=None,
+) -> list[MCEstimate] | list[list[MCEstimate]]:
+    """Monte-Carlo entropic risk of a claim, one entry per starting regime.
 
     Spot values use the exact Gaussian transition; regimes use the exact
     holding-time/jump simulation (never the matrix exponential, keeping this
     route independent of the closed form); swaps get full joint paths over
-    their settlement grid.  Estimates are bit-identical for fixed
-    (seed, n_paths) at any ``workers`` count.
+    their settlement grid.
+
+    One payoff sample is simulated per requested state in ``states``
+    (default: every state, in order) and reduced at every gamma in
+    ``gammas`` (default: ``q.gamma`` alone); ``q`` supplies s, T and x_s.
+    Each state's stream is keyed by (seed, state) alone, so an estimate does
+    not depend on which other states or gammas are requested.  Without
+    ``gammas`` each entry is the :class:`MCEstimate` at ``q.gamma``; with
+    ``gammas`` it is a list of estimates, one per gamma.  Estimates are
+    bit-identical for fixed (seed, n_paths) at any ``workers`` count.
     """
     if n_paths < 2:
         raise ValueError(f"need n_paths >= 2, got {n_paths}")
@@ -408,11 +435,20 @@ def claim_risk_mc(
         raise DimensionError(
             f"claim loading has {claim.n_states} states, chain has {g.n}"
         )
+    states = range(g.n) if states is None else list(states)
+    for state in states:
+        if not 0 <= state < g.n:
+            raise StateOutOfRange(f"state {state} outside [0, {g.n})")
+    grid = [q.gamma] if gammas is None else list(gammas)
+    if not grid:
+        raise ValueError("gammas must be nonempty")
+    for gamma in grid:
+        _check_gamma(gamma)
     out = []
-    for state in range(g.n):
+    for state in states:
         payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers)
-        est = entropic_mc(payoffs, q.gamma, seed=seed)
-        out.append(est)
+        ests = [entropic_mc(payoffs, gamma, seed=seed) for gamma in grid]
+        out.append(ests[0] if gammas is None else ests)
     return out
 
 
@@ -429,11 +465,8 @@ def swap_risk_mc(
     """Monte-Carlo entropic risk of a commodity swap from starting regime ``z0``.
 
     Settlements sit at t = 1..T years from s = 0 with x_0 = ou.x0; there is
-    no closed form for this claim, so simulation is the contract.  Equals
-    ``claim_risk_mc(...)[z0]`` bit for bit.
+    no closed form for this claim, so simulation is the contract.  This is
+    ``claim_risk_mc(..., states=[z0])[0]``.
     """
-    if not 0 <= z0 < g.n:
-        raise StateOutOfRange(f"z0={z0} outside [0, {g.n})")
     q = RiskQuery(gamma=gamma, s=0.0, T=float(c.n_periods), x_s=ou.x0)
-    payoffs = _payoffs_for_state(ou, g, c, q, z0, n_paths, seed, workers)
-    return entropic_mc(payoffs, gamma, seed=seed)
+    return claim_risk_mc(ou, g, c, q, n_paths, seed, workers, states=[z0])[0]

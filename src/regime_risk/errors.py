@@ -53,6 +53,10 @@ class NonPositiveGamma(RiskModelError):
     """The entropic parameter must be strictly positive."""
 
 
+class NonFinite(RiskModelError):
+    """A numeric input is NaN or infinite."""
+
+
 class NotSupported(RiskModelError):
     """A modelling feature is deliberately not implemented (e.g. storage cost)."""
 

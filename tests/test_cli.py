@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regime_risk import entropic_risk
 from regime_risk.cli import main
 from regime_risk.entropic_risk import RiskQuery, spot_risk_closed
 from regime_risk.ou_model import OUParams, simulate_path, TRADING_DAYS_PER_YEAR
@@ -356,6 +357,40 @@ class TestDeterminismAndOverrides:
         assert payload["provenance"]["n_paths"] == 2500
 
 
+class TestSimulateOnce:
+    """Each (horizon, starting state) stream is simulated once per command and
+    reduced at every gamma."""
+
+    @pytest.fixture
+    def sims(self, monkeypatch):
+        calls = []
+        real = entropic_risk._payoffs_for_state
+
+        def counting(ou, g, claim, q, state, *args):
+            calls.append((q.T, state))
+            return real(ou, g, claim, q, state, *args)
+
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", counting)
+        return calls
+
+    def test_risk_mc_simulates_each_state_once(self, tmp_path, sims):
+        shipped = json.loads(EXAMPLE_CONFIG.read_text())
+        n_states = len(shipped["chain"]["matrix"])
+        assert run(["risk", "--config", EXAMPLE_CONFIG, "--mc", "--paths", 2000, "--out", tmp_path]) == 0
+        assert len(sims) == n_states
+        assert sorted(state for _, state in sims) == list(range(n_states))
+
+    def test_sweep_mc_simulates_the_start_state_once_per_horizon(self, tmp_path, sims):
+        shipped = json.loads(EXAMPLE_CONFIG.read_text())
+        horizons = shipped["grids"]["horizons_days"]
+        z0 = shipped["chain"]["z0"]
+        assert run(["sweep", "--config", EXAMPLE_CONFIG, "--mc", "--paths", 2000, "--out", tmp_path]) == 0
+        assert len(sims) == len(horizons)
+        assert sims == [(h / TRADING_DAYS_PER_YEAR, z0) for h in horizons]
+        _, rows = read_csv(tmp_path / "sweep_mc.csv")
+        assert len(rows) == len(horizons) * len(shipped["grids"]["gammas"])
+
+
 class TestConfigValidation:
     def test_missing_file(self, capsys):
         assert run(["risk", "--config", "/nonexistent.json"]) == 2
@@ -402,6 +437,39 @@ class TestConfigValidation:
         cfg = base_config()
         cfg["grids"]["gammas"] = [0.0, 1.0]
         assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [
+            ("gammas", [1.0, float("nan")]),
+            ("gammas", [1.0, float("inf")]),
+            ("horizons_days", [50.0, float("nan")]),
+            ("horizons_days", [float("inf")]),
+            ("yields", [0.0, float("nan")]),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--mc"], ["risk", "--mc"]])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, key, values, command):
+        cfg = base_config()
+        cfg["grids"][key] = values
+        path = write_config(tmp_path, cfg)
+        assert run(command + ["--config", path]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_gamma_rejected_for_swap(self, tmp_path, capsys):
+        cfg = base_config(
+            claim={
+                "type": "swap",
+                "delta": [1.0, 1.0],
+                "rates": [0.05, 0.05],
+                "yield": {"kind": "constant", "r": 0.02, "y": 0.06},
+            }
+        )
+        cfg["grids"]["gammas"] = [1.0, float("nan")]
+        assert run(["risk", "--config", write_config(tmp_path, cfg), "--mc"]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_delta_length_checked_against_chain(self, tmp_path):
         cfg = base_config(claim={"type": "linear", "delta": [1.0, 1.0, 1.0]})

@@ -12,10 +12,12 @@ from regime_risk.entropic_risk import (
     spot_risk_closed,
     swap_risk_mc,
 )
+from regime_risk import entropic_risk
 from regime_risk.errors import (
     DimensionError,
     EmptySamples,
     LengthMismatch,
+    NonFinite,
     NonPositiveGamma,
     StateOutOfRange,
     TimeOrder,
@@ -75,6 +77,16 @@ class TestEntropicMC:
         with pytest.raises(NonPositiveGamma):
             entropic_mc(np.array([1.0]), gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(NonFinite):
+            entropic_mc(np.array([1.0, 2.0]), gamma=gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            entropic_mc(np.array([1.0, bad, 2.0]), gamma=1.0)
+
     def test_below_expectation(self, rng):
         psi = rng.normal(0.0, 3.0, size=20_000)
         est = entropic_mc(psi, gamma=2.0)
@@ -85,6 +97,13 @@ class TestRiskQueryAndVector:
     def test_gamma_must_be_positive(self):
         with pytest.raises(NonPositiveGamma):
             RiskQuery(gamma=0.0, s=0.0, T=1.0, x_s=50.0)
+
+    @pytest.mark.parametrize(
+        "field", [{"gamma": np.nan}, {"gamma": np.inf}, {"T": np.inf}, {"s": np.nan}, {"x_s": np.nan}]
+    )
+    def test_non_finite_fields_rejected(self, field):
+        with pytest.raises(NonFinite):
+            RiskQuery(**{"gamma": 1.0, "s": 0.0, "T": 1.0, "x_s": 50.0, **field})
 
     def test_time_order(self):
         with pytest.raises(TimeOrder):
@@ -257,6 +276,69 @@ class TestClaimRiskMC:
     def test_delta_dimension_checked(self):
         with pytest.raises(DimensionError):
             claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0]), self.Q, 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "claim, T",
+        [
+            (LinearSpotClaim([0.75, 1.25]), 0.25),
+            (FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05, maturity=0.25), 0.25),
+            (
+                SwapClaim(
+                    rates=[0.05, 0.04, 0.06],
+                    delta=[1.0, 0.8],
+                    yield_spec=GibsonSchwartzParams(
+                        kappa=1.5, y_bar=0.08, sigma_y=0.12, rho=-0.4, lambda_y=0.02, y0=0.05
+                    ),
+                ),
+                3.0,
+            ),
+        ],
+        ids=["spot", "future", "gibson_schwartz_swap"],
+    )
+    def test_many_gamma_path_is_bit_identical(self, claim, T):
+        gammas = [0.5, 2.0, 7.0]
+        states = [1, 0]
+        q = RiskQuery(gamma=99.0, s=0.0, T=T, x_s=62.24)
+        grid = claim_risk_mc(CRUDE, TWO_STATE, claim, q, 3000, seed=31, gammas=gammas, states=states)
+        assert len(grid) == len(states)
+        for k, state in enumerate(states):
+            assert len(grid[k]) == len(gammas)
+            for j, gamma in enumerate(gammas):
+                qg = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=62.24)
+                single = claim_risk_mc(CRUDE, TWO_STATE, claim, qg, 3000, seed=31)[state]
+                assert grid[k][j] == single
+
+    def test_one_simulation_per_requested_state(self, monkeypatch):
+        calls = []
+        real = entropic_risk._payoffs_for_state
+
+        def counting(ou, g, claim, q, state, *args):
+            calls.append(state)
+            return real(ou, g, claim, q, state, *args)
+
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", counting)
+        c = LinearSpotClaim([0.75, 1.25])
+        claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 500, seed=3, gammas=[1.0, 2.0, 4.0])
+        assert calls == [0, 1]
+        calls.clear()
+        claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 500, seed=3, gammas=[1.0, 2.0], states=[1])
+        assert calls == [1]
+
+    def test_state_and_gamma_grid_checked_before_simulating(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("simulated before the arguments were checked")
+
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", never)
+        c = LinearSpotClaim([1.0, 1.0])
+        for states in ([2], [0, -1]):
+            with pytest.raises(StateOutOfRange):
+                claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, states=states)
+        with pytest.raises(NonFinite):
+            claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, np.nan])
+        with pytest.raises(NonPositiveGamma):
+            claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, -2.0])
+        with pytest.raises(ValueError):
+            claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[])
 
     def test_swap_query_constraints(self):
         c = SwapClaim(rates=[0.05, 0.05], delta=[1.0, 1.0], yield_spec=ConstantYield(r=0.02, y=0.04))
