@@ -7,7 +7,13 @@ evolves as p(t) = expm(q t) @ p(0).
 
 import numpy as np
 
-from regime_risk import distribution_at, from_transition, matrix_exp, sample_path
+from regime_risk import (
+    OUParams,
+    distribution_at,
+    from_transition,
+    matrix_exp,
+    sample_paths,
+)
 
 # A daily two-block transition matrix: regimes 0/1 are persistent
 # (downturn/recovery), regimes 2/3 flip fast.
@@ -30,14 +36,17 @@ print(np.array_str(kernel[:, 0], precision=4))
 print("column sums of the kernel:", kernel.sum(axis=0))
 
 # Exact simulation: holding times are exponential with the diagonal rates.
+# sample_paths draws the regime jointly with the spot and reads it on a grid.
+ou = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
 rng = np.random.default_rng(7)
-path = sample_path(gen, 0, horizon, rng)
-print(f"\none sampled path: {path.n_jumps} switches in 50 days")
-print("  first few jump times (years):", np.round(path.times[:5], 4))
+days = np.arange(51) / 252
+_, regimes, _ = sample_paths(ou, gen, 0, days, rng)
+print(f"\none sampled path: {np.count_nonzero(np.diff(regimes))} regime changes between trading days in 50 days")
+print("  regime on the first ten days:", regimes[:10])
 
 # Empirical terminal law over many paths converges to expm's column.
 n = 20_000
-terminal = np.array([sample_path(gen, 0, horizon, rng).states[-1] for _ in range(n)])
+terminal = np.array([sample_paths(ou, gen, 0, [0.0, horizon], rng)[1][-1] for _ in range(n)])
 empirical = np.bincount(terminal, minlength=4) / n
 analytic = distribution_at(gen, np.eye(4)[0], horizon)
 print("\nterminal regime law, 20k simulated paths vs matrix exponential:")

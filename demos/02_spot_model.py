@@ -7,7 +7,14 @@ errors.
 
 import numpy as np
 
-from regime_risk import OUParams, PriceSeries, calibrate, conditional_law, simulate_path
+from regime_risk import (
+    OUParams,
+    PriceSeries,
+    calibrate,
+    conditional_law,
+    sample_paths,
+    validate_generator,
+)
 
 truth = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
 
@@ -17,10 +24,11 @@ print(f"  mean {law.mean:.4f}, std {law.std:.4f}")
 print(f"  stationary std {np.sqrt(truth.stationary_variance):.4f}")
 
 # Daily exact simulation for 8 years (no discretization error at any step).
+# A one-state chain never switches, so the path is the spot alone.
 n_days = 2016
 grid = np.arange(n_days + 1) / 252
 rng = np.random.default_rng(11)
-prices = simulate_path(truth, grid, rng)
+prices, _, _ = sample_paths(truth, validate_generator([[0.0]]), 0, grid, rng)
 print(f"\nsimulated {n_days} daily steps: min {prices.min():.2f}, max {prices.max():.2f}")
 
 days = np.datetime64("2016-01-04") + np.arange(n_days + 1).astype("timedelta64[D]")

@@ -1,5 +1,5 @@
-"""Convenience yield: risk term structure across yield levels, and the
-stochastic yield simulator.
+"""Convenience yield: risk term structure across yield levels, and a
+stochastic yield simulated jointly with the spot.
 
 Futures discount the loading by e^{-(r+y)(T-t)}, so risk curves for
 different yields fan out at long time-to-maturity and pinch together as the
@@ -14,8 +14,7 @@ from regime_risk import (
     OUParams,
     RiskQuery,
     future_risk_closed,
-    simulate_spot_and_yield,
-    simulate_yield_path,
+    sample_paths,
     validate_generator,
 )
 
@@ -42,13 +41,8 @@ print("\nthe spread column contracts toward zero as t approaches delivery.")
 # risk premium lambda_y shifts the long-run level away from y_bar.
 gs = GibsonSchwartzParams(kappa=1.5, y_bar=0.08, sigma_y=0.12, rho=-0.4, lambda_y=0.03, y0=0.02)
 print(f"\nstochastic yield: risk-neutral level {gs.y_bar:.3f}, historical level {gs.historical_level:.3f}")
-rng = np.random.default_rng(21)
 grid = np.linspace(0.0, 2.0, 9)
-y_path = simulate_yield_path(gs, grid, rng)
-print("one sampled yield path (quarterly over two years):")
-print("  " + "  ".join(f"{v:+.4f}" for v in y_path))
-
-x_path, y2 = simulate_spot_and_yield(ou, gs, grid, np.random.default_rng(22))
-print("\njointly simulated spot and yield (correlation rho = -0.4):")
-for t, x, y in zip(grid, x_path, y2):
-    print(f"  t={t:4.2f}  spot {x:6.2f}  yield {y:+.4f}")
+x_path, z_path, y_path = sample_paths(ou, gen, 0, grid, np.random.default_rng(22), gs)
+print("jointly simulated spot, regime and yield (correlation rho = -0.4), quarterly:")
+for t, x, z, y in zip(grid, x_path, z_path, y_path):
+    print(f"  t={t:4.2f}  spot {x:6.2f}  regime {z}  yield {y:+.4f}")

@@ -15,13 +15,19 @@ from regime_risk import (
     RiskQuery,
     SwapClaim,
     claim_risk_mc,
-    swap_risk_mc,
     swap_value,
     validate_generator,
 )
 
 ou = OUParams(alpha=2.0, mu=50.0, sigma=8.0, x0=55.0)
 gen = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
+
+
+def swap_risk(ou, gen, swap, gamma, n_paths, seed, z0=0):
+    """Entropic risk of the swap from regime z0: settlements at t = 1..T from s = 0."""
+    q = RiskQuery(gamma=gamma, s=0.0, T=float(swap.n_periods), x_s=ou.x0)
+    return claim_risk_mc(ou, gen, swap, q, n_paths, seed, states=[z0])[0]
+
 
 flat = SwapClaim(
     rates=[0.05, 0.05, 0.05, 0.05],
@@ -30,7 +36,7 @@ flat = SwapClaim(
 )
 print("four-period swap, flat 8% carry:")
 for z0 in (0, 1):
-    est = swap_risk_mc(ou, gen, flat, gamma=5.0, n_paths=100_000, seed=12, z0=z0)
+    est = swap_risk(ou, gen, flat, gamma=5.0, n_paths=100_000, seed=12, z0=z0)
     print(f"  start regime {z0}: risk {est.value:9.4f} +/- {est.std_error:.4f}")
 
 # One deterministic settlement by hand: sigma = 0 and a frozen chain make
@@ -38,7 +44,7 @@ for z0 in (0, 1):
 frozen_ou = OUParams(alpha=2.0, mu=50.0, sigma=0.0, x0=55.0)
 frozen_gen = validate_generator(np.zeros((1, 1)))
 tiny = SwapClaim(rates=[0.05, 0.05], delta=[1.0], yield_spec=ConstantYield(r=0.02, y=0.06))
-est = swap_risk_mc(frozen_ou, frozen_gen, tiny, gamma=5.0, n_paths=100, seed=0)
+est = swap_risk(frozen_ou, frozen_gen, tiny, gamma=5.0, n_paths=100, seed=0)
 x1 = 55.0 * np.exp(-2.0) + 50.0 * (1 - np.exp(-2.0))
 hand = np.exp(-0.05) * x1 * (np.exp(-0.08) - 1.0)
 print(f"\ndegenerate two-period swap: mc {est.value:.6f}, hand value {hand:.6f}, se {est.std_error}")

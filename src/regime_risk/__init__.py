@@ -4,6 +4,7 @@ A finite-state economy chain modulates linear spot claims, futures with
 convenience yield, and commodity swaps on a mean-reverting spot price;
 per-regime entropic risk comes in closed form for spot and future claims
 and by deterministic Monte Carlo for everything, including swaps.
+:func:`sample_paths` draws one joint (spot, regime, yield) path.
 """
 
 from .entropic_risk import (
@@ -13,8 +14,8 @@ from .entropic_risk import (
     claim_risk_mc,
     entropic_mc,
     future_risk_closed,
+    sample_paths,
     spot_risk_closed,
-    swap_risk_mc,
 )
 from .errors import (
     BadDistribution,
@@ -27,7 +28,6 @@ from .errors import (
     NotAGenerator,
     NotMeanReverting,
     NotStochastic,
-    NotSupported,
     RiskModelError,
     StateOutOfRange,
     TimeOrder,
@@ -39,10 +39,6 @@ from .instruments import (
     GibsonSchwartzParams,
     LinearSpotClaim,
     SwapClaim,
-    future_payoff,
-    linear_payoff,
-    simulate_spot_and_yield,
-    simulate_yield_path,
     swap_value,
 )
 from .ou_model import (
@@ -53,17 +49,12 @@ from .ou_model import (
     calibrate,
     conditional_law,
     load_price_csv,
-    sample_exact,
-    simulate_path,
 )
 from .regime_chain import (
     Generator,
-    StatePath,
-    TransitionMatrix,
     distribution_at,
     from_transition,
     matrix_exp,
-    sample_path,
     validate_generator,
 )
 
@@ -73,21 +64,16 @@ __all__ = [
     "__version__",
     # chain
     "Generator",
-    "TransitionMatrix",
-    "StatePath",
     "validate_generator",
     "from_transition",
     "matrix_exp",
     "distribution_at",
-    "sample_path",
     # spot model
     "OUParams",
     "ConditionalLaw",
     "PriceSeries",
     "CalibrationResult",
     "conditional_law",
-    "sample_exact",
-    "simulate_path",
     "calibrate",
     "load_price_csv",
     # instruments
@@ -96,11 +82,7 @@ __all__ = [
     "SwapClaim",
     "ConstantYield",
     "GibsonSchwartzParams",
-    "linear_payoff",
-    "future_payoff",
     "swap_value",
-    "simulate_yield_path",
-    "simulate_spot_and_yield",
     # risk
     "RiskQuery",
     "RiskVector",
@@ -109,7 +91,7 @@ __all__ = [
     "spot_risk_closed",
     "future_risk_closed",
     "claim_risk_mc",
-    "swap_risk_mc",
+    "sample_paths",
     # errors
     "RiskModelError",
     "DimensionError",
@@ -124,6 +106,5 @@ __all__ = [
     "EmptySamples",
     "NonPositiveGamma",
     "NonFinite",
-    "NotSupported",
     "ConfigError",
 ]

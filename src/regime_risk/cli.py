@@ -29,12 +29,12 @@ from .entropic_risk import (
     RiskQuery,
     claim_risk_mc,
     future_risk_closed,
+    sample_paths,
     spot_risk_closed,
 )
 from .errors import ConfigError, RiskModelError
-from .instruments import FutureClaim, GibsonSchwartzParams, SwapClaim, simulate_yield_path
-from .ou_model import calibrate, conditional_law, load_price_csv, simulate_path
-from .regime_chain import sample_path
+from .instruments import FutureClaim, GibsonSchwartzParams, SwapClaim
+from .ou_model import calibrate, conditional_law, load_price_csv
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
@@ -71,16 +71,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     n_days = max(1, int(round(cfg.horizons_days[0])))
     grid = np.arange(n_days + 1) * horizon_years(1.0)
     rng = np.random.default_rng(cfg.seed)
-    spot = simulate_path(cfg.ou, grid, rng)
-    regime_path = sample_path(cfg.chain, cfg.z0, float(grid[-1]), rng)
-    regimes = [regime_path.state_at(t) for t in grid]
-    gs = _configured_gs_yield(cfg)
+    spot, regimes, yld = sample_paths(cfg.ou, cfg.chain, cfg.z0, grid, rng, _configured_gs_yield(cfg))
     header = ["step", "t_years", "spot", "regime"]
-    cols = [list(range(n_days + 1)), [float(t) for t in grid], [float(v) for v in spot], regimes]
-    if gs is not None:
-        yld = simulate_yield_path(gs, grid, rng)
+    cols = [list(range(n_days + 1)), grid.tolist(), spot.tolist(), regimes.tolist()]
+    if yld is not None:
         header.append("yield")
-        cols.append([float(v) for v in yld])
+        cols.append(yld.tolist())
     rows = [list(r) for r in zip(*cols)]
     prov = provenance(cfg, "simulate")
     write_csv(cfg.out_dir / "paths.csv", prov, header, rows)
@@ -94,14 +90,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _configured_gs_yield(cfg: RunConfig) -> GibsonSchwartzParams | None:
-    if cfg.claim is None or cfg.claim.get("type") != "swap":
+    if cfg.claim is None or cfg.claim["type"] != "swap":
         return None
-    try:
-        claim = cfg.build_claim(1.0)
-    except ConfigError:
-        return None
-    spec = claim.yield_spec
+    spec = cfg.build_claim(1.0).yield_spec
     return spec if isinstance(spec, GibsonSchwartzParams) else None
+
+
+def _closed_form(cfg: RunConfig, claim, q: RiskQuery):
+    if isinstance(claim, FutureClaim):
+        return future_risk_closed(cfg.ou, cfg.chain, claim, q)
+    return spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q)
 
 
 def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery) -> float | None:
@@ -138,12 +136,7 @@ def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
         )
     for j, gamma in enumerate(cfg.gammas):
         q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
-        if is_swap:
-            closed = [None] * cfg.chain.n
-        elif isinstance(claim, FutureClaim):
-            closed = list(future_risk_closed(cfg.ou, cfg.chain, claim, q).risks)
-        else:
-            closed = list(spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q).risks)
+        closed = [None] * cfg.chain.n if is_swap else list(_closed_form(cfg, claim, q).risks)
         oracle = _scalar_oracle(cfg, claim, q) if not is_swap else None
         for state in range(cfg.chain.n):
             row: list = [gamma, state, closed[state], oracle if state == 0 else None]
@@ -155,13 +148,7 @@ def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
                 row += [None, None, None]
             rows.append(row)
 
-    prov = provenance(cfg, "risk")
-    write_csv(cfg.out_dir / "risk.csv", prov, header, rows)
-    write_json(
-        cfg.out_dir / "risk.json",
-        prov,
-        {"columns": header, "rows": [[_num(v) for v in r] for r in rows]},
-    )
+    _write_table(cfg, "risk", provenance(cfg, "risk"), header, rows)
     for r in rows:
         closed_s = "" if r[2] is None else f" closed={r[2]:.6g}"
         mc_s = "" if r[4] is None else f" mc={r[4]:.6g} se={r[5]:.3g}"
@@ -175,6 +162,16 @@ def _num(v):
     if v is None:
         return None
     return float(v) if isinstance(v, (float, np.floating)) else v
+
+
+def _write_table(cfg: RunConfig, name: str, prov: dict, header: list[str], rows: list[list]) -> None:
+    """``name``.csv plus its JSON mirror {"columns": header, "rows": rows}."""
+    write_csv(cfg.out_dir / f"{name}.csv", prov, header, rows)
+    write_json(
+        cfg.out_dir / f"{name}.json",
+        prov,
+        {"columns": header, "rows": [[_num(v) for v in r] for r in rows]},
+    )
 
 
 def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
@@ -196,11 +193,7 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
             )[0]
         for j, gamma in enumerate(cfg.gammas):
             q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
-            if isinstance(claim, FutureClaim):
-                rv = future_risk_closed(cfg.ou, cfg.chain, claim, q)
-            else:
-                rv = spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q)
-            cells[i, j] = rv.risk_given_state(cfg.z0)
+            cells[i, j] = _closed_form(cfg, claim, q).risk_given_state(cfg.z0)
             if use_mc:
                 est = ests[j]
                 z = est.z_score(cells[i, j])
@@ -262,23 +255,8 @@ def cmd_yield_sweep(cfg: RunConfig, workers: int) -> int:
     summary = [[t, max(v) - min(v)] for t, v in by_time.items()]
 
     prov = provenance(cfg, "yield-sweep")
-    write_csv(cfg.out_dir / "yield_sweep.csv", prov, ["t_years", "yield", "risk"], rows)
-    write_json(
-        cfg.out_dir / "yield_sweep.json",
-        prov,
-        {"columns": ["t_years", "yield", "risk"], "rows": [[float(v) for v in r] for r in rows]},
-    )
-    write_csv(
-        cfg.out_dir / "yield_sweep_summary.csv",
-        prov,
-        ["t_years", "cross_yield_spread"],
-        summary,
-    )
-    write_json(
-        cfg.out_dir / "yield_sweep_summary.json",
-        prov,
-        {"columns": ["t_years", "cross_yield_spread"], "rows": [[float(v) for v in r] for r in summary]},
-    )
+    _write_table(cfg, "yield_sweep", prov, ["t_years", "yield", "risk"], rows)
+    _write_table(cfg, "yield_sweep_summary", prov, ["t_years", "cross_yield_spread"], summary)
     print(
         f"spread at t={summary[0][0]:.6g}: {summary[0][1]:.6g}; "
         f"at t={summary[-1][0]:.6g}: {summary[-1][1]:.6g}"

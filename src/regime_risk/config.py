@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,27 +56,20 @@ class RunConfig:
     def require(self, *sections: str) -> None:
         """Fail fast when a command needs a section the file does not provide."""
         for s in sections:
-            if s == "chain" and self.chain is None:
-                raise ConfigError("config section 'chain' is required for this command")
-            if s == "ou" and self.ou is None:
-                raise ConfigError("config section 'ou' with parameters is required")
-            if s == "ou_csv" and self.ou_csv is None:
-                raise ConfigError("config section 'ou' must name a csv file to calibrate")
-            if s == "claim" and self.claim is None:
-                raise ConfigError("config section 'claim' is required for this command")
-            if s == "gammas" and not self.gammas:
-                raise ConfigError("config grids.gammas must be a nonempty list")
-            if s == "horizons" and not self.horizons_days:
-                raise ConfigError("config grids.horizons_days must be a nonempty list")
-            if s == "yields" and not self.yields:
-                raise ConfigError("config grids.yields must be a nonempty list")
+            attr, message = _REQUIREMENTS[s]
+            if not getattr(self, attr):
+                raise ConfigError(message)
 
     def build_claim(self, horizon: float):
         """Instantiate the configured claim; futures mature at ``horizon`` (years)."""
         if self.claim is None:
             raise ConfigError("no claim configured")
-        kind = self.claim["type"]
-        delta = np.asarray(self.claim["delta"], dtype=float)
+        c = self.claim
+        kind = c["type"]
+        if kind not in _CLAIM_KEYS:
+            raise ConfigError(f"unknown claim type {kind!r}")
+        _require_keys(c, _CLAIM_KEYS[kind], "claim")
+        delta = np.asarray(c["delta"], dtype=float)
         if self.chain is not None and delta.size != self.chain.n:
             raise ConfigError(
                 f"claim.delta has {delta.size} entries, chain has {self.chain.n} states"
@@ -86,42 +79,54 @@ class RunConfig:
         if kind == "future":
             return FutureClaim(
                 delta=delta,
-                r=float(self.claim["r"]),
-                y=float(self.claim["y"]),
+                r=float(c["r"]),
+                y=float(c["y"]),
                 maturity=horizon,
             )
-        if kind == "swap":
-            return SwapClaim(
-                rates=np.asarray(self.claim["rates"], dtype=float),
-                delta=delta,
-                yield_spec=_parse_yield_spec(self.claim["yield"]),
-            )
-        raise ConfigError(f"unknown claim type {kind!r}")
-
-
-def _parse_yield_spec(spec: dict):
-    kind = spec.get("kind")
-    if kind == "constant":
-        return ConstantYield(r=float(spec["r"]), y=float(spec["y"]))
-    if kind == "gibson_schwartz":
-        return GibsonSchwartzParams(
-            kappa=float(spec["kappa"]),
-            y_bar=float(spec["y_bar"]),
-            sigma_y=float(spec["sigma_y"]),
-            rho=float(spec["rho"]),
-            lambda_y=float(spec["lambda_y"]),
-            y0=float(spec["y0"]),
+        spec = c["yield"]
+        spec_type = _YIELD_SPECS.get(spec.get("kind"))
+        if spec_type is None:
+            raise ConfigError(f"unknown yield spec kind {spec.get('kind')!r}")
+        keys = [f.name for f in fields(spec_type)]
+        _require_keys(spec, keys, "claim.yield")
+        return SwapClaim(
+            rates=np.asarray(c["rates"], dtype=float),
+            delta=delta,
+            yield_spec=spec_type(**{k: float(spec[k]) for k in keys}),
         )
-    raise ConfigError(f"unknown yield spec kind {kind!r}")
+
+
+_REQUIREMENTS = {
+    "chain": ("chain", "config section 'chain' is required for this command"),
+    "ou": ("ou", "config section 'ou' with parameters is required"),
+    "ou_csv": ("ou_csv", "config section 'ou' must name a csv file to calibrate"),
+    "claim": ("claim", "config section 'claim' is required for this command"),
+    "gammas": ("gammas", "config grids.gammas must be a nonempty list"),
+    "horizons": ("horizons_days", "config grids.horizons_days must be a nonempty list"),
+    "yields": ("yields", "config grids.yields must be a nonempty list"),
+}
+_CLAIM_KEYS = {"linear": ("delta",), "future": ("delta", "r", "y"), "swap": ("delta", "rates", "yield")}
+_YIELD_SPECS = {"constant": ConstantYield, "gibson_schwartz": GibsonSchwartzParams}
+_OU_KEYS = ("alpha", "mu", "sigma", "x0")
+
+
+def _require_keys(section: dict, keys, where: str) -> None:
+    missing = [k for k in keys if k not in section]
+    if missing:
+        raise ConfigError(f"{where} section missing key(s) {missing}")
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number; 1.7 is rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_chain(section: dict) -> tuple[Generator, int]:
-    try:
-        kind = section["kind"]
-        matrix = section["matrix"]
-    except KeyError as exc:
-        raise ConfigError(f"chain section missing key {exc}") from None
-    z0 = int(section.get("z0", 0))
+    _require_keys(section, ("kind", "matrix"), "chain")
+    kind, matrix = section["kind"], section["matrix"]
+    z0 = _integer(section.get("z0", 0), "chain.z0")
     if kind == "generator":
         gen = validate_generator(np.asarray(matrix, dtype=float))
     elif kind == "transition":
@@ -137,43 +142,24 @@ def _parse_chain(section: dict) -> tuple[Generator, int]:
 
 def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, float]:
     dt = float(section.get("dt", DEFAULT_DT))
+    params, csv_path = section, None
     if "params_file" in section:
         pf = (base / section["params_file"]).resolve()
         if not pf.exists():
             raise ConfigError(f"ou.params_file does not exist: {pf}")
         payload = json.loads(pf.read_text())
         payload = payload.get("data", payload)
-        p = payload.get("params", payload)
-        return (
-            OUParams(alpha=p["alpha"], mu=p["mu"], sigma=p["sigma"], x0=p["x0"]),
-            None,
-            dt,
-        )
-    if "csv" in section:
+        params = payload.get("params", payload)
+        _require_keys(params, _OU_KEYS, "ou.params_file params")
+    elif "csv" in section:
         csv_path = (base / section["csv"]).resolve()
         if not csv_path.exists():
             raise ConfigError(f"ou.csv does not exist: {csv_path}")
-        params = None
-        if all(k in section for k in ("alpha", "mu", "sigma", "x0")):
-            params = OUParams(
-                alpha=float(section["alpha"]),
-                mu=float(section["mu"]),
-                sigma=float(section["sigma"]),
-                x0=float(section["x0"]),
-            )
-        return params, csv_path, dt
-    if all(k in section for k in ("alpha", "mu", "sigma", "x0")):
-        return (
-            OUParams(
-                alpha=float(section["alpha"]),
-                mu=float(section["mu"]),
-                sigma=float(section["sigma"]),
-                x0=float(section["x0"]),
-            ),
-            None,
-            dt,
-        )
-    raise ConfigError("ou section needs (alpha, mu, sigma, x0), params_file, or csv")
+        if not all(k in section for k in _OU_KEYS):
+            return None, csv_path, dt
+    elif not all(k in section for k in _OU_KEYS):
+        raise ConfigError("ou section needs (alpha, mu, sigma, x0), params_file, or csv")
+    return OUParams(**{k: float(params[k]) for k in _OU_KEYS}), csv_path, dt
 
 
 def _finite_grid(grids: dict, key: str) -> list[float]:
@@ -217,7 +203,7 @@ def load_config(
     gammas = _finite_grid(grids, "gammas")
     horizons = _finite_grid(grids, "horizons_days")
     yields = _finite_grid(grids, "yields")
-    n_times = int(grids.get("n_times", 16))
+    n_times = _integer(grids.get("n_times", 16), "grids.n_times")
     if any(gm <= 0 for gm in gammas):
         raise ConfigError("grids.gammas must be positive")
     if any(h <= 0 for h in horizons):
@@ -226,8 +212,8 @@ def load_config(
         raise ConfigError("grids.n_times must be at least 2")
 
     mc = raw.get("mc", {})
-    n_paths = int(mc.get("n_paths", 10_000))
-    seed = int(mc.get("seed", 0))
+    n_paths = _integer(mc.get("n_paths", 10_000), "mc.n_paths")
+    seed = _integer(mc.get("seed", 0), "mc.seed")
     if paths_override is not None:
         n_paths = int(paths_override)
     if seed_override is not None:
@@ -244,7 +230,7 @@ def load_config(
     effective["mc"]["n_paths"] = n_paths
     effective["mc"]["seed"] = seed
 
-    return RunConfig(
+    cfg = RunConfig(
         raw=effective,
         path=path,
         chain=chain,
@@ -261,6 +247,9 @@ def load_config(
         seed=seed,
         out_dir=out_dir,
     )
+    if claim is not None:
+        cfg.build_claim(1.0)  # every claim field is checked up front, whatever the command
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Regime-switching entropic risk: closed forms and a Monte-Carlo oracle.
+"""Regime-switching entropic risk: closed forms, a Monte-Carlo oracle, and
+the two path samplers.
 
 The entropic risk of a payoff psi at aversion parameter gamma > 0 is
 
@@ -23,6 +24,13 @@ beyond the transition-law parameters.
 Simulate once, reduce many: the payoff sample does not depend on gamma, so
 the MC route simulates one payoff array per (horizon, starting state) and
 reduces that array at every requested gamma.
+
+Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
+engine (:func:`_simulate_grid`) steps many paths at once over a few grid
+times: a terminal claim is the one-step grid [s, T], a swap its settlement
+grid.  :func:`sample_paths` draws one path over thousands of grid times, as
+the ``simulate`` command does; it loops over scalars, which is several times
+faster than the engine on one path.
 
 Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
@@ -54,7 +62,6 @@ from .instruments import (
     GibsonSchwartzParams,
     LinearSpotClaim,
     SwapClaim,
-    _yield_step,
     step_correlation,
     swap_value,
 )
@@ -102,7 +109,7 @@ class RiskVector:
         if lam.ndim != 1:
             raise DimensionError(f"lam must be 1-d, got shape {lam.shape}")
         if not np.all(np.isfinite(lam)):
-            raise ValueError(f"non-finite risk entries: {lam!r}")
+            raise NonFinite(f"non-finite risk entries: {lam!r}")
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -299,106 +306,83 @@ def _blockwise(fn, n: int, workers: int) -> np.ndarray:
     return np.concatenate([o for o in out if o is not None and o.size])
 
 
-def _terminal_payoffs(
+def _simulate_grid(
     ou: OUParams,
     g: Generator,
-    claim: LinearSpotClaim | FutureClaim,
-    q: RiskQuery,
+    grid: np.ndarray,
+    x_s: float,
     state: int,
     n_paths: int,
-    seed: int,
-    workers: int,
-) -> np.ndarray:
-    """Simulate (X_T, Z_T) from one starting state and evaluate the claim.
+    rng: np.random.Generator,
+    gs: GibsonSchwartzParams | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Exact joint paths of (X, Z[, Y]) started at (x_s, state[, gs.y0]) at grid[0].
 
-    Draw layout per state stream: one standard-normal round for the spot,
-    then the chain's jump rounds.  For futures the payoff is the
-    carry-discounted terminal value e^{-(r+y)(T-s)} X_T delta[Z_T], the
-    random variable whose entropic risk the closed form targets.
+    Returns arrays of shape (len(grid), n_paths), one row per grid time; Y is
+    None without a Gibson-Schwartz spec.  Draw layout per step: a spot normal
+    round, a yield normal round when ``gs`` is given (correlated with the
+    spot innovation at the exact per-step correlation), then the chain's jump
+    rounds.
     """
-    law = conditional_law(ou, q.x_s, q.s, q.T)
-    rng = _state_rng(seed, state)
-    x_T = law.mean + law.std * rng.standard_normal(n_paths)
     rates, jump_cum = _jump_table(g)
-    z_T = _advance_regimes(rates, jump_cum, np.full(n_paths, state, dtype=np.int64), q.horizon, rng)
-    if isinstance(claim, FutureClaim):
-        scale = float(np.exp(-claim.carry * q.horizon))
-    else:
-        scale = 1.0
-    delta = claim.delta
-
-    def evaluate(lo: int, hi: int) -> np.ndarray:
-        return scale * x_T[lo:hi] * delta[z_T[lo:hi]]
-
-    return _blockwise(evaluate, n_paths, workers)
-
-
-def _swap_payoffs(
-    ou: OUParams,
-    g: Generator,
-    claim: SwapClaim,
-    q: RiskQuery,
-    state: int,
-    n_paths: int,
-    seed: int,
-    workers: int,
-) -> np.ndarray:
-    """Simulate joint (X, Z[, Y]) paths on the settlement grid and value the swap.
-
-    Draw layout per state stream and per settlement step: a spot normal
-    round, a yield normal round when the spec is stochastic, then the chain's
-    jump rounds.  The yield innovation is correlated with the spot innovation
-    at the exact per-step correlation.
-    """
-    T = claim.n_periods
-    rng = _state_rng(seed, state)
-    rates, jump_cum = _jump_table(g)
-    gs = claim.yield_spec if isinstance(claim.yield_spec, GibsonSchwartzParams) else None
-
-    x = np.full(n_paths, q.x_s)
-    z = np.full(n_paths, state, dtype=np.int64)
-    y = np.full(n_paths, gs.y0) if gs is not None else None
-    x_path = np.empty((T, n_paths))
-    z_path = np.empty((T, n_paths), dtype=np.int64)
-    y_path = np.empty((T, n_paths)) if gs is not None else None
-
-    times = np.concatenate([[q.s], q.s + claim.settlement_times])
-    for k in range(T):
-        dt = float(times[k + 1] - times[k])
+    shape = (len(grid), n_paths)
+    X = np.full(shape, x_s, dtype=float)
+    Z = np.full(shape, state, dtype=np.int64)
+    Y = None if gs is None else np.full(shape, gs.y0, dtype=float)
+    for k in range(len(grid) - 1):
+        dt = float(grid[k + 1] - grid[k])
         bx, cx, sdx = step_coefficients(ou, dt)
         e1 = rng.standard_normal(n_paths)
-        x = bx * x + cx + sdx * e1
+        X[k + 1] = bx * X[k] + cx + sdx * e1
         if gs is not None:
-            by, cy, sdy = _yield_step(gs, dt)
+            by, cy, sdy = step_coefficients(gs.historical_ou, dt)
             corr = step_correlation(ou, gs, dt)
             e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal(n_paths)
-            y = by * y + cy + sdy * e2
-            y_path[k] = y
-        z = _advance_regimes(rates, jump_cum, z, dt, rng)
-        x_path[k] = x
-        z_path[k] = z
-
-    def evaluate(lo: int, hi: int) -> np.ndarray:
-        yp = y_path[:, lo:hi] if y_path is not None else None
-        return np.atleast_1d(swap_value(x_path[:, lo:hi], z_path[:, lo:hi], claim, yp))
-
-    return _blockwise(evaluate, n_paths, workers)
+            Y[k + 1] = by * Y[k] + cy + sdy * e2
+        Z[k + 1] = _advance_regimes(rates, jump_cum, Z[k], dt, rng)
+    return X, Z, Y
 
 
 def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers) -> np.ndarray:
+    """Simulate one starting state's paths on the claim's grid and evaluate the claim.
+
+    A spot or future claim is simulated on the one-step grid [s, T]; a
+    future pays the carry-discounted terminal value e^{-(r+y)(T-s)} X_T
+    delta[Z_T], the random variable whose entropic risk the closed form
+    targets.  A swap is simulated on its settlement grid s + (0, 1, ..., T)
+    and valued by :func:`swap_value`.
+    """
+    gs = None
     if isinstance(claim, (LinearSpotClaim, FutureClaim)):
         if isinstance(claim, FutureClaim) and abs(q.T - claim.maturity) > 1e-12:
             raise TimeOrder(f"query horizon T={q.T} != future maturity {claim.maturity}")
-        return _terminal_payoffs(ou, g, claim, q, state, n_paths, seed, workers)
-    if isinstance(claim, SwapClaim):
+        grid = np.array([q.s, q.T])
+    elif isinstance(claim, SwapClaim):
         if q.s != 0.0:
             raise TimeOrder(f"swap risk is evaluated from s=0, got s={q.s}")
         if q.T != float(claim.n_periods):
             raise LengthMismatch(
                 f"query horizon T={q.T} != swap settlement count {claim.n_periods}"
             )
-        return _swap_payoffs(ou, g, claim, q, state, n_paths, seed, workers)
-    raise TypeError(f"unsupported claim type {type(claim).__name__}")
+        grid = np.concatenate([[q.s], q.s + claim.settlement_times])
+        if isinstance(claim.yield_spec, GibsonSchwartzParams):
+            gs = claim.yield_spec
+    else:
+        raise TypeError(f"unsupported claim type {type(claim).__name__}")
+    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs)
+
+    if isinstance(claim, SwapClaim):
+
+        def evaluate(lo: int, hi: int) -> np.ndarray:
+            yp = None if Y is None else Y[1:, lo:hi]
+            return np.atleast_1d(swap_value(X[1:, lo:hi], Z[1:, lo:hi], claim, yp))
+    else:
+        scale = float(np.exp(-claim.carry * q.horizon)) if isinstance(claim, FutureClaim) else 1.0
+
+        def evaluate(lo: int, hi: int) -> np.ndarray:
+            return scale * X[-1, lo:hi] * claim.delta[Z[-1, lo:hi]]
+
+    return _blockwise(evaluate, n_paths, workers)
 
 
 def claim_risk_mc(
@@ -452,21 +436,70 @@ def claim_risk_mc(
     return out
 
 
-def swap_risk_mc(
+def sample_paths(
     ou: OUParams,
     g: Generator,
-    c: SwapClaim,
-    gamma: float,
-    n_paths: int,
-    seed: int,
-    z0: int = 0,
-    workers: int = 1,
-) -> MCEstimate:
-    """Monte-Carlo entropic risk of a commodity swap from starting regime ``z0``.
+    z0: int,
+    grid,
+    rng: np.random.Generator,
+    yield_spec: GibsonSchwartzParams | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One exact joint path of spot, regime and (optionally) yield on ``grid``.
 
-    Settlements sit at t = 1..T years from s = 0 with x_0 = ou.x0; there is
-    no closed form for this claim, so simulation is the contract.  This is
-    ``claim_risk_mc(..., states=[z0])[0]``.
+    ``grid`` holds increasing times in years from 0, where the path starts at
+    (ou.x0, z0, yield_spec.y0).  Returns ``(x, z, y)``, each with one entry
+    per grid time; ``y`` is None without a yield spec.  The yield runs under
+    the historical measure and its innovations are correlated with the
+    spot's at the exact per-step correlation (:func:`step_correlation`).
+
+    Draw order on the caller-owned ``rng``: every spot normal, then the
+    chain's holding times and jump targets in time order, then every yield
+    normal.  A one-state chain draws nothing, so it gives a spot-only path.
     """
-    q = RiskQuery(gamma=gamma, s=0.0, T=float(c.n_periods), x_s=ou.x0)
-    return claim_risk_mc(ou, g, c, q, n_paths, seed, workers, states=[z0])[0]
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DimensionError(f"grid must be a nonempty 1-d array, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise NonFinite("grid times must be finite")
+    steps = np.diff(grid)
+    if grid[0] != 0.0 or not np.all(steps > 0):
+        raise TimeOrder("grid must start at 0 and be strictly increasing")
+    if not 0 <= z0 < g.n:
+        raise StateOutOfRange(f"z0={z0} outside [0, {g.n})")
+    eps = rng.standard_normal(steps.size)
+
+    # exact chain: exponential holding time at the exit rate, then a jump
+    # target drawn in proportion to the rates in the state's column
+    times, states = [0.0], [int(z0)]
+    t, state = 0.0, int(z0)
+    rates = g.exit_rates()
+    while rates[state] > 0.0:
+        t += rng.exponential(1.0 / rates[state])
+        if t >= grid[-1]:
+            break
+        probs = np.maximum(g.q[:, state], 0.0)
+        probs[state] = 0.0
+        probs /= probs.sum()
+        state = int(rng.choice(g.n, p=probs))
+        times.append(t)
+        states.append(state)
+    z = np.array(states)[np.searchsorted(times, grid, side="right") - 1]
+
+    # step coefficients once per distinct step length
+    dts, which = np.unique(steps, return_inverse=True)
+    x = _ar1_path(ou.x0, [step_coefficients(ou, dt) for dt in dts], which, eps)
+    if yield_spec is None:
+        return x, z, None
+    corr = np.array([step_correlation(ou, yield_spec, dt) for dt in dts])[which]
+    e2 = corr * eps + np.sqrt(1.0 - corr * corr) * rng.standard_normal(steps.size)
+    y = _ar1_path(yield_spec.y0, [step_coefficients(yield_spec.historical_ou, dt) for dt in dts], which, e2)
+    return x, z, y
+
+
+def _ar1_path(v0: float, coeffs: list, which: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """v[k+1] = b v[k] + c + sd eps[k], with (b, c, sd) = coeffs[which[k]]."""
+    v = [v0]
+    for k, e in zip(which.tolist(), eps.tolist()):
+        b, c, sd = coeffs[k]
+        v.append(b * v[-1] + c + sd * e)
+    return np.array(v)

@@ -4,6 +4,8 @@ Everything derives from :class:`RiskModelError`, which is itself a
 ``ValueError``, so callers can catch broadly or precisely.
 """
 
+import math
+
 
 class RiskModelError(ValueError):
     """Base class for all regime_risk errors."""
@@ -22,7 +24,8 @@ class NotStochastic(RiskModelError):
 
 
 class BadDistribution(RiskModelError):
-    """A probability vector has negative mass or does not sum to one."""
+    """A probability vector has negative mass or does not sum to one, or a
+    Gaussian law has a negative volatility or a correlation outside [-1, 1]."""
 
 
 class TimeOrder(RiskModelError):
@@ -57,9 +60,12 @@ class NonFinite(RiskModelError):
     """A numeric input is NaN or infinite."""
 
 
-class NotSupported(RiskModelError):
-    """A modelling feature is deliberately not implemented (e.g. storage cost)."""
-
-
 class ConfigError(RiskModelError):
     """A run configuration file is missing fields or inconsistent."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise :class:`NonFinite` naming the first NaN or infinite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFinite(f"{name} must be finite, got {value}")

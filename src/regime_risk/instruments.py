@@ -1,9 +1,10 @@
-"""Commodity claims (linear spot, future, swap) and the convenience-yield simulator.
+"""Commodity claims (linear spot, future, swap) and the convenience-yield dynamics.
 
 Claims pay off a regime-loaded multiple of the spot: the loading vector
-``delta`` has one entry per chain state.  Yields are annualized rates;
-storage cost is carried in the signatures for fidelity but only the zero
-value is supported.
+``delta`` has one entry per chain state.  Yields are annualized rates.
+Every field is checked once, at construction: NaN and infinite values raise
+:class:`NonFinite`.  Paths of the yield are sampled together with the spot
+by the two samplers in :mod:`regime_risk.entropic_risk`.
 """
 
 from __future__ import annotations
@@ -12,14 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NotSupported, StateOutOfRange, TimeOrder
+from .errors import (
+    BadDistribution,
+    DimensionError,
+    LengthMismatch,
+    NonFinite,
+    NotMeanReverting,
+    StateOutOfRange,
+    TimeOrder,
+    require_finite,
+)
 from .ou_model import OUParams, step_coefficients
 
 
 def _freeze_vec(v) -> np.ndarray:
     a = np.array(v, dtype=float)
     if a.ndim != 1 or a.size == 0:
-        raise ValueError(f"expected a nonempty 1-d vector, got shape {a.shape}")
+        raise DimensionError(f"expected a nonempty 1-d vector, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite(f"vector entries must be finite, got {a!r}")
     a.setflags(write=False)
     return a
 
@@ -40,24 +52,18 @@ class LinearSpotClaim:
 
 @dataclass(frozen=True)
 class FutureClaim:
-    """Pays e^{(r+y)(t-T)} X_t * delta[Z_t]; r risk-free rate, y convenience yield.
-
-    ``storage_cost`` must be zero (kept in the signature for fidelity with the
-    carry decomposition; nonzero values raise NotSupported).
-    """
+    """Pays e^{(r+y)(t-T)} X_t * delta[Z_t]; r risk-free rate, y convenience yield."""
 
     delta: np.ndarray
     r: float
     y: float
     maturity: float
-    storage_cost: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _freeze_vec(self.delta))
+        require_finite(r=self.r, y=self.y, maturity=self.maturity)
         if self.maturity <= 0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.storage_cost != 0.0:
-            raise NotSupported("nonzero storage cost is not supported")
+            raise TimeOrder(f"maturity must be positive, got {self.maturity}")
 
     @property
     def n_states(self) -> int:
@@ -74,11 +80,9 @@ class ConstantYield:
 
     r: float
     y: float
-    storage_cost: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.storage_cost != 0.0:
-            raise NotSupported("nonzero storage cost is not supported")
+        require_finite(**vars(self))
 
     @property
     def level(self) -> float:
@@ -102,16 +106,22 @@ class GibsonSchwartzParams:
     y0: float
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+            raise NotMeanReverting(f"kappa must be positive, got {self.kappa}")
         if self.sigma_y < 0:
-            raise ValueError(f"sigma_y must be nonnegative, got {self.sigma_y}")
+            raise BadDistribution(f"sigma_y must be nonnegative, got {self.sigma_y}")
         if abs(self.rho) > 1:
-            raise ValueError(f"rho must be in [-1, 1], got {self.rho}")
+            raise BadDistribution(f"rho must be in [-1, 1], got {self.rho}")
 
     @property
     def historical_level(self) -> float:
         return self.y_bar - self.lambda_y / self.kappa - self.lambda_y
+
+    @property
+    def historical_ou(self) -> OUParams:
+        """The yield under the historical measure, an OU process of its own."""
+        return OUParams(alpha=self.kappa, mu=self.historical_level, sigma=self.sigma_y, x0=self.y0)
 
 
 @dataclass(frozen=True)
@@ -147,27 +157,6 @@ class SwapClaim:
         return np.arange(1, self.n_periods + 1, dtype=float)
 
 
-def _check_states(z, n: int) -> np.ndarray:
-    z = np.asarray(z)
-    if z.size and (z.min() < 0 or z.max() >= n):
-        raise StateOutOfRange(f"state index outside [0, {n}): {z[(z < 0) | (z >= n)][:1]!r}")
-    return z
-
-
-def linear_payoff(c: LinearSpotClaim, x: float, z: int) -> float:
-    """Spot claim value x * delta[z]."""
-    z = _check_states(z, c.n_states)
-    return float(x * c.delta[z])
-
-
-def future_payoff(c: FutureClaim, x: float, z: int, t: float) -> float:
-    """Future value e^{(r+y)(t-T)} x delta[z] at time t <= T."""
-    if t > c.maturity:
-        raise TimeOrder(f"t={t} past maturity {c.maturity}")
-    z = _check_states(z, c.n_states)
-    return float(np.exp(c.carry * (t - c.maturity)) * x * c.delta[z])
-
-
 def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     """Discounted sum of the swap's cash settlements.
 
@@ -185,7 +174,9 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
         raise LengthMismatch(
             f"spot/state series must have {T} settlement values, got {x.shape} / {z.shape}"
         )
-    z = _check_states(z, c.n_states)
+    bad = (z < 0) | (z >= c.n_states)
+    if bad.any():
+        raise StateOutOfRange(f"state index outside [0, {c.n_states}): {z[bad][:1]!r}")
     if isinstance(c.yield_spec, ConstantYield):
         if y_path is not None:
             raise LengthMismatch("y_path must be omitted for a constant yield spec")
@@ -205,39 +196,6 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     return float(total) if total.ndim == 0 else total
 
 
-def _yield_step(p: GibsonSchwartzParams, dt: float) -> tuple[float, float, float]:
-    """Exact one-step recursion for the historical-measure yield."""
-    b = float(np.exp(-p.kappa * dt))
-    c = p.historical_level * (1.0 - b)
-    sd = float(np.sqrt(p.sigma_y**2 / (2.0 * p.kappa) * (1.0 - b * b)))
-    return b, c, sd
-
-
-def simulate_yield_path(
-    p: GibsonSchwartzParams, grid: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact transition sampling of the scalar yield along ``grid`` (years).
-
-    Runs under the historical measure: the long-run level is
-    y_bar - lambda_y/kappa - lambda_y, equal to the risk-neutral y_bar when
-    lambda_y = 0.  For a yield correlated with the spot driver use
-    :func:`simulate_spot_and_yield` on a shared grid.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise TimeOrder("grid times must be strictly increasing")
-    y = np.empty(grid.size)
-    y[0] = p.y0
-    if grid.size > 1:
-        eps = rng.standard_normal(grid.size - 1)
-        for k, dt in enumerate(np.diff(grid)):
-            b, c, sd = _yield_step(p, dt)
-            y[k + 1] = b * y[k] + c + sd * eps[k]
-    return y
-
-
 def step_correlation(ou: OUParams, gs: GibsonSchwartzParams, dt: float) -> float:
     """Correlation of the exact spot and yield transition innovations over ``dt``.
 
@@ -246,41 +204,9 @@ def step_correlation(ou: OUParams, gs: GibsonSchwartzParams, dt: float) -> float
     cov_kernel = sigma sigma_y (1 - e^{-(alpha+kappa) dt}) / (alpha + kappa).
     """
     _, _, sd_x = step_coefficients(ou, dt)
-    _, _, sd_y = _yield_step(gs, dt)
+    _, _, sd_y = step_coefficients(gs.historical_ou, dt)
     if sd_x == 0.0 or sd_y == 0.0:
         return 0.0
     rate = ou.alpha + gs.kappa
     cov = gs.rho * ou.sigma * gs.sigma_y * (1.0 - np.exp(-rate * dt)) / rate
     return float(np.clip(cov / (sd_x * sd_y), -1.0, 1.0))
-
-
-def simulate_spot_and_yield(
-    ou: OUParams,
-    gs: GibsonSchwartzParams,
-    grid: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint exact simulation of spot and yield on a shared grid.
-
-    Each step draws a two-dimensional Gaussian innovation whose correlation
-    is the exact innovation correlation implied by driver correlation rho.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if grid[0] != 0.0:
-        raise TimeOrder(f"grid must start at 0, got {grid[0]}")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise TimeOrder("grid times must be strictly increasing")
-    x = np.empty(grid.size)
-    y = np.empty(grid.size)
-    x[0], y[0] = ou.x0, gs.y0
-    for k, dt in enumerate(np.diff(grid)):
-        bx, cx, sdx = step_coefficients(ou, dt)
-        by, cy, sdy = _yield_step(gs, dt)
-        corr = step_correlation(ou, gs, dt)
-        e1 = rng.standard_normal()
-        e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal()
-        x[k + 1] = bx * x[k] + cx + sdx * e1
-        y[k + 1] = by * y[k] + cy + sdy * e2
-    return x, y

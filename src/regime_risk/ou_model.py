@@ -7,7 +7,8 @@ with exact Gaussian transitions: knowing X_s, the value X_t is normal with
     mean     = X_s e^{-alpha (t-s)} + mu (1 - e^{-alpha (t-s)})
     variance = sigma^2 / (2 alpha) (1 - e^{-2 alpha (t-s)})
 
-All times are in years; daily price data uses dt = 1/252 by default.
+All times are in years; daily price data uses dt = 1/252 by default.  Paths
+are sampled by the two samplers in :mod:`regime_risk.entropic_risk`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NotMeanReverting, TimeOrder, TooFewPoints
+from .errors import BadDistribution, NotMeanReverting, TimeOrder, TooFewPoints, require_finite
 
 TRADING_DAYS_PER_YEAR = 252.0
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_YEAR
@@ -35,10 +36,11 @@ class OUParams:
     x0: float
 
     def __post_init__(self) -> None:
+        require_finite(**vars(self))
         if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise NotMeanReverting(f"alpha must be positive, got {self.alpha}")
         if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+            raise BadDistribution(f"sigma must be nonnegative, got {self.sigma}")
 
     @property
     def stationary_variance(self) -> float:
@@ -126,34 +128,6 @@ def conditional_law(p: OUParams, x_s: float, s: float, t: float) -> ConditionalL
         raise TimeOrder(f"t={t} earlier than s={s}")
     b, c, sd = step_coefficients(p, t - s)
     return ConditionalLaw(mean=x_s * b + c, variance=sd * sd)
-
-
-def sample_exact(
-    p: OUParams, x_s: float, s: float, t: float, rng: np.random.Generator
-) -> float:
-    """One draw from the exact transition law (no discretization error)."""
-    law = conditional_law(p, x_s, s, t)
-    return law.mean + law.std * rng.standard_normal()
-
-
-def simulate_path(p: OUParams, grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact sequential transitions along ``grid`` (years), starting from x0 at time 0."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if grid[0] != 0.0:
-        raise TimeOrder(f"grid must start at 0, got {grid[0]}")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise TimeOrder("grid times must be strictly increasing")
-    x = np.empty(grid.size)
-    x[0] = p.x0
-    if grid.size > 1:
-        eps = rng.standard_normal(grid.size - 1)
-        steps = np.diff(grid)
-        for k, dt in enumerate(steps):
-            b, c, sd = step_coefficients(p, dt)
-            x[k + 1] = b * x[k] + c + sd * eps[k]
-    return x
 
 
 def calibrate(series: PriceSeries) -> CalibrationResult:

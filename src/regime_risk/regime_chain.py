@@ -1,4 +1,7 @@
-"""Finite-state continuous-time Markov chain: validation, exponentials, simulation.
+"""Finite-state continuous-time Markov chain: validation and exponentials.
+
+Paths of the chain are sampled together with the spot by the two samplers in
+:mod:`regime_risk.entropic_risk`.
 
 Convention
 ----------
@@ -24,22 +27,17 @@ from scipy.linalg import expm
 from .errors import (
     BadDistribution,
     DimensionError,
+    NonFinite,
     NotAGenerator,
     NotStochastic,
-    StateOutOfRange,
+    TimeOrder,
+    require_finite,
 )
 
 _COLSUM_TOL = 1e-9      # generator column sums must vanish within this
 _SIGN_TOL = 1e-12       # off-diagonal entries may be this far below zero
-_ROWSUM_STRICT = 1e-9   # TransitionMatrix construction
-_ROWSUM_LOOSE = 1e-6    # from_transition on raw arrays
+_ROWSUM_TOL = 1e-6      # from_transition row sums
 _EXP_COLSUM_TOL = 1e-10
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,10 @@ class Generator:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)
         _check_generator(q)
-        object.__setattr__(self, "q", _freeze(q))
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
@@ -66,74 +65,14 @@ class Generator:
         return -np.diag(self.q)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic one-step matrix describing a step of length ``dt`` (years)."""
-
-    p: np.ndarray
-    dt: float
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionError(f"transition matrix must be square, got shape {p.shape}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        _check_rows_stochastic(p, tol=_ROWSUM_STRICT)
-        object.__setattr__(self, "p", _freeze(p))
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-
-@dataclass(frozen=True)
-class StatePath:
-    """Piecewise-constant chain realization: state ``states[k]`` holds on
-    ``[times[k], times[k+1])`` and the last state holds forever after."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=int)
-        if times.shape != states.shape or times.ndim != 1 or times.size == 0:
-            raise DimensionError("times and states must be equal-length 1-d arrays")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("jump times must be strictly increasing")
-        states.setflags(write=False)
-        object.__setattr__(self, "times", _freeze(times))
-        object.__setattr__(self, "states", states)
-
-    def state_at(self, t: float) -> int:
-        """State occupied at time ``t`` (>= times[0])."""
-        if t < self.times[0]:
-            raise ValueError(f"t={t} precedes the path start {self.times[0]}")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.states[k])
-
-    @property
-    def n_jumps(self) -> int:
-        return self.times.size - 1
-
-
-def _check_rows_stochastic(p: np.ndarray, tol: float) -> None:
-    if np.any(p < -_SIGN_TOL) or np.any(p > 1 + _SIGN_TOL):
-        i, j = np.unravel_index(int(np.argmin(np.minimum(p, 1 - p))), p.shape)
-        raise NotStochastic(f"entry ({i},{j})={p[i, j]!r} outside [0, 1]")
-    sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
-    if np.any(bad):
-        i = int(np.argmax(np.abs(sums - 1.0)))
-        raise NotStochastic(f"row {i} sums to {sums[i]!r}, expected 1 within {tol}")
-
-
 def _check_generator(q: np.ndarray) -> None:
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionError(f"generator must be a square matrix, got shape {q.shape}")
     if q.shape[0] < 1:
         raise DimensionError("generator needs at least one state")
+    if not np.isfinite(q).all():
+        i, j = np.argwhere(~np.isfinite(q))[0]
+        raise NonFinite(f"generator entry ({i},{j})={q[i, j]!r} is not finite")
     off = q[~np.eye(q.shape[0], dtype=bool)]
     if off.size and off.min() < -_SIGN_TOL:
         i, j = _worst_offdiag(q)
@@ -168,6 +107,8 @@ def validate_generator(q: np.ndarray) -> Generator:
     ------
     DimensionError
         If ``q`` is not square.
+    NonFinite
+        If an entry is NaN or infinite.
     NotAGenerator
         On sign violations or nonzero column sums, naming the offending entry.
     """
@@ -179,7 +120,7 @@ def validate_generator(q: np.ndarray) -> Generator:
     return Generator(q)
 
 
-def from_transition(p, dt: float | None = None) -> Generator:
+def from_transition(p, dt: float) -> Generator:
     """First-order generator from a one-step transition matrix.
 
     Maps a row-stochastic P over step ``dt`` to ``(P - I)^T / dt``, which is a
@@ -188,22 +129,24 @@ def from_transition(p, dt: float | None = None) -> Generator:
     logarithm; adequate for small steps (e.g. daily data), and always
     well-defined.
 
-    Accepts either a :class:`TransitionMatrix` or a raw array plus ``dt``.
-    Raw arrays are rejected with :class:`NotStochastic` (naming the row and
-    its sum) when any row strays from 1 by more than 1e-6 — defective inputs
-    are surfaced, never renormalized silently.
+    Matrices are rejected with :class:`NotStochastic` (naming the row and its
+    sum) when any row strays from 1 by more than 1e-6 — defective inputs are
+    surfaced, never renormalized silently.
     """
-    if isinstance(p, TransitionMatrix):
-        mat, step = p.p, p.dt
-    else:
-        if dt is None:
-            raise ValueError("dt is required when passing a raw matrix")
-        mat, step = np.asarray(p, dtype=float), float(dt)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"transition matrix must be square, got shape {mat.shape}")
-        if step <= 0:
-            raise ValueError(f"dt must be positive, got {step}")
-    _check_rows_stochastic(mat, tol=_ROWSUM_LOOSE)
+    mat, step = np.asarray(p, dtype=float), float(dt)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionError(f"transition matrix must be square, got shape {mat.shape}")
+    require_finite(dt=step)
+    if step <= 0:
+        raise TimeOrder(f"dt must be positive, got {step}")
+    if np.any(mat < -_SIGN_TOL) or np.any(mat > 1 + _SIGN_TOL):
+        i, j = np.unravel_index(int(np.argmin(np.minimum(mat, 1 - mat))), mat.shape)
+        raise NotStochastic(f"entry ({i},{j})={mat[i, j]!r} outside [0, 1]")
+    sums = mat.sum(axis=1)
+    bad = np.abs(sums - 1.0) > _ROWSUM_TOL
+    if np.any(bad):
+        i = int(np.argmax(np.abs(sums - 1.0)))
+        raise NotStochastic(f"row {i} sums to {sums[i]!r}, expected 1 within {_ROWSUM_TOL}")
     q = (mat - np.eye(mat.shape[0])).T / step
     return validate_generator(q)
 
@@ -240,37 +183,3 @@ def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
     if abs(p0.sum() - 1.0) > _COLSUM_TOL:
         raise BadDistribution(f"p0 sums to {p0.sum()!r}, expected 1")
     return matrix_exp(g, t) @ np.maximum(p0, 0.0)
-
-
-def sample_path(
-    g: Generator, z0: int, horizon: float, rng: np.random.Generator
-) -> StatePath:
-    """Exact chain simulation up to ``horizon``.
-
-    Holding time in state i is exponential with rate ``-q[i, i]``; the next
-    state j is drawn proportionally to the rates ``q[j, i]`` in column i.
-    Absorbing states (zero exit rate) hold forever.  Deterministic given the
-    caller-owned ``rng``.
-    """
-    if not 0 <= z0 < g.n:
-        raise StateOutOfRange(f"z0={z0} outside [0, {g.n})")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    q = g.q
-    times = [0.0]
-    states = [int(z0)]
-    t, state = 0.0, int(z0)
-    while True:
-        rate = -q[state, state]
-        if rate <= 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        probs = np.maximum(q[:, state], 0.0)
-        probs[state] = 0.0
-        probs /= probs.sum()
-        state = int(rng.choice(g.n, p=probs))
-        times.append(t)
-        states.append(state)
-    return StatePath(np.array(times), np.array(states))

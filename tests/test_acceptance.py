@@ -16,6 +16,7 @@ from regime_risk.entropic_risk import (
     claim_risk_mc,
     entropic_mc,
     future_risk_closed,
+    sample_paths,
     spot_risk_closed,
 )
 from regime_risk.instruments import FutureClaim, LinearSpotClaim
@@ -24,7 +25,6 @@ from regime_risk.ou_model import (
     PriceSeries,
     calibrate,
     conditional_law,
-    simulate_path,
 )
 from regime_risk.regime_chain import Generator, matrix_exp, validate_generator
 
@@ -157,9 +157,10 @@ class TestCalibrationRoundTrip:
         truth = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
         grid = np.arange(10_001) / 252.0
         days = np.datetime64("2000-01-03") + np.arange(10_001).astype("timedelta64[D]")
+        one_state = validate_generator([[0.0]])  # spot-only paths: the chain draws nothing
         hits = 0
         for seed in range(100):
-            x = simulate_path(truth, grid, np.random.default_rng(seed))
+            x = sample_paths(truth, one_state, 0, grid, np.random.default_rng(seed))[0]
             series = PriceSeries(timestamps=days, prices=x, dt=1 / 252.0)
             res = calibrate(series)
             hits += (

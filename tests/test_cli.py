@@ -10,8 +10,9 @@ import pytest
 
 from regime_risk import entropic_risk
 from regime_risk.cli import main
-from regime_risk.entropic_risk import RiskQuery, spot_risk_closed
-from regime_risk.ou_model import OUParams, simulate_path, TRADING_DAYS_PER_YEAR
+from regime_risk.entropic_risk import RiskQuery, sample_paths, spot_risk_closed
+from regime_risk.instruments import GibsonSchwartzParams, step_correlation
+from regime_risk.ou_model import OUParams, TRADING_DAYS_PER_YEAR, step_coefficients
 from regime_risk.regime_chain import validate_generator
 
 from conftest import EXAMPLE_CONFIG
@@ -55,10 +56,33 @@ def base_config(**overrides) -> dict:
     return cfg
 
 
+GS_SWAP = {
+    "type": "swap",
+    "delta": [1.0, 1.0],
+    "rates": [0.05, 0.05],
+    "yield": {
+        "kind": "gibson_schwartz",
+        "kappa": 1.5,
+        "y_bar": 0.08,
+        "sigma_y": 0.1,
+        "rho": -0.6,
+        "lambda_y": 0.0,
+        "y0": 0.05,
+    },
+}
+
+
+def gs_swap(**yield_overrides) -> dict:
+    claim = json.loads(json.dumps(GS_SWAP))
+    claim["yield"].update(yield_overrides)
+    return claim
+
+
 def synthetic_csv(tmp_path: Path, n=6000, seed=77) -> Path:
     p = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
     rng = np.random.default_rng(seed)
-    x = simulate_path(p, np.arange(n + 1) / TRADING_DAYS_PER_YEAR, rng)
+    one_state = validate_generator([[0.0]])  # spot-only path: the chain draws nothing
+    x = sample_paths(p, one_state, 0, np.arange(n + 1) / TRADING_DAYS_PER_YEAR, rng)[0]
     days = np.datetime64("2012-01-03") + np.arange(n + 1).astype("timedelta64[D]")
     f = tmp_path / "prices.csv"
     f.write_text(
@@ -309,6 +333,41 @@ class TestSimulateCommand:
         assert header == ["step", "t_years", "spot", "regime", "yield"]
 
 
+    def test_yield_innovations_correlate_with_spot(self, tmp_path):
+        # residuals of the exact one-step recursions are the two innovations;
+        # their correlation is the exact per-step one implied by rho
+        cfg = base_config(claim=gs_swap())
+        cfg["grids"]["horizons_days"] = [5000.0]
+        assert run(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "paths.csv")
+        x, y = (np.array([float(r[header.index(k)]) for r in rows]) for k in ("spot", "yield"))
+        ou = OUParams(**cfg["ou"])
+        gs = GibsonSchwartzParams(**{k: v for k, v in GS_SWAP["yield"].items() if k != "kind"})
+        dt = 1.0 / TRADING_DAYS_PER_YEAR
+        bx, cx, _ = step_coefficients(ou, dt)
+        by, cy, _ = step_coefficients(gs.historical_ou, dt)
+        innov_x = x[1:] - (bx * x[:-1] + cx)
+        innov_y = y[1:] - (by * y[:-1] + cy)
+        target = step_correlation(ou, gs, dt)
+        assert target < -0.5
+        assert abs(np.corrcoef(innov_x, innov_y)[0, 1] - target) < 0.05
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            dict(gs_swap(), delta=[1.0, 1.0, 1.0]),
+            gs_swap(kind="gibson"),
+            {**GS_SWAP, "yield": {k: v for k, v in GS_SWAP["yield"].items() if k != "y_bar"}},
+        ],
+        ids=["delta_length", "unknown_yield_kind", "missing_y_bar"],
+    )
+    def test_malformed_swap_claim_rejected(self, tmp_path, capsys, claim):
+        path = write_config(tmp_path, base_config(claim=claim))
+        assert run(["simulate", "--config", path]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminismAndOverrides:
     def test_sweep_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -470,6 +529,39 @@ class TestConfigValidation:
         assert run(["risk", "--config", write_config(tmp_path, cfg), "--mc"]) == 2
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, key, value, error",
+        [
+            ("sweep", "claim", "r", None, "ConfigError"),
+            ("sweep", "ou", "alpha", -1.0, "NotMeanReverting"),
+            ("simulate", "ou", "alpha", float("nan"), "NonFinite"),
+            ("sweep", "ou", "sigma", float("nan"), "NonFinite"),
+            ("sweep", "claim", "y", float("nan"), "NonFinite"),
+            ("sweep", "chain", "matrix", [[-0.8, 0.5], [float("nan"), -0.5]], "NonFinite"),
+        ],
+        ids=["claim.r_missing", "ou.alpha_negative", "ou.alpha_nan", "ou.sigma_nan",
+             "claim.y_nan", "chain_entry_nan"],
+    )
+    def test_defective_field_rejected(self, tmp_path, capsys, command, section, key, value, error):
+        cfg = base_config(claim={"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08})
+        if value is None:
+            del cfg[section][key]
+        else:
+            cfg[section][key] = value
+        assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("chain", "z0", 1.7), ("grids", "n_times", 8.5), ("mc", "n_paths", 4000.5), ("mc", "seed", 11.2)],
+    )
+    def test_non_integral_value_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = base_config()
+        cfg[section][key] = value
+        assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"{section}.{key} must be an integer" in capsys.readouterr().err
 
     def test_delta_length_checked_against_chain(self, tmp_path):
         cfg = base_config(claim={"type": "linear", "delta": [1.0, 1.0, 1.0]})

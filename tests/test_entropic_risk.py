@@ -10,7 +10,6 @@ from regime_risk.entropic_risk import (
     entropic_mc,
     future_risk_closed,
     spot_risk_closed,
-    swap_risk_mc,
 )
 from regime_risk import entropic_risk
 from regime_risk.errors import (
@@ -36,6 +35,12 @@ from conftest import draw_mc_instance, random_generator_matrix
 
 CRUDE = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
 TWO_STATE = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
+
+
+def swap_risk_mc(ou, g, c, gamma, n_paths, seed, z0=0):
+    """Swap risk from regime z0: settlements at t = 1..T from s = 0, x_0 = ou.x0."""
+    q = RiskQuery(gamma, 0.0, float(c.n_periods), ou.x0)
+    return claim_risk_mc(ou, g, c, q, n_paths, seed, states=[z0])[0]
 
 
 def expected_payoff_closed(ou, g, delta, q):

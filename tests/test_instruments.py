@@ -1,74 +1,100 @@
-"""Claim payoffs and the convenience-yield simulator."""
+"""Claim payoffs and the convenience-yield dynamics."""
 
 import numpy as np
 import pytest
 
-from regime_risk.errors import LengthMismatch, NotSupported, StateOutOfRange, TimeOrder
+from regime_risk.entropic_risk import RiskQuery, claim_risk_mc, sample_paths
+from regime_risk.errors import LengthMismatch, NonFinite, StateOutOfRange, TimeOrder
 from regime_risk.instruments import (
     ConstantYield,
     FutureClaim,
     GibsonSchwartzParams,
     LinearSpotClaim,
     SwapClaim,
-    future_payoff,
-    linear_payoff,
-    simulate_spot_and_yield,
-    simulate_yield_path,
     step_correlation,
     swap_value,
 )
 from regime_risk.ou_model import OUParams
+from regime_risk.regime_chain import validate_generator
+
+SPOT = OUParams(alpha=1.0, mu=0.0, sigma=1.0, x0=0.0)
+ONE_STATE = validate_generator([[0.0]])  # draws nothing
+
+
+def terminal_payoff(claim, x: float, z: int, s: float = 0.0, T: float = 1.0) -> float:
+    """The MC engine's payoff of ``claim`` in regime z with the spot at x.
+
+    A reversion rate of 1000/yr with sigma = 0 puts X_T exactly at mu = x, and
+    a zero generator keeps Z_T at z; the risk of that constant payoff at
+    gamma = 1 is the payoff itself.
+    """
+    ou = OUParams(alpha=1000.0, mu=x, sigma=0.0, x0=x)
+    frozen = validate_generator(np.zeros((claim.n_states, claim.n_states)))
+    q = RiskQuery(gamma=1.0, s=s, T=T, x_s=x)
+    return claim_risk_mc(ou, frozen, claim, q, 2, seed=0, states=[z])[0].value
+
+
+def yield_path(gs, grid, rng):
+    return sample_paths(SPOT, ONE_STATE, 0, grid, rng, gs)[2]
 
 
 class TestLinearPayoff:
     def test_identity_loading_returns_spot(self):
         c = LinearSpotClaim(delta=np.ones(4))
-        assert linear_payoff(c, 62.24, 3) == 62.24
+        assert terminal_payoff(c, 62.24, 3) == 62.24
 
     def test_quarter_haircut(self):
         c = LinearSpotClaim(delta=[0.75, 0.75])
-        assert linear_payoff(c, 62.24, 0) == pytest.approx(46.68)
+        assert terminal_payoff(c, 62.24, 0) == pytest.approx(46.68)
 
     def test_zero_loading(self):
         c = LinearSpotClaim(delta=[0.0, 0.0])
-        assert linear_payoff(c, 123.0, 1) == 0.0
+        assert terminal_payoff(c, 123.0, 1) == 0.0
 
     def test_state_out_of_range(self):
         c = LinearSpotClaim(delta=[1.0, 2.0])
         with pytest.raises(StateOutOfRange):
-            linear_payoff(c, 1.0, 2)
+            terminal_payoff(c, 1.0, 2)
 
 
 class TestFuturePayoff:
-    def test_discount_vanishes_at_maturity(self):
-        c = FutureClaim(delta=[0.8, 1.2], r=0.05, y=0.03, maturity=2.0)
-        for x, z in [(10.0, 0), (55.5, 1)]:
-            assert future_payoff(c, x, z, t=2.0) == linear_payoff(
-                LinearSpotClaim(c.delta), x, z
-            )
-
     def test_zero_carry_equals_linear(self):
         c = FutureClaim(delta=[1.5], r=0.04, y=-0.04, maturity=1.0)
-        assert future_payoff(c, 77.0, 0, t=0.2) == linear_payoff(
-            LinearSpotClaim(c.delta), 77.0, 0
+        assert terminal_payoff(c, 77.0, 0, s=0.2) == terminal_payoff(
+            LinearSpotClaim(c.delta), 77.0, 0, s=0.2
         )
 
     def test_eight_percent_carry_over_one_year(self):
         c = FutureClaim(delta=[1.0], r=0.0, y=0.08, maturity=1.0)
-        assert future_payoff(c, 100.0, 0, t=0.0) == pytest.approx(
-            92.31163463866358, rel=1e-12
-        )
+        assert terminal_payoff(c, 100.0, 0) == pytest.approx(92.31163463866358, rel=1e-12)
 
     def test_past_maturity_rejected(self):
         c = FutureClaim(delta=[1.0], r=0.0, y=0.0, maturity=1.0)
         with pytest.raises(TimeOrder):
-            future_payoff(c, 100.0, 0, t=1.5)
+            terminal_payoff(c, 100.0, 0, T=1.5)
 
-    def test_storage_cost_not_supported(self):
-        with pytest.raises(NotSupported):
-            FutureClaim(delta=[1.0], r=0.0, y=0.0, maturity=1.0, storage_cost=0.01)
-        with pytest.raises(NotSupported):
-            ConstantYield(r=0.0, y=0.0, storage_cost=0.01)
+
+GS_FIELDS = dict(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.05)
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LinearSpotClaim(delta=[1.0, np.inf]),
+            lambda: FutureClaim(delta=[1.0], r=0.0, y=np.nan, maturity=1.0),
+            lambda: FutureClaim(delta=[1.0], r=0.0, y=0.0, maturity=np.inf),
+            lambda: ConstantYield(r=np.nan, y=0.0),
+            lambda: SwapClaim(rates=[0.05, np.nan], delta=[1.0], yield_spec=ConstantYield(r=0.0, y=0.0)),
+            lambda: GibsonSchwartzParams(**dict(GS_FIELDS, rho=np.inf)),
+            lambda: GibsonSchwartzParams(**dict(GS_FIELDS, y0=np.nan)),
+            lambda: OUParams(alpha=np.nan, mu=50.0, sigma=5.0, x0=50.0),
+        ],
+        ids=["delta", "future_y", "maturity", "constant_r", "swap_rates", "gs_rho", "gs_y0", "ou_alpha"],
+    )
+    def test_non_finite_field_rejected(self, build):
+        with pytest.raises(NonFinite):
+            build()
 
 
 class TestSwapValue:
@@ -144,7 +170,7 @@ class TestYieldSimulation:
         gs = GibsonSchwartzParams(kappa=2.0, y_bar=0.08, sigma_y=0.0, rho=0.0, lambda_y=0.04, y0=0.20)
         assert gs.historical_level == pytest.approx(0.08 - 0.02 - 0.04)
         grid = np.linspace(0.0, 6.0, 40)
-        y = simulate_yield_path(gs, grid, rng)
+        y = yield_path(gs, grid, rng)
         assert np.all(np.diff(y) < 0)
         assert abs(y[-1] - gs.historical_level) < 1e-4
 
@@ -152,14 +178,14 @@ class TestYieldSimulation:
         gs = GibsonSchwartzParams(kappa=1.5, y_bar=0.07, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.07)
         assert gs.historical_level == gs.y_bar
         # with y0 at the level and zero premium the path oscillates around y_bar
-        y = simulate_yield_path(gs, np.linspace(0, 50, 5000), np.random.default_rng(4))
+        y = yield_path(gs, np.linspace(0, 50, 5000), np.random.default_rng(4))
         assert abs(y.mean() - gs.y_bar) < 4 * gs.sigma_y / np.sqrt(2 * gs.kappa * 50)
 
     def test_exact_step_matches_recursion_oracle(self):
         gs = GibsonSchwartzParams(kappa=1.2, y_bar=0.05, sigma_y=0.3, rho=0.0, lambda_y=0.01, y0=0.02)
         grid = np.array([0.0, 0.4, 1.1])
-        eps = np.random.default_rng(9).standard_normal(2)
-        y = simulate_yield_path(gs, grid, np.random.default_rng(9))
+        eps = np.random.default_rng(9).standard_normal(4)[2:]  # after the two spot normals
+        y = yield_path(gs, grid, np.random.default_rng(9))
         level = gs.historical_level
         expect = gs.y0
         for k, dt in enumerate(np.diff(grid)):
@@ -172,7 +198,7 @@ class TestYieldSimulation:
         gs = GibsonSchwartzParams(kappa=3.0, y_bar=0.06, sigma_y=0.2, rho=0.0, lambda_y=0.0, y0=0.06)
         ends = np.array(
             [
-                simulate_yield_path(gs, np.linspace(0, 2, 21), np.random.default_rng(k))[-1]
+                yield_path(gs, np.linspace(0, 2, 21), np.random.default_rng(k))[-1]
                 for k in range(1500)
             ]
         )
@@ -183,7 +209,7 @@ class TestYieldSimulation:
     def test_unsorted_grid(self, rng):
         gs = GibsonSchwartzParams(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.05)
         with pytest.raises(TimeOrder):
-            simulate_yield_path(gs, [0.0, 0.5, 0.2], rng)
+            yield_path(gs, [0.0, 0.5, 0.2], rng)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -203,7 +229,7 @@ class TestJointSpotYield:
         grid = np.array([0.0, dt])
         xs, ys = np.empty(n), np.empty(n)
         for k in range(n):
-            x, y = simulate_spot_and_yield(self.OU, gs, grid, np.random.default_rng(k))
+            x, _, y = sample_paths(self.OU, ONE_STATE, 0, grid, np.random.default_rng(k), gs)
             xs[k], ys[k] = x[1], y[1]
         emp = np.corrcoef(xs, ys)[0, 1]
         assert abs(emp - target) < 4 / np.sqrt(n)
@@ -218,4 +244,4 @@ class TestJointSpotYield:
     def test_grid_checks(self, rng):
         gs = GibsonSchwartzParams(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.05)
         with pytest.raises(TimeOrder):
-            simulate_spot_and_yield(self.OU, gs, [0.5, 1.0], rng)
+            sample_paths(self.OU, ONE_STATE, 0, [0.5, 1.0], rng, gs)

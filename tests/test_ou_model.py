@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from regime_risk.entropic_risk import sample_paths
 from regime_risk.errors import NotMeanReverting, TimeOrder, TooFewPoints
 from regime_risk.ou_model import (
     OUParams,
@@ -10,11 +11,15 @@ from regime_risk.ou_model import (
     calibrate,
     conditional_law,
     load_price_csv,
-    sample_exact,
-    simulate_path,
 )
+from regime_risk.regime_chain import validate_generator
 
 CRUDE = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
+ONE_STATE = validate_generator([[0.0]])  # draws nothing: spot-only paths
+
+
+def simulate_path(p, grid, rng):
+    return sample_paths(p, ONE_STATE, 0, grid, rng)[0]
 
 
 class TestConditionalLaw:
@@ -69,17 +74,19 @@ class TestSampleExact:
     def test_zero_vol_returns_mean(self, rng):
         p = OUParams(alpha=1.0, mu=10.0, sigma=0.0, x0=20.0)
         law = conditional_law(p, 20.0, 0.0, 0.5)
-        assert sample_exact(p, 20.0, 0.0, 0.5, rng) == law.mean
+        assert simulate_path(p, [0.0, 0.5], rng)[1] == law.mean
 
     def test_moments_match_law_at_1e5_draws(self):
+        # every step of a path is one draw from the law given the previous value
         rng = np.random.default_rng(5)
-        n = 100_000
-        law = conditional_law(CRUDE, 60.0, 0.0, 0.25)
-        draws = np.array([sample_exact(CRUDE, 60.0, 0.0, 0.25, rng) for _ in range(n)])
+        n, dt = 100_000, 0.25
+        x = simulate_path(CRUDE, np.arange(n + 1) * dt, rng)
+        law = conditional_law(CRUDE, x[:-1], 0.0, dt)
+        resid = x[1:] - law.mean
         se_mean = law.std / np.sqrt(n)
-        assert abs(draws.mean() - law.mean) < 4 * se_mean
+        assert abs(resid.mean()) < 4 * se_mean
         se_var = law.variance * np.sqrt(2.0 / (n - 1))
-        assert abs(draws.var(ddof=1) - law.variance) < 4 * se_var
+        assert abs(resid.var(ddof=1) - law.variance) < 4 * se_var
 
 
 class TestSimulatePath:

@@ -1,24 +1,25 @@
-"""Chain layer: generator validation, exponentials, exact simulation."""
+"""Chain layer: generator validation, exponentials, and the chain law of the
+single-path sampler."""
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from regime_risk.entropic_risk import sample_paths
 from regime_risk.errors import (
     BadDistribution,
     DimensionError,
+    NonFinite,
     NotAGenerator,
     NotStochastic,
     StateOutOfRange,
 )
+from regime_risk.ou_model import OUParams
 from regime_risk.regime_chain import (
     Generator,
-    StatePath,
-    TransitionMatrix,
     distribution_at,
     from_transition,
     matrix_exp,
-    sample_path,
     validate_generator,
 )
 
@@ -33,6 +34,13 @@ DEFECTIVE_4X4 = np.array(
         [0.0, 0.0, 0.75, 0.25],
     ]
 )
+
+SPOT = OUParams(alpha=1.0, mu=0.0, sigma=1.0, x0=0.0)
+
+
+def regimes(g, z0, grid, rng):
+    """The regime column of one sampled path on ``grid``."""
+    return sample_paths(SPOT, g, z0, grid, rng)[1]
 
 
 class TestValidateGenerator:
@@ -78,6 +86,11 @@ class TestValidateGenerator:
         assert g.q[1, 0] == 0.0
         assert g.q[0, 0] <= 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NonFinite, match=r"\(1,0\)"):
+            validate_generator([[-0.5, 0.5], [bad, -0.5]])
+
     def test_immutable(self):
         g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
         with pytest.raises(ValueError):
@@ -86,20 +99,20 @@ class TestValidateGenerator:
 
 class TestTransitionMatrix:
     def test_valid(self):
-        tm = TransitionMatrix(p=[[0.9, 0.1], [0.2, 0.8]], dt=1 / 252)
-        assert tm.n == 2
+        g = from_transition([[0.9, 0.1], [0.2, 0.8]], dt=1 / 252)
+        assert g.n == 2
 
     def test_row_sum_violation(self):
         with pytest.raises(NotStochastic, match="row 0"):
-            TransitionMatrix(p=[[0.9, 0.2], [0.2, 0.8]], dt=1.0)
+            from_transition([[0.9, 0.2], [0.2, 0.8]], dt=1.0)
 
     def test_entry_outside_unit_interval(self):
         with pytest.raises(NotStochastic):
-            TransitionMatrix(p=[[1.1, -0.1], [0.2, 0.8]], dt=1.0)
+            from_transition([[1.1, -0.1], [0.2, 0.8]], dt=1.0)
 
     def test_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            TransitionMatrix(p=[[1.0, 0.0], [0.0, 1.0]], dt=0.0)
+            from_transition([[1.0, 0.0], [0.0, 1.0]], dt=0.0)
 
 
 class TestFromTransition:
@@ -118,13 +131,8 @@ class TestFromTransition:
             from_transition(DEFECTIVE_4X4, dt=1 / 252)
         assert "0.95" in str(err.value)
 
-    def test_accepts_transition_matrix_object(self):
-        tm = TransitionMatrix(p=[[0.75, 0.25], [0.25, 0.75]], dt=0.5)
-        g = from_transition(tm)
-        np.testing.assert_allclose(g.q, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
-
     def test_raw_matrix_requires_dt(self):
-        with pytest.raises(ValueError, match="dt"):
+        with pytest.raises(TypeError, match="dt"):
             from_transition(np.eye(2))
 
 
@@ -213,40 +221,43 @@ class TestDistributionAt:
 class TestSamplePath:
     def test_zero_generator_never_leaves(self, rng):
         g = validate_generator(np.zeros((3, 3)))
-        path = sample_path(g, 2, horizon=10.0, rng=rng)
-        np.testing.assert_array_equal(path.states, [2])
-        np.testing.assert_array_equal(path.times, [0.0])
-        assert path.state_at(9.99) == 2
+        z = regimes(g, 2, np.linspace(0.0, 10.0, 101), rng)
+        np.testing.assert_array_equal(z, np.full(101, 2))
 
     def test_deterministic_given_seed(self):
         g = validate_generator([[-1.0, 2.0], [1.0, -2.0]])
-        p1 = sample_path(g, 0, 5.0, np.random.default_rng(42))
-        p2 = sample_path(g, 0, 5.0, np.random.default_rng(42))
-        np.testing.assert_array_equal(p1.times, p2.times)
-        np.testing.assert_array_equal(p1.states, p2.states)
+        grid = np.linspace(0.0, 5.0, 501)
+        x1, z1, _ = sample_paths(SPOT, g, 0, grid, np.random.default_rng(42))
+        x2, z2, _ = sample_paths(SPOT, g, 0, grid, np.random.default_rng(42))
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(z1, z2)
 
     def test_state_out_of_range(self, rng):
         g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
         with pytest.raises(StateOutOfRange):
-            sample_path(g, 2, 1.0, rng)
+            sample_paths(SPOT, g, 2, [0.0, 1.0], rng)
 
     def test_occupation_of_symmetric_chain(self):
         # time-average occupation of each state tends to the 50/50 stationary law
         g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
         rng = np.random.default_rng(7)
         horizon = 4000.0
-        path = sample_path(g, 0, horizon, rng)
-        bounds = np.append(path.times, horizon)
-        durations = np.diff(bounds)
-        occ0 = durations[path.states == 0].sum() / horizon
+        z = regimes(g, 0, np.linspace(0.0, horizon, 40_001), rng)
+        occ0 = np.mean(z == 0)
         assert abs(occ0 - 0.5) < 0.05
 
     def test_jump_count_mean_matches_exit_rate(self):
-        # exponential clock: jump count over the horizon is Poisson(rate * horizon)
-        a, horizon, n_paths = 0.7, 2.0, 2000
-        g = validate_generator([[-a, a], [a, -a]])
+        # exponential clock: every state leaves at rate a, so the jump count
+        # over the horizon is Poisson(a * horizon); on a chain that only
+        # counts up, the terminal state is the jump count
+        a, horizon, n_paths, n = 0.7, 2.0, 2000, 40
+        q = np.zeros((n, n))
+        up = np.arange(n - 1)
+        q[up + 1, up] = a
+        q[up, up] = -a
+        g = validate_generator(q)
         rng = np.random.default_rng(11)
-        counts = [sample_path(g, 0, horizon, rng).n_jumps for _ in range(n_paths)]
+        counts = [regimes(g, 0, [0.0, horizon], rng)[-1] for _ in range(n_paths)]
         mean = np.mean(counts)
         se = np.sqrt(a * horizon / n_paths)
         assert abs(mean - a * horizon) < 4 * se
@@ -264,28 +275,24 @@ class TestSamplePath:
         t = 0.8
         rng = np.random.default_rng(3)
         n = 10_000
-        terminal = np.array([sample_path(g, 0, t, rng).states[-1] for _ in range(n)])
+        terminal = np.array([regimes(g, 0, [0.0, t], rng)[-1] for _ in range(n)])
         counts = np.bincount(terminal, minlength=3)
         expected = distribution_at(g, np.eye(3)[0], t) * n
         stat = chisquare(counts, expected)
         assert stat.pvalue > 0.01
 
     def test_times_strictly_increasing(self):
-        g = validate_generator([[-3.0, 3.0], [3.0, -3.0]])
-        path = sample_path(g, 0, 10.0, np.random.default_rng(0))
-        assert path.times[0] == 0.0
-        assert np.all(np.diff(path.times) > 0)
+        # a cyclic chain 0 -> 1 -> 2 -> 0: read on a fine grid, the regimes
+        # start at z0 and change only to the next state of the cycle
+        g = validate_generator([[-3.0, 0.0, 3.0], [3.0, -3.0, 0.0], [0.0, 3.0, -3.0]])
+        z = regimes(g, 0, np.linspace(0.0, 10.0, 100_001), np.random.default_rng(0))
+        changes = np.flatnonzero(np.diff(z))
+        assert z[0] == 0 and changes.size > 10
+        np.testing.assert_array_equal(z[changes + 1], (z[changes] + 1) % 3)
 
 
 class TestStatePath:
-    def test_rejects_unsorted_times(self):
+    def test_rejects_unsorted_times(self, rng):
+        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
         with pytest.raises(ValueError):
-            StatePath(times=[0.0, 0.5, 0.4], states=[0, 1, 0])
-
-    def test_state_at_before_start(self):
-        path = StatePath(times=[0.0, 1.0], states=[0, 1])
-        with pytest.raises(ValueError):
-            path.state_at(-0.1)
-        assert path.state_at(0.5) == 0
-        assert path.state_at(1.0) == 1
-        assert path.n_jumps == 1
+            sample_paths(SPOT, g, 0, [0.0, 0.5, 0.4], rng)
