@@ -34,7 +34,7 @@ for i, est in enumerate(estimates):
         f"mc {est.value:9.4f} +/- {est.std_error:.4f}   z = {z:+.2f}"
     )
 
-future = FutureClaim(delta=delta, r=0.02, y=0.08, maturity=query.T)
+future = FutureClaim(delta=delta, r=0.02, y=0.08)  # matures at query.T
 print("\nfuture claim with 10% total carry:")
 closed_f = future_risk_closed(ou, gen, future, query)
 estimates_f = claim_risk_mc(ou, gen, future, query, n_paths=200_000, seed=4)

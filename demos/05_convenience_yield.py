@@ -30,7 +30,7 @@ print("  t (days)" + "".join(f"   y={y:<5g}" for y in yields) + "   spread")
 for t in times:
     row = []
     for y in yields:
-        claim = FutureClaim(delta=[0.75, 0.75], r=0.0, y=y, maturity=T)
+        claim = FutureClaim(delta=[0.75, 0.75], r=0.0, y=y)
         q = RiskQuery(gamma=2.5, s=t, T=T, x_s=ou.x0)
         row.append(future_risk_closed(ou, gen, claim, q).risk_given_state(0))
     spread = max(row) - min(row)

@@ -1,17 +1,22 @@
 """Command-line interface.
 
-    regime-risk calibrate|simulate|risk|sweep|yield-sweep --config cfg.json
+    regime-risk calibrate|simulate|yield-sweep --config cfg.json
+                [--seed N] [--paths N] [--out DIR]
+    regime-risk risk|sweep --config cfg.json
                 [--seed N] [--paths N] [--mc] [--out DIR] [--workers N]
 
 Every command is a pure function of (config, input files, seed): rerunning
 with identical inputs produces byte-identical outputs, at any --workers
-count.  Horizons are configured in days and converted at 252 trading days
-per year; outputs record that convention in their provenance headers.
+count (N >= 1; only risk and sweep take it).  Horizons are configured in
+days and converted at 252 trading days per year; outputs record that
+convention in their provenance headers.  The configuration is parsed once,
+by :func:`regime_risk.config.load_config`; commands read its typed values.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,7 +25,6 @@ from .config import (
     RunConfig,
     horizon_years,
     load_config,
-    make_sweep_table,
     provenance,
     write_csv,
     write_json,
@@ -90,9 +94,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _configured_gs_yield(cfg: RunConfig) -> GibsonSchwartzParams | None:
-    if cfg.claim is None or cfg.claim["type"] != "swap":
-        return None
-    spec = cfg.build_claim(1.0).yield_spec
+    spec = getattr(cfg.claim, "yield_spec", None)
     return spec if isinstance(spec, GibsonSchwartzParams) else None
 
 
@@ -117,13 +119,11 @@ def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery) -> float | None:
 def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     """Per-state risk report for the configured claim at each configured gamma."""
     cfg.require("chain", "ou", "claim", "gammas", "horizons")
-    T = horizon_years(cfg.horizons_days[0])
-    claim = cfg.build_claim(T)
+    claim = cfg.claim
     is_swap = isinstance(claim, SwapClaim)
     if is_swap and not use_mc:
         raise ConfigError("swap risk has no closed form; rerun with --mc")
-    if is_swap:
-        T = float(claim.n_periods)
+    T = float(claim.n_periods) if is_swap else horizon_years(cfg.horizons_days[0])
 
     header = ["gamma", "state", "closed", "oracle", "mc_value", "mc_std_error", "z_score"]
     rows: list[list] = []
@@ -177,23 +177,22 @@ def _write_table(cfg: RunConfig, name: str, prov: dict, header: list[str], rows:
 def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     """Risk per (horizon, gamma) for the starting regime, with variation rows."""
     cfg.require("chain", "ou", "claim", "gammas", "horizons")
-    if cfg.claim.get("type") == "swap":
+    if isinstance(cfg.claim, SwapClaim):
         raise ConfigError("sweep supports linear and future claims (swaps fix their own schedule)")
     cells = np.empty((len(cfg.horizons_days), len(cfg.gammas)))
     mc_rows: list[list] = []
     for i, hd in enumerate(cfg.horizons_days):
         T = horizon_years(hd)
-        claim = cfg.build_claim(T)
         if use_mc:
             # one payoff sample for the starting regime, reduced at every gamma
             q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
             ests = claim_risk_mc(
-                cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers,
+                cfg.ou, cfg.chain, cfg.claim, q, cfg.n_paths, cfg.seed, workers,
                 gammas=cfg.gammas, states=[cfg.z0],
             )[0]
         for j, gamma in enumerate(cfg.gammas):
             q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
-            cells[i, j] = _closed_form(cfg, claim, q).risk_given_state(cfg.z0)
+            cells[i, j] = _closed_form(cfg, cfg.claim, q).risk_given_state(cfg.z0)
             if use_mc:
                 est = ests[j]
                 z = est.z_score(cells[i, j])
@@ -201,24 +200,33 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
                     [hd, gamma, cells[i, j], est.value, est.std_error, z, abs(z) > 3.0]
                 )
 
-    table = make_sweep_table(cfg.horizons_days, cfg.gammas, cells)
+    # variation rows: the change from the first to the last horizon, absolute
+    # and in percent of the first-horizon magnitude (None when that is ~0 or
+    # there is a single horizon)
+    var_abs: list[float | None] = [None] * len(cfg.gammas)
+    var_pct: list[float | None] = [None] * len(cfg.gammas)
+    if len(cfg.horizons_days) >= 2:
+        for j, first in enumerate(cells[0]):
+            var_abs[j] = float(cells[-1, j] - first)
+            if abs(first) > 1e-12:
+                var_pct[j] = abs(var_abs[j]) / abs(first) * 100.0
+    row_labels = [f"T={h:.12g} days" for h in cfg.horizons_days]
+    col_labels = [f"gamma={g:.12g}" for g in cfg.gammas]
     prov = provenance(cfg, "sweep")
-    header = ["horizon"] + table.col_labels
-    rows: list[list] = [
-        [label] + list(table.cells[i]) for i, label in enumerate(table.row_labels)
-    ]
-    rows.append(["variation_abs (last-first)"] + list(table.variation_abs))
-    rows.append(["variation_pct (%)"] + list(table.variation_pct))
+    header = ["horizon"] + col_labels
+    rows: list[list] = [[label] + list(cells[i]) for i, label in enumerate(row_labels)]
+    rows.append(["variation_abs (last-first)"] + var_abs)
+    rows.append(["variation_pct (%)"] + var_pct)
     write_csv(cfg.out_dir / "sweep.csv", prov, header, rows)
     write_json(
         cfg.out_dir / "sweep.json",
         prov,
         {
-            "row_labels": table.row_labels,
-            "col_labels": table.col_labels,
-            "cells": table.cells.tolist(),
-            "variation_abs": table.variation_abs,
-            "variation_pct": table.variation_pct,
+            "row_labels": row_labels,
+            "col_labels": col_labels,
+            "cells": cells.tolist(),
+            "variation_abs": var_abs,
+            "variation_pct": var_pct,
         },
     )
     if use_mc:
@@ -232,21 +240,19 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     return 0
 
 
-def cmd_yield_sweep(cfg: RunConfig, workers: int) -> int:
+def cmd_yield_sweep(cfg: RunConfig) -> int:
     """Future-claim risk over evaluation time for each configured yield level."""
     cfg.require("chain", "ou", "claim", "gammas", "horizons", "yields")
-    if cfg.claim.get("type") != "future":
+    if not isinstance(cfg.claim, FutureClaim):
         raise ConfigError("yield-sweep requires a future claim")
     T = horizon_years(cfg.horizons_days[0])
     gamma = cfg.gammas[0]
     times = [k * T / cfg.n_times for k in range(cfg.n_times)]
-    delta = np.asarray(cfg.claim["delta"], dtype=float)
-    r = float(cfg.claim["r"])
 
     rows: list[list] = []
     by_time: dict[float, list[float]] = {t: [] for t in times}
     for y in cfg.yields:
-        fc = FutureClaim(delta=delta, r=r, y=y, maturity=T)
+        fc = dataclasses.replace(cfg.claim, y=y)
         for t in times:
             q = RiskQuery(gamma=gamma, s=t, T=T, x_s=cfg.ou.x0)
             risk = future_risk_closed(cfg.ou, cfg.chain, fc, q).risk_given_state(cfg.z0)
@@ -274,6 +280,13 @@ _COMMAND_HELP = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="regime-risk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         p.add_argument("--paths", type=int, default=None, help="override mc.n_paths")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help="MC evaluation blocks; never changes results",
-        )
         if name in ("risk", "sweep"):
             p.add_argument("--mc", action="store_true", help="add the Monte-Carlo cross-check")
+            p.add_argument(
+                "--workers", type=_positive_int, default=1,
+                help="MC evaluation blocks (at least 1); never changes results",
+            )
     return parser
 
 
@@ -310,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.mc, args.workers)
         if args.command == "yield-sweep":
-            return cmd_yield_sweep(cfg, args.workers)
+            return cmd_yield_sweep(cfg)
     except RiskModelError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,6 @@
 """Run configuration: a single JSON file with sections chain / ou / claim /
-grids / mc / output, validated up front, plus the sweep-table container and
-deterministic CSV/JSON writers.
+grids / mc / output, parsed once into typed values and validated up front,
+plus deterministic CSV/JSON writers.
 
 Units: matrices are row-major; chain ``dt`` is in years; horizons are given
 in days and converted at 252 trading days per year; gammas are in price
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ class RunConfig:
     ou: OUParams | None
     ou_csv: Path | None
     ou_dt: float
-    claim: dict | None
+    claim: LinearSpotClaim | FutureClaim | SwapClaim | None
     gammas: list[float]
     horizons_days: list[float]
     yields: list[float]
@@ -59,41 +59,6 @@ class RunConfig:
             attr, message = _REQUIREMENTS[s]
             if not getattr(self, attr):
                 raise ConfigError(message)
-
-    def build_claim(self, horizon: float):
-        """Instantiate the configured claim; futures mature at ``horizon`` (years)."""
-        if self.claim is None:
-            raise ConfigError("no claim configured")
-        c = self.claim
-        kind = c["type"]
-        if kind not in _CLAIM_KEYS:
-            raise ConfigError(f"unknown claim type {kind!r}")
-        _require_keys(c, _CLAIM_KEYS[kind], "claim")
-        delta = np.asarray(c["delta"], dtype=float)
-        if self.chain is not None and delta.size != self.chain.n:
-            raise ConfigError(
-                f"claim.delta has {delta.size} entries, chain has {self.chain.n} states"
-            )
-        if kind == "linear":
-            return LinearSpotClaim(delta)
-        if kind == "future":
-            return FutureClaim(
-                delta=delta,
-                r=float(c["r"]),
-                y=float(c["y"]),
-                maturity=horizon,
-            )
-        spec = c["yield"]
-        spec_type = _YIELD_SPECS.get(spec.get("kind"))
-        if spec_type is None:
-            raise ConfigError(f"unknown yield spec kind {spec.get('kind')!r}")
-        keys = [f.name for f in fields(spec_type)]
-        _require_keys(spec, keys, "claim.yield")
-        return SwapClaim(
-            rates=np.asarray(c["rates"], dtype=float),
-            delta=delta,
-            yield_spec=spec_type(**{k: float(spec[k]) for k in keys}),
-        )
 
 
 _REQUIREMENTS = {
@@ -116,23 +81,59 @@ def _require_keys(section: dict, keys, where: str) -> None:
         raise ConfigError(f"{where} section missing key(s) {missing}")
 
 
-def _integer(value, name: str) -> int:
-    """An integral JSON number; 1.7 is rejected rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _number(value, path: str, depth: int = 0, integer: bool = False):
+    """Read a config number (depth 0), list of numbers (1) or matrix (2).
+
+    Bools, strings, null, NaN and infinities raise ConfigError naming the
+    key path, e.g. ``claim.rates[1]``, as do ragged matrix rows.  With
+    ``integer`` a non-integral value such as 1.7 is rejected rather than
+    truncated.
+    """
+    if depth:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        out = [_number(v, f"{path}[{i}]", depth - 1, integer) for i, v in enumerate(value)]
+        if depth == 2 and len({len(row) for row in out}) > 1:
+            raise ConfigError(f"{path} rows differ in length")
+        return out
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    if integer and not float(value).is_integer():
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _section(parent: dict, path: str) -> dict | None:
+    """The JSON object at the last key of ``path``, or None when that key is absent."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in parent:
+        return None
+    if not isinstance(parent[key], dict):
+        raise ConfigError(f"{path} must be a JSON object, got {parent[key]!r}")
+    return parent[key]
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return data
 
 
 def _parse_chain(section: dict) -> tuple[Generator, int]:
     _require_keys(section, ("kind", "matrix"), "chain")
-    kind, matrix = section["kind"], section["matrix"]
-    z0 = _integer(section.get("z0", 0), "chain.z0")
+    kind = section["kind"]
+    matrix = np.asarray(_number(section["matrix"], "chain.matrix", depth=2))
+    z0 = _number(section.get("z0", 0), "chain.z0", integer=True)
     if kind == "generator":
-        gen = validate_generator(np.asarray(matrix, dtype=float))
+        gen = validate_generator(matrix)
     elif kind == "transition":
         if "dt" not in section:
             raise ConfigError("chain.kind 'transition' requires chain.dt (years)")
-        gen = from_transition(np.asarray(matrix, dtype=float), float(section["dt"]))
+        gen = from_transition(matrix, _number(section["dt"], "chain.dt"))
     else:
         raise ConfigError(f"chain.kind must be 'generator' or 'transition', got {kind!r}")
     if not 0 <= z0 < gen.n:
@@ -141,16 +142,18 @@ def _parse_chain(section: dict) -> tuple[Generator, int]:
 
 
 def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, float]:
-    dt = float(section.get("dt", DEFAULT_DT))
-    params, csv_path = section, None
+    dt = _number(section.get("dt", DEFAULT_DT), "ou.dt")
+    if dt <= 0:
+        raise ConfigError(f"ou.dt must be positive, got {dt}")
+    params, where, csv_path = section, "ou", None
     if "params_file" in section:
         pf = (base / section["params_file"]).resolve()
         if not pf.exists():
             raise ConfigError(f"ou.params_file does not exist: {pf}")
-        payload = json.loads(pf.read_text())
+        payload = _read_json(pf)
         payload = payload.get("data", payload)
-        params = payload.get("params", payload)
-        _require_keys(params, _OU_KEYS, "ou.params_file params")
+        params, where = payload.get("params", payload), "ou.params_file params"
+        _require_keys(params, _OU_KEYS, where)
     elif "csv" in section:
         csv_path = (base / section["csv"]).resolve()
         if not csv_path.exists():
@@ -159,14 +162,34 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
             return None, csv_path, dt
     elif not all(k in section for k in _OU_KEYS):
         raise ConfigError("ou section needs (alpha, mu, sigma, x0), params_file, or csv")
-    return OUParams(**{k: float(params[k]) for k in _OU_KEYS}), csv_path, dt
+    return OUParams(**{k: _number(params[k], f"{where}.{k}") for k in _OU_KEYS}), csv_path, dt
 
 
-def _finite_grid(grids: dict, key: str) -> list[float]:
-    values = [float(x) for x in grids.get(key, [])]
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"grids.{key} must be finite, got {values}")
-    return values
+def _parse_claim(c: dict, n_states: int | None) -> LinearSpotClaim | FutureClaim | SwapClaim:
+    """The typed claim; a future matures at whatever horizon a query evaluates."""
+    _require_keys(c, ("type",), "claim")
+    kind = c["type"]
+    if kind not in _CLAIM_KEYS:
+        raise ConfigError(f"unknown claim type {kind!r}")
+    _require_keys(c, _CLAIM_KEYS[kind], "claim")
+    delta = _number(c["delta"], "claim.delta", depth=1)
+    if n_states is not None and len(delta) != n_states:
+        raise ConfigError(f"claim.delta has {len(delta)} entries, chain has {n_states} states")
+    if kind == "linear":
+        return LinearSpotClaim(delta)
+    if kind == "future":
+        return FutureClaim(delta=delta, r=_number(c["r"], "claim.r"), y=_number(c["y"], "claim.y"))
+    spec = _section(c, "claim.yield")
+    spec_type = _YIELD_SPECS.get(spec.get("kind"))
+    if spec_type is None:
+        raise ConfigError(f"unknown yield spec kind {spec.get('kind')!r}")
+    keys = [f.name for f in fields(spec_type)]
+    _require_keys(spec, keys, "claim.yield")
+    return SwapClaim(
+        rates=_number(c["rates"], "claim.rates", depth=1),
+        delta=delta,
+        yield_spec=spec_type(**{k: _number(spec[k], f"claim.yield.{k}") for k in keys}),
+    )
 
 
 def load_config(
@@ -177,33 +200,31 @@ def load_config(
 ) -> RunConfig:
     """Load and validate a run configuration, applying CLI overrides.
 
-    Every section present in the file is validated immediately; commands
-    additionally call :meth:`RunConfig.require` for the sections they need.
+    Every section present in the file is parsed and validated immediately,
+    whatever the command; commands additionally call
+    :meth:`RunConfig.require` for the sections they need.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    raw = _read_json(path)
     base = path.parent
 
     chain, z0 = (None, 0)
-    if "chain" in raw:
-        chain, z0 = _parse_chain(raw["chain"])
+    if (section := _section(raw, "chain")) is not None:
+        chain, z0 = _parse_chain(section)
     ou = ou_csv = None
     ou_dt = DEFAULT_DT
-    if "ou" in raw:
-        ou, ou_csv, ou_dt = _parse_ou(raw["ou"], base)
-    claim = raw.get("claim")
-    if claim is not None and "type" not in claim:
-        raise ConfigError("claim section requires a 'type' key")
-    grids = raw.get("grids", {})
-    gammas = _finite_grid(grids, "gammas")
-    horizons = _finite_grid(grids, "horizons_days")
-    yields = _finite_grid(grids, "yields")
-    n_times = _integer(grids.get("n_times", 16), "grids.n_times")
+    if (section := _section(raw, "ou")) is not None:
+        ou, ou_csv, ou_dt = _parse_ou(section, base)
+    claim = None
+    if (section := _section(raw, "claim")) is not None:
+        claim = _parse_claim(section, None if chain is None else chain.n)
+    grids = _section(raw, "grids") or {}
+    gammas = _number(grids.get("gammas", []), "grids.gammas", depth=1)
+    horizons = _number(grids.get("horizons_days", []), "grids.horizons_days", depth=1)
+    yields = _number(grids.get("yields", []), "grids.yields", depth=1)
+    n_times = _number(grids.get("n_times", 16), "grids.n_times", integer=True)
     if any(gm <= 0 for gm in gammas):
         raise ConfigError("grids.gammas must be positive")
     if any(h <= 0 for h in horizons):
@@ -211,9 +232,9 @@ def load_config(
     if n_times < 2:
         raise ConfigError("grids.n_times must be at least 2")
 
-    mc = raw.get("mc", {})
-    n_paths = _integer(mc.get("n_paths", 10_000), "mc.n_paths")
-    seed = _integer(mc.get("seed", 0), "mc.seed")
+    mc = _section(raw, "mc") or {}
+    n_paths = _number(mc.get("n_paths", 10_000), "mc.n_paths", integer=True)
+    seed = _number(mc.get("seed", 0), "mc.seed", integer=True)
     if paths_override is not None:
         n_paths = int(paths_override)
     if seed_override is not None:
@@ -223,14 +244,15 @@ def load_config(
     if seed < 0:
         raise ConfigError("mc.seed must be a nonnegative integer")
 
-    out_dir = Path(out_override) if out_override else base / raw.get("output", {}).get("dir", "out")
+    output = _section(raw, "output") or {}
+    out_dir = Path(out_override) if out_override else base / output.get("dir", "out")
 
     effective = json.loads(json.dumps(raw))
     effective.setdefault("mc", {})
     effective["mc"]["n_paths"] = n_paths
     effective["mc"]["seed"] = seed
 
-    cfg = RunConfig(
+    return RunConfig(
         raw=effective,
         path=path,
         chain=chain,
@@ -246,64 +268,6 @@ def load_config(
         n_paths=n_paths,
         seed=seed,
         out_dir=out_dir,
-    )
-    if claim is not None:
-        cfg.build_claim(1.0)  # every claim field is checked up front, whatever the command
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# Sweep table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Risk per (horizon row, gamma column) plus variation rows.
-
-    The variation rows hold the change from the first to the last horizon:
-    absolute, and percent of the first-horizon magnitude (None when the
-    reference is ~0 or there is a single horizon).
-    """
-
-    row_labels: list[str]
-    col_labels: list[str]
-    cells: np.ndarray
-    variation_abs: list[float | None] = field(default_factory=list)
-    variation_pct: list[float | None] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=float)
-        if cells.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ConfigError(
-                f"sweep table is not rectangular: {cells.shape} vs "
-                f"{len(self.row_labels)}x{len(self.col_labels)}"
-            )
-        if not np.all(np.isfinite(cells)):
-            raise ConfigError("sweep table has non-finite cells")
-        object.__setattr__(self, "cells", cells)
-
-
-def make_sweep_table(
-    horizons_days: list[float], gammas: list[float], cells: np.ndarray
-) -> SweepTable:
-    cells = np.asarray(cells, dtype=float)
-    n_h = len(horizons_days)
-    var_abs: list[float | None] = [None] * len(gammas)
-    var_pct: list[float | None] = [None] * len(gammas)
-    if n_h >= 2:
-        first, last = cells[0], cells[-1]
-        for j in range(len(gammas)):
-            diff = float(last[j] - first[j])
-            var_abs[j] = diff
-            if abs(first[j]) > 1e-12:
-                var_pct[j] = abs(diff) / abs(first[j]) * 100.0
-    return SweepTable(
-        row_labels=[f"T={_fmt(h)} days" for h in horizons_days],
-        col_labels=[f"gamma={_fmt(g)}" for g in gammas],
-        cells=cells,
-        variation_abs=var_abs,
-        variation_pct=var_pct,
     )
 
 

@@ -12,11 +12,11 @@ regime gives a closed form: with m, v the conditional mean and variance of
 the spot at the horizon,
 
     log phi_j = -delta_j m / gamma + delta_j^2 v / (2 gamma^2)
-    lam_i     = gamma ln sum_j P(Z_T = j | Z_s = i) phi_j
-    risk_i    = -lam_i
+    risk_i    = -gamma ln sum_j P(Z_T = j | Z_s = i) phi_j
 
 where the regime-transition probabilities come from the chain's matrix
-exponential.  Futures fold their carry discount into delta.  The MC route
+exponential.  A future matures at the horizon T and folds its carry
+discount into delta.  The MC route
 simulates the chain by its exact holding-time/jump construction and the
 spot by its exact Gaussian transition, so the two routes share no kernel
 beyond the transition-law parameters.
@@ -95,36 +95,28 @@ class RiskQuery:
 
 @dataclass(frozen=True)
 class RiskVector:
-    """Per-state closed-form result.
+    """Per-state closed-form result: ``risks[i]`` is the risk given starting state i."""
 
-    ``lam[i]`` is the log-scale vector of the closed form; the risk given
-    starting state i is ``-lam[i]`` (exposed as :attr:`risks`).
-    """
-
-    lam: np.ndarray
+    risks: np.ndarray
     query: RiskQuery
 
     def __post_init__(self) -> None:
-        lam = np.array(self.lam, dtype=float)
-        if lam.ndim != 1:
-            raise DimensionError(f"lam must be 1-d, got shape {lam.shape}")
-        if not np.all(np.isfinite(lam)):
-            raise NonFinite(f"non-finite risk entries: {lam!r}")
-        lam.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
+        risks = np.array(self.risks, dtype=float)
+        if risks.ndim != 1:
+            raise DimensionError(f"risks must be 1-d, got shape {risks.shape}")
+        if not np.all(np.isfinite(risks)):
+            raise NonFinite(f"non-finite risk entries: {risks!r}")
+        risks.setflags(write=False)
+        object.__setattr__(self, "risks", risks)
 
     @property
     def n_states(self) -> int:
-        return self.lam.size
-
-    @property
-    def risks(self) -> np.ndarray:
-        return -self.lam
+        return self.risks.size
 
     def risk_given_state(self, i: int) -> float:
         if not 0 <= i < self.n_states:
             raise StateOutOfRange(f"state {i} outside [0, {self.n_states})")
-        return float(-self.lam[i])
+        return float(self.risks[i])
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,7 @@ def entropic_mc(samples, gamma: float, seed: int | None = None) -> MCEstimate:
 
 
 def _risk_closed(ou: OUParams, g: Generator, delta: np.ndarray, q: RiskQuery) -> np.ndarray:
-    """Shared closed-form pipeline; returns lam for an effective loading vector."""
+    """Shared closed-form pipeline; returns the per-state risks for an effective loading vector."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (g.n,):
         raise DimensionError(f"delta must have shape ({g.n},), got {delta.shape}")
@@ -197,7 +189,7 @@ def _risk_closed(ou: OUParams, g: Generator, delta: np.ndarray, q: RiskQuery) ->
     masked = np.where(P > 0.0, logphi[:, None], -np.inf)
     shift = masked.max(axis=0)
     mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
-    return gamma * (shift + np.log(mixed))
+    return -gamma * (shift + np.log(mixed))
 
 
 def spot_risk_closed(
@@ -205,10 +197,9 @@ def spot_risk_closed(
 ) -> RiskVector:
     """Closed-form entropic risk of the linear spot claim X_T delta[Z_T].
 
-    Returns the per-state vector; risk in starting state i is -lam[i].
+    Returns the per-state vector; risk in starting state i is ``risks[i]``.
     """
-    lam = _risk_closed(ou, g, np.asarray(delta, dtype=float), q)
-    return RiskVector(lam=lam, query=q)
+    return RiskVector(risks=_risk_closed(ou, g, np.asarray(delta, dtype=float), q), query=q)
 
 
 def future_risk_closed(
@@ -217,14 +208,11 @@ def future_risk_closed(
     """Closed-form entropic risk of a future: the spot pipeline applied to
     the carry-discounted loading delta * e^{-(r+y)(T-s)}.
 
-    The query horizon must equal the contract maturity; the carry discount
-    and the regime propagation use the same T.
+    The future matures at the query horizon T; the carry discount and the
+    regime propagation use the same T.
     """
-    if abs(q.T - c.maturity) > 1e-12:
-        raise TimeOrder(f"query horizon T={q.T} != future maturity {c.maturity}")
     scale = np.exp(-c.carry * q.horizon)
-    lam = _risk_closed(ou, g, c.delta * scale, q)
-    return RiskVector(lam=lam, query=q)
+    return RiskVector(risks=_risk_closed(ou, g, c.delta * scale, q), query=q)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +342,6 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers) -> np.nda
     """
     gs = None
     if isinstance(claim, (LinearSpotClaim, FutureClaim)):
-        if isinstance(claim, FutureClaim) and abs(q.T - claim.maturity) > 1e-12:
-            raise TimeOrder(f"query horizon T={q.T} != future maturity {claim.maturity}")
         grid = np.array([q.s, q.T])
     elif isinstance(claim, SwapClaim):
         if q.s != 0.0:

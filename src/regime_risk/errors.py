@@ -24,12 +24,13 @@ class NotStochastic(RiskModelError):
 
 
 class BadDistribution(RiskModelError):
-    """A probability vector has negative mass or does not sum to one, or a
-    Gaussian law has a negative volatility or a correlation outside [-1, 1]."""
+    """A probability vector has negative mass or does not sum to one, a
+    Gaussian law has a negative volatility or a correlation outside [-1, 1],
+    or a price series holds a price that is not positive."""
 
 
 class TimeOrder(RiskModelError):
-    """Time arguments are inconsistent (e.g. t < s, or horizon/maturity mismatch)."""
+    """Time arguments are inconsistent (e.g. t < s, unsorted dates, or a nonpositive step)."""
 
 
 class NotMeanReverting(RiskModelError):
@@ -61,7 +62,8 @@ class NonFinite(RiskModelError):
 
 
 class ConfigError(RiskModelError):
-    """A run configuration file is missing fields or inconsistent."""
+    """A run configuration file, or an input file it names, is missing fields,
+    malformed or inconsistent."""
 
 
 def require_finite(**values: float) -> None:

@@ -20,7 +20,6 @@ from .errors import (
     NonFinite,
     NotMeanReverting,
     StateOutOfRange,
-    TimeOrder,
     require_finite,
 )
 from .ou_model import OUParams, step_coefficients
@@ -52,18 +51,18 @@ class LinearSpotClaim:
 
 @dataclass(frozen=True)
 class FutureClaim:
-    """Pays e^{(r+y)(t-T)} X_t * delta[Z_t]; r risk-free rate, y convenience yield."""
+    """Pays e^{(r+y)(t-T)} X_t * delta[Z_t]; r risk-free rate, y convenience yield.
+
+    The future matures at the horizon T of the query that evaluates it.
+    """
 
     delta: np.ndarray
     r: float
     y: float
-    maturity: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _freeze_vec(self.delta))
-        require_finite(r=self.r, y=self.y, maturity=self.maturity)
-        if self.maturity <= 0:
-            raise TimeOrder(f"maturity must be positive, got {self.maturity}")
+        require_finite(r=self.r, y=self.y)
 
     @property
     def n_states(self) -> int:

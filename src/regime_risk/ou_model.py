@@ -15,12 +15,21 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadDistribution, NotMeanReverting, TimeOrder, TooFewPoints, require_finite
+from .errors import (
+    BadDistribution,
+    ConfigError,
+    LengthMismatch,
+    NotMeanReverting,
+    TimeOrder,
+    TooFewPoints,
+    require_finite,
+)
 
 TRADING_DAYS_PER_YEAR = 252.0
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_YEAR
@@ -79,17 +88,17 @@ class PriceSeries:
         ts = np.asarray(self.timestamps)
         px = np.asarray(self.prices, dtype=float)
         if ts.shape != px.shape or ts.ndim != 1:
-            raise ValueError("timestamps and prices must be equal-length 1-d arrays")
+            raise LengthMismatch("timestamps and prices must be equal-length 1-d arrays")
         if px.size < 3:
             raise TooFewPoints(f"need at least 3 observations, got {px.size}")
         if not np.all(ts[1:] > ts[:-1]):
             i = int(np.argmax(~(ts[1:] > ts[:-1]))) + 1
-            raise ValueError(f"timestamps not strictly increasing at row {i} ({ts[i]!r})")
-        if np.any(px <= 0):
-            i = int(np.argmax(px <= 0))
-            raise ValueError(f"nonpositive price {px[i]!r} at row {i}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise TimeOrder(f"timestamps not strictly increasing at row {i} ({ts[i]!r})")
+        if not np.all(px > 0):
+            i = int(np.argmax(~(px > 0)))
+            raise BadDistribution(f"price {px[i]!r} at row {i} is not positive")
+        if not self.dt > 0:
+            raise TimeOrder(f"dt must be positive, got {self.dt}")
         ts, px = ts.copy(), px.copy()
         ts.setflags(write=False)
         px.setflags(write=False)
@@ -207,8 +216,9 @@ def calibrate(series: PriceSeries) -> CalibrationResult:
 def load_price_csv(path: str | Path, dt: float = DEFAULT_DT) -> PriceSeries:
     """Read a ``date,price`` CSV (ISO-8601 dates, one row per opening day).
 
-    Raises ValueError naming the offending row on malformed dates, nonpositive
-    prices, or out-of-order dates; TooFewPoints below 3 rows.
+    Raises ConfigError naming the file and row on a malformed header, date or
+    price (a price must be a finite positive number), TimeOrder on
+    out-of-order dates, and TooFewPoints below 3 rows.
     """
     path = Path(path)
     dates: list[_dt.date] = []
@@ -217,22 +227,24 @@ def load_price_csv(path: str | Path, dt: float = DEFAULT_DT) -> PriceSeries:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["date", "price"]:
-            raise ValueError(f"{path}: expected header 'date,price', got {header!r}")
+            raise ConfigError(f"{path}: expected header 'date,price', got {header!r}")
         for i, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < 2:
-                raise ValueError(f"{path} row {i}: expected 2 fields, got {row!r}")
+                raise ConfigError(f"{path} row {i}: expected 2 fields, got {row!r}")
             try:
                 d = _dt.date.fromisoformat(row[0].strip())
             except ValueError as exc:
-                raise ValueError(f"{path} row {i}: bad date {row[0]!r}") from exc
+                raise ConfigError(f"{path} row {i}: bad date {row[0]!r}") from exc
             try:
                 v = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path} row {i}: bad price {row[1]!r}") from exc
+            except ValueError:
+                v = math.nan  # reported as a bad price just below
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{path} row {i}: bad price {row[1]!r}, need a finite positive number")
             if dates and d <= dates[-1]:
-                raise ValueError(f"{path} row {i}: date {d} not after {dates[-1]}")
+                raise TimeOrder(f"{path} row {i}: date {d} not after {dates[-1]}")
             dates.append(d)
             prices.append(v)
     if len(prices) < 3:

@@ -51,7 +51,6 @@ class TestOracleEquivalence:
                 delta=delta,
                 r=float(rng.uniform(0.0, 0.1)),
                 y=float(rng.uniform(-0.05, 0.15)),
-                maturity=T,
             )
             rv_fut = future_risk_closed(ou, g, fc, q)
             est_fut = claim_risk_mc(ou, g, fc, q, 100_000, seed=6000 + k)[state]
@@ -119,7 +118,6 @@ class TestCarryScalingIdentity:
                 delta=delta,
                 r=float(rng.uniform(0, 0.1)),
                 y=float(rng.uniform(-0.05, 0.15)),
-                maturity=T,
             )
             lhs = future_risk_closed(ou, g, c, q).risks
             rhs = spot_risk_closed(ou, g, delta * np.exp(-c.carry * (T - s)), q).risks

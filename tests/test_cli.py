@@ -124,12 +124,40 @@ class TestCalibrateCommand:
         assert run(["calibrate", "--config", cfg]) == 2
         assert "TooFewPoints" in capsys.readouterr().err
 
-    def test_unsorted_csv_names_row(self, tmp_path):
+    def test_unsorted_csv_names_row(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("date,price\n2020-01-02,10.0\n2020-01-06,11.0\n2020-01-03,12.0\n")
         cfg = write_config(tmp_path, {"ou": {"csv": "bad.csv"}})
-        with pytest.raises(ValueError, match="row 3"):
-            run(["calibrate", "--config", cfg])
+        assert run(["calibrate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "TimeOrder" in err and "bad.csv row 3" in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("date,price\n2020-01-02,10.0\n2020-01-03,abc\n2020-01-06,12.0\n", "row 2: bad price 'abc'"),
+            ("date,price\n2020-01-02,10.0\n2020-01-03,11.0\n2020-01-06,-1\n", "row 3: bad price '-1'"),
+            ("date,price\n2020-01-02,10.0\n2020-01-03,nan\n2020-01-06,12.0\n", "row 2: bad price 'nan'"),
+            ("date,price\n2020-01-02,10.0\n2020-13-03,11.0\n2020-01-06,12.0\n", "row 2: bad date"),
+            ("day,value\n2020-01-02,10.0\n2020-01-03,11.0\n2020-01-06,12.0\n", "expected header"),
+        ],
+        ids=["price_text", "price_negative", "price_nan", "bad_date", "bad_header"],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, capsys, text, named):
+        (tmp_path / "bad.csv").write_text(text)
+        cfg = write_config(tmp_path, {"ou": {"csv": "bad.csv"}})
+        assert run(["calibrate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "bad.csv" in err and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dt", [0.0, float("nan")], ids=["zero", "nan"])
+    def test_bad_step_rejected(self, tmp_path, capsys, dt):
+        csv_path = synthetic_csv(tmp_path, n=500)
+        cfg = write_config(tmp_path, {"ou": {"csv": csv_path.name, "dt": dt}})
+        assert run(["calibrate", "--config", cfg]) == 2
+        assert "ConfigError: ou.dt must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRiskCommand:
@@ -416,6 +444,25 @@ class TestDeterminismAndOverrides:
         assert payload["provenance"]["n_paths"] == 2500
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", ["calibrate", "simulate", "yield-sweep"])
+    def test_offered_only_where_used(self, tmp_path, command):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", cfg, "--workers", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_below_one_rejected(self, tmp_path, capsys, command, workers):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", cfg, "--mc", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulateOnce:
     """Each (horizon, starting state) stream is simulated once per command and
     reduced at every gamma."""
@@ -535,13 +582,23 @@ class TestConfigValidation:
         [
             ("sweep", "claim", "r", None, "ConfigError"),
             ("sweep", "ou", "alpha", -1.0, "NotMeanReverting"),
-            ("simulate", "ou", "alpha", float("nan"), "NonFinite"),
-            ("sweep", "ou", "sigma", float("nan"), "NonFinite"),
-            ("sweep", "claim", "y", float("nan"), "NonFinite"),
-            ("sweep", "chain", "matrix", [[-0.8, 0.5], [float("nan"), -0.5]], "NonFinite"),
+            ("simulate", "ou", "alpha", float("nan"), "ConfigError: ou.alpha must be a finite number"),
+            ("sweep", "ou", "sigma", float("nan"), "ConfigError: ou.sigma must be a finite number"),
+            ("sweep", "claim", "y", float("nan"), "ConfigError: claim.y must be a finite number"),
+            ("sweep", "chain", "matrix", [[-0.8, 0.5], [float("nan"), -0.5]],
+             "ConfigError: chain.matrix[1][0] must be a finite number"),
+            ("sweep", "ou", "alpha", "x", "ConfigError: ou.alpha must be a finite number"),
+            ("sweep", "ou", "alpha", True, "ConfigError: ou.alpha must be a finite number"),
+            ("sweep", "claim", "delta", "abcd", "ConfigError: claim.delta must be a list"),
+            ("sweep", "grids", "horizons_days", ["x"],
+             "ConfigError: grids.horizons_days[0] must be a finite number"),
+            ("sweep", "chain", "matrix", [[1, "a"], [0, 1]],
+             "ConfigError: chain.matrix[0][1] must be a finite number"),
+            ("sweep", "chain", "matrix", [[-0.8, 0.5], [0.8]], "ConfigError: chain.matrix rows differ"),
         ],
         ids=["claim.r_missing", "ou.alpha_negative", "ou.alpha_nan", "ou.sigma_nan",
-             "claim.y_nan", "chain_entry_nan"],
+             "claim.y_nan", "chain_entry_nan", "ou.alpha_text", "ou.alpha_bool",
+             "claim.delta_text", "grids.horizons_text", "chain_entry_text", "chain_ragged"],
     )
     def test_defective_field_rejected(self, tmp_path, capsys, command, section, key, value, error):
         cfg = base_config(claim={"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08})
@@ -562,6 +619,30 @@ class TestConfigValidation:
         cfg[section][key] = value
         assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 2
         assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            ("chain.dt", "x", "chain.dt must be a finite number"),
+            ("claim.rates", [0.03, "abc"], "claim.rates[1] must be a finite number"),
+            ("claim.yield.kappa", None, "claim.yield.kappa must be a finite number"),
+            ("claim.yield", [1], "claim.yield must be a JSON object"),
+            ("grids", [1], "grids must be a JSON object"),
+        ],
+        ids=["chain.dt_text", "claim.rates_text", "claim.yield.kappa_null", "claim.yield_list", "grids_list"],
+    )
+    def test_malformed_value_named(self, tmp_path, capsys, path, value, named):
+        """The shipped config with a four-state Gibson-Schwartz swap, one value broken."""
+        cfg = json.loads(EXAMPLE_CONFIG.read_text())
+        cfg["claim"] = dict(gs_swap(), delta=[1.0] * 4)
+        *parents, key = path.split(".")
+        node = cfg
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        assert run(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"ConfigError: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_delta_length_checked_against_chain(self, tmp_path):
         cfg = base_config(claim={"type": "linear", "delta": [1.0, 1.0, 1.0]})

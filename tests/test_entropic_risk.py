@@ -117,8 +117,15 @@ class TestRiskQueryAndVector:
             RiskQuery(gamma=1.0, s=-0.1, T=1.0, x_s=50.0)
 
     def test_risk_is_negated_lam(self):
-        q = RiskQuery(gamma=1.0, s=0.0, T=1.0, x_s=50.0)
-        rv = RiskVector(lam=np.array([1.5, -2.0]), query=q)
+        """risks[i] = -lam_i with lam_i = gamma ln sum_j P(Z_T = j | Z_s = i) phi_j."""
+        q = RiskQuery(gamma=2.0, s=0.0, T=0.5, x_s=60.0)
+        delta = np.array([0.7, 1.3])
+        law = conditional_law(CRUDE, q.x_s, q.s, q.T)
+        phi = np.exp(-delta * law.mean / q.gamma + delta**2 * law.variance / (2 * q.gamma**2))
+        lam = q.gamma * np.log(matrix_exp(TWO_STATE, q.horizon).T @ phi)
+        np.testing.assert_allclose(spot_risk_closed(CRUDE, TWO_STATE, delta, q).risks, -lam, rtol=1e-12)
+
+        rv = RiskVector(risks=np.array([-1.5, 2.0]), query=q)
         np.testing.assert_array_equal(rv.risks, [-1.5, 2.0])
         assert rv.risk_given_state(1) == 2.0
         with pytest.raises(StateOutOfRange):
@@ -127,7 +134,7 @@ class TestRiskQueryAndVector:
     def test_non_finite_rejected(self):
         q = RiskQuery(gamma=1.0, s=0.0, T=1.0, x_s=50.0)
         with pytest.raises(ValueError):
-            RiskVector(lam=np.array([np.inf]), query=q)
+            RiskVector(risks=np.array([np.inf]), query=q)
 
 
 class TestSpotRiskClosed:
@@ -189,7 +196,7 @@ class TestSpotRiskClosed:
 class TestFutureRiskClosed:
     def test_zero_carry_equals_spot_risk(self):
         q = RiskQuery(gamma=2.0, s=0.0, T=0.5, x_s=60.0)
-        c = FutureClaim(delta=[0.7, 1.3], r=0.04, y=-0.04, maturity=0.5)
+        c = FutureClaim(delta=[0.7, 1.3], r=0.04, y=-0.04)
         rv_f = future_risk_closed(CRUDE, TWO_STATE, c, q)
         rv_s = spot_risk_closed(CRUDE, TWO_STATE, c.delta, q)
         np.testing.assert_array_equal(rv_f.risks, rv_s.risks)
@@ -216,18 +223,11 @@ class TestFutureRiskClosed:
                 delta=rng.uniform(-2, 2, size=n),
                 r=rng.uniform(0, 0.1),
                 y=rng.uniform(-0.05, 0.15),
-                maturity=T,
             )
             scaled = c.delta * np.exp(-(c.r + c.y) * (T - s))
             lhs = future_risk_closed(ou, g, c, q).risks
             rhs = spot_risk_closed(ou, g, scaled, q).risks
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_maturity_mismatch_rejected(self):
-        q = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
-        c = FutureClaim(delta=[1.0, 1.0], r=0.02, y=0.05, maturity=0.75)
-        with pytest.raises(TimeOrder):
-            future_risk_closed(CRUDE, TWO_STATE, c, q)
 
 
 class TestClaimRiskMC:
@@ -241,7 +241,7 @@ class TestClaimRiskMC:
             assert abs(est.z_score(rv.risk_given_state(i))) < 3.0
 
     def test_future_matches_closed_form(self):
-        c = FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05, maturity=0.25)
+        c = FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05)
         rv = future_risk_closed(CRUDE, TWO_STATE, c, self.Q)
         ests = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 60_000, seed=23)
         for i, est in enumerate(ests):
@@ -269,7 +269,7 @@ class TestClaimRiskMC:
                 assert a.std_error == b.std_error
 
     def test_deterministic_given_seed(self):
-        c = FutureClaim(delta=[1.0, 0.5], r=0.02, y=0.04, maturity=0.25)
+        c = FutureClaim(delta=[1.0, 0.5], r=0.02, y=0.04)
         a = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9)
         b = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9)
         assert [e.value for e in a] == [e.value for e in b]
@@ -286,7 +286,7 @@ class TestClaimRiskMC:
         "claim, T",
         [
             (LinearSpotClaim([0.75, 1.25]), 0.25),
-            (FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05, maturity=0.25), 0.25),
+            (FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05), 0.25),
             (
                 SwapClaim(
                     rates=[0.05, 0.04, 0.06],

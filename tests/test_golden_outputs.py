@@ -1,0 +1,83 @@
+"""Golden outputs: the sha256 of every file each command writes.
+
+The commands are pure functions of (config, seed, n_paths), so a refactor
+that should not change results must leave every hash below unchanged.  A
+change that alters outputs on purpose updates the hashes in the same commit
+(a failing run shows the new ones) and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from regime_risk.cli import main
+
+from conftest import EXAMPLE_CONFIG
+from test_tracing_contract import GS_SWAP
+
+# run id -> (command line without --config/--out, claim replacing the shipped one)
+RUNS = {
+    "risk": (["risk"], None),
+    "sweep": (["sweep"], None),
+    "yield_sweep": (["yield-sweep"], None),
+    "simulate": (["simulate"], None),
+    "risk_mc": (["risk", "--mc", "--paths", "2000"], None),
+    "sweep_mc": (["sweep", "--mc", "--paths", "2000"], None),
+    "gs_swap_risk_mc": (["risk", "--mc", "--paths", "2000"], GS_SWAP),
+}
+
+GOLDEN = {
+    "risk": {
+        "risk.csv": "f34e853976e165f6e2c88c8bff48b4d8b81148b227f05a1644b6e3fd64e1511f",
+        "risk.json": "5d30c7948982f2e92b66b0537da567508d5fe4a796b0fc3f45c2e782e8eb8c9f",
+    },
+    "sweep": {
+        "sweep.csv": "d349ea36d830ed53bf591517787b86ffe961a90ab8d21ed976a2125f6d9916c9",
+        "sweep.json": "3f7673e5cf8a68ffcdd494592e3faedec2104bed20a9739d4d8164a298b0eac1",
+    },
+    "yield_sweep": {
+        "yield_sweep.csv": "9fb393e640ea97171d9c8ddc2f32b525bced5541439db0dfc8a5abb69183dc14",
+        "yield_sweep.json": "29e207b76d300f5fae1806990a853abfa8dbded4dad736e1cdf94a210a5f8ef8",
+        "yield_sweep_summary.csv": "78c7f11898fd2a4316ea1b93a841884f6056652ba917b865901e0ea774e2ca93",
+        "yield_sweep_summary.json": "5e706a6c39a5656a3d4c002a642528212ef7b1ae237b9b4b8c999adbe4c63007",
+    },
+    "simulate": {
+        "paths.csv": "f245cb943a133fb68c87a16256fcf7d73fd442315333e182354f90b47aebae14",
+        "paths.json": "07e5d784981bb74b03b223ebfc927e994277363634acfb041aca06259e69916a",
+    },
+    "risk_mc": {
+        "risk.csv": "611da248a42a1ff4be6598bf808eec2c93098b355a09ad717b1add161c56d60b",
+        "risk.json": "19526109a4375c7cc950fa85641651d0814c6ddbecd99d24a4dc4b5aee274abe",
+    },
+    "sweep_mc": {
+        "sweep.csv": "adcb0543669b65c7e081e60b37d1dc6a580190cb150247b57b089add47f85883",
+        "sweep.json": "46500908b71adb638532acba5dbc81041e489b63f64200fdd4ea2e53f59e62e4",
+        "sweep_mc.csv": "20d956df740d8cc29a0f459182c9d162aaa9ffae5488987e260bd66fcd1e6213",
+    },
+    "gs_swap_risk_mc": {
+        "risk.csv": "602e53c48541a2a2b799b9039d26e558f5e7f7fabb2424171e0cbdf60f861616",
+        "risk.json": "feeef402515df5a90def471608aa0d47f3690349e4e1a3f9661d239e57249155",
+    },
+}
+
+
+def run_outputs(run_id: str, tmp: Path) -> dict[str, str]:
+    """Run one command into ``tmp``/out and hash every file it writes."""
+    args, claim = RUNS[run_id]
+    config = EXAMPLE_CONFIG
+    if claim is not None:
+        cfg = json.loads(EXAMPLE_CONFIG.read_text())
+        cfg["claim"] = claim
+        config = tmp / "cfg.json"
+        config.write_text(json.dumps(cfg))
+    out = tmp / "out"
+    assert main(args + ["--config", str(config), "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("run_id", list(RUNS))
+def test_outputs_match_golden_hashes(tmp_path, run_id):
+    assert run_outputs(run_id, tmp_path) == GOLDEN[run_id]
+

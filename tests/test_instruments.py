@@ -59,19 +59,14 @@ class TestLinearPayoff:
 
 class TestFuturePayoff:
     def test_zero_carry_equals_linear(self):
-        c = FutureClaim(delta=[1.5], r=0.04, y=-0.04, maturity=1.0)
+        c = FutureClaim(delta=[1.5], r=0.04, y=-0.04)
         assert terminal_payoff(c, 77.0, 0, s=0.2) == terminal_payoff(
             LinearSpotClaim(c.delta), 77.0, 0, s=0.2
         )
 
     def test_eight_percent_carry_over_one_year(self):
-        c = FutureClaim(delta=[1.0], r=0.0, y=0.08, maturity=1.0)
+        c = FutureClaim(delta=[1.0], r=0.0, y=0.08)
         assert terminal_payoff(c, 100.0, 0) == pytest.approx(92.31163463866358, rel=1e-12)
-
-    def test_past_maturity_rejected(self):
-        c = FutureClaim(delta=[1.0], r=0.0, y=0.0, maturity=1.0)
-        with pytest.raises(TimeOrder):
-            terminal_payoff(c, 100.0, 0, T=1.5)
 
 
 GS_FIELDS = dict(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.05)
@@ -82,15 +77,14 @@ class TestFieldChecks:
         "build",
         [
             lambda: LinearSpotClaim(delta=[1.0, np.inf]),
-            lambda: FutureClaim(delta=[1.0], r=0.0, y=np.nan, maturity=1.0),
-            lambda: FutureClaim(delta=[1.0], r=0.0, y=0.0, maturity=np.inf),
+            lambda: FutureClaim(delta=[1.0], r=0.0, y=np.nan),
             lambda: ConstantYield(r=np.nan, y=0.0),
             lambda: SwapClaim(rates=[0.05, np.nan], delta=[1.0], yield_spec=ConstantYield(r=0.0, y=0.0)),
             lambda: GibsonSchwartzParams(**dict(GS_FIELDS, rho=np.inf)),
             lambda: GibsonSchwartzParams(**dict(GS_FIELDS, y0=np.nan)),
             lambda: OUParams(alpha=np.nan, mu=50.0, sigma=5.0, x0=50.0),
         ],
-        ids=["delta", "future_y", "maturity", "constant_r", "swap_rates", "gs_rho", "gs_y0", "ou_alpha"],
+        ids=["delta", "future_y", "constant_r", "swap_rates", "gs_rho", "gs_y0", "ou_alpha"],
     )
     def test_non_finite_field_rejected(self, build):
         with pytest.raises(NonFinite):
