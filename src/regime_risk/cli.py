@@ -98,13 +98,14 @@ def _configured_gs_yield(cfg: RunConfig) -> GibsonSchwartzParams | None:
     return spec if isinstance(spec, GibsonSchwartzParams) else None
 
 
-def _closed_form(cfg: RunConfig, claim, q: RiskQuery):
+def _closed_form(cfg: RunConfig, claim, q: RiskQuery, gammas: list[float]):
+    """Closed-form risk vectors at ``q``'s horizon, one per gamma, from one ``expm``."""
     if isinstance(claim, FutureClaim):
-        return future_risk_closed(cfg.ou, cfg.chain, claim, q)
-    return spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q)
+        return future_risk_closed(cfg.ou, cfg.chain, claim, q, gammas=gammas)
+    return spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q, gammas=gammas)
 
 
-def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery) -> float | None:
+def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float | None:
     """For a single-regime chain the closed form must reduce to
     d m - d^2 v / (2 gamma); printed alongside as an independent check."""
     if cfg.chain.n != 1:
@@ -113,7 +114,7 @@ def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery) -> float | None:
     d = float(claim.delta[0])
     if isinstance(claim, FutureClaim):
         d *= float(np.exp(-claim.carry * q.horizon))
-    return d * law.mean - d * d * law.variance / (2.0 * q.gamma)
+    return d * law.mean - d * d * law.variance / (2.0 * gamma)
 
 
 def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
@@ -127,17 +128,17 @@ def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
 
     header = ["gamma", "state", "closed", "oracle", "mc_value", "mc_std_error", "z_score"]
     rows: list[list] = []
+    q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
     ests = None
     if use_mc:
         # one payoff sample per starting state, reduced at every gamma
-        q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
         ests = claim_risk_mc(
             cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers, gammas=cfg.gammas
         )
+    vectors = None if is_swap else _closed_form(cfg, claim, q, cfg.gammas)
     for j, gamma in enumerate(cfg.gammas):
-        q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
-        closed = [None] * cfg.chain.n if is_swap else list(_closed_form(cfg, claim, q).risks)
-        oracle = _scalar_oracle(cfg, claim, q) if not is_swap else None
+        closed = [None] * cfg.chain.n if is_swap else vectors[j].risks.tolist()
+        oracle = _scalar_oracle(cfg, claim, q, gamma) if not is_swap else None
         for state in range(cfg.chain.n):
             row: list = [gamma, state, closed[state], oracle if state == 0 else None]
             if ests is not None:
@@ -158,20 +159,10 @@ def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     return 0
 
 
-def _num(v):
-    if v is None:
-        return None
-    return float(v) if isinstance(v, (float, np.floating)) else v
-
-
 def _write_table(cfg: RunConfig, name: str, prov: dict, header: list[str], rows: list[list]) -> None:
     """``name``.csv plus its JSON mirror {"columns": header, "rows": rows}."""
     write_csv(cfg.out_dir / f"{name}.csv", prov, header, rows)
-    write_json(
-        cfg.out_dir / f"{name}.json",
-        prov,
-        {"columns": header, "rows": [[_num(v) for v in r] for r in rows]},
-    )
+    write_json(cfg.out_dir / f"{name}.json", prov, {"columns": header, "rows": rows})
 
 
 def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
@@ -182,17 +173,16 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     cells = np.empty((len(cfg.horizons_days), len(cfg.gammas)))
     mc_rows: list[list] = []
     for i, hd in enumerate(cfg.horizons_days):
-        T = horizon_years(hd)
+        q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=horizon_years(hd), x_s=cfg.ou.x0)
         if use_mc:
             # one payoff sample for the starting regime, reduced at every gamma
-            q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
             ests = claim_risk_mc(
                 cfg.ou, cfg.chain, cfg.claim, q, cfg.n_paths, cfg.seed, workers,
                 gammas=cfg.gammas, states=[cfg.z0],
             )[0]
+        vectors = _closed_form(cfg, cfg.claim, q, cfg.gammas)
         for j, gamma in enumerate(cfg.gammas):
-            q = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=cfg.ou.x0)
-            cells[i, j] = _closed_form(cfg, cfg.claim, q).risk_given_state(cfg.z0)
+            cells[i, j] = vectors[j].risk_given_state(cfg.z0)
             if use_mc:
                 est = ests[j]
                 z = est.z_score(cells[i, j])

@@ -38,7 +38,6 @@ class RunConfig:
     """Parsed and validated run configuration."""
 
     raw: dict
-    path: Path | None
     chain: Generator | None
     z0: int
     ou: OUParams | None
@@ -103,6 +102,13 @@ def _number(value, path: str, depth: int = 0, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _text(value, path: str) -> str:
+    """Read a config string; anything else raises ConfigError naming the key path."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
+
+
 def _section(parent: dict, path: str) -> dict | None:
     """The JSON object at the last key of ``path``, or None when that key is absent."""
     key = path.rsplit(".", 1)[-1]
@@ -125,7 +131,7 @@ def _read_json(path: Path) -> dict:
 
 def _parse_chain(section: dict) -> tuple[Generator, int]:
     _require_keys(section, ("kind", "matrix"), "chain")
-    kind = section["kind"]
+    kind = _text(section["kind"], "chain.kind")
     matrix = np.asarray(_number(section["matrix"], "chain.matrix", depth=2))
     z0 = _number(section.get("z0", 0), "chain.z0", integer=True)
     if kind == "generator":
@@ -147,7 +153,7 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
         raise ConfigError(f"ou.dt must be positive, got {dt}")
     params, where, csv_path = section, "ou", None
     if "params_file" in section:
-        pf = (base / section["params_file"]).resolve()
+        pf = (base / _text(section["params_file"], "ou.params_file")).resolve()
         if not pf.exists():
             raise ConfigError(f"ou.params_file does not exist: {pf}")
         payload = _read_json(pf)
@@ -155,7 +161,7 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
         params, where = payload.get("params", payload), "ou.params_file params"
         _require_keys(params, _OU_KEYS, where)
     elif "csv" in section:
-        csv_path = (base / section["csv"]).resolve()
+        csv_path = (base / _text(section["csv"], "ou.csv")).resolve()
         if not csv_path.exists():
             raise ConfigError(f"ou.csv does not exist: {csv_path}")
         if not all(k in section for k in _OU_KEYS):
@@ -168,7 +174,7 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
 def _parse_claim(c: dict, n_states: int | None) -> LinearSpotClaim | FutureClaim | SwapClaim:
     """The typed claim; a future matures at whatever horizon a query evaluates."""
     _require_keys(c, ("type",), "claim")
-    kind = c["type"]
+    kind = _text(c["type"], "claim.type")
     if kind not in _CLAIM_KEYS:
         raise ConfigError(f"unknown claim type {kind!r}")
     _require_keys(c, _CLAIM_KEYS[kind], "claim")
@@ -180,9 +186,9 @@ def _parse_claim(c: dict, n_states: int | None) -> LinearSpotClaim | FutureClaim
     if kind == "future":
         return FutureClaim(delta=delta, r=_number(c["r"], "claim.r"), y=_number(c["y"], "claim.y"))
     spec = _section(c, "claim.yield")
-    spec_type = _YIELD_SPECS.get(spec.get("kind"))
+    spec_type = _YIELD_SPECS.get(_text(spec.get("kind"), "claim.yield.kind"))
     if spec_type is None:
-        raise ConfigError(f"unknown yield spec kind {spec.get('kind')!r}")
+        raise ConfigError(f"unknown yield spec kind {spec['kind']!r}")
     keys = [f.name for f in fields(spec_type)]
     _require_keys(spec, keys, "claim.yield")
     return SwapClaim(
@@ -245,7 +251,8 @@ def load_config(
         raise ConfigError("mc.seed must be a nonnegative integer")
 
     output = _section(raw, "output") or {}
-    out_dir = Path(out_override) if out_override else base / output.get("dir", "out")
+    out_dir = base / _text(output.get("dir", "out"), "output.dir")
+    out_dir = Path(out_override) if out_override else out_dir
 
     effective = json.loads(json.dumps(raw))
     effective.setdefault("mc", {})
@@ -254,7 +261,6 @@ def load_config(
 
     return RunConfig(
         raw=effective,
-        path=path,
         chain=chain,
         z0=z0,
         ou=ou,
@@ -279,13 +285,12 @@ def load_config(
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".12g")
-    return str(v)
+    if isinstance(v, float):
+        return format(v, ".12g")
+    s = str(v)
+    if any(ch in s for ch in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def config_hash(effective_raw: dict) -> str:
@@ -316,15 +321,9 @@ def write_csv(path: Path, prov: dict, header: list[str], rows: list[list]) -> No
     lines = [f"# {k}={prov[k]}" for k in sorted(prov)]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_csv_field(_fmt(v)) for v in row))
+        lines.append(",".join(_fmt(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\r\n".join(lines) + "\r\n")
-
-
-def _csv_field(s: str) -> str:
-    if any(ch in s for ch in ',"\r\n'):
-        return '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def write_json(path: Path, prov: dict, data) -> None:

@@ -21,9 +21,9 @@ simulates the chain by its exact holding-time/jump construction and the
 spot by its exact Gaussian transition, so the two routes share no kernel
 beyond the transition-law parameters.
 
-Simulate once, reduce many: the payoff sample does not depend on gamma, so
-the MC route simulates one payoff array per (horizon, starting state) and
-reduces that array at every requested gamma.
+Simulate once, reduce many: a payoff sample and ``expm(Q h)`` do not depend
+on gamma, so both routes take a ``gammas=`` grid and reduce each (horizon,
+starting state) sample, or each horizon's law and kernel, at every gamma.
 
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over a few grid
@@ -98,7 +98,6 @@ class RiskVector:
     """Per-state closed-form result: ``risks[i]`` is the risk given starting state i."""
 
     risks: np.ndarray
-    query: RiskQuery
 
     def __post_init__(self) -> None:
         risks = np.array(self.risks, dtype=float)
@@ -126,7 +125,6 @@ class MCEstimate:
     value: float
     std_error: float
     n_paths: int
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.std_error < 0:
@@ -147,7 +145,7 @@ def _check_gamma(gamma: float) -> None:
         raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
 
 
-def entropic_mc(samples, gamma: float, seed: int | None = None) -> MCEstimate:
+def entropic_mc(samples, gamma: float) -> MCEstimate:
     """Entropic risk of empirical payoff samples.
 
     Computes -gamma ln mean(exp(-psi/gamma)) through a max-shift (log-sum-exp)
@@ -170,49 +168,63 @@ def entropic_mc(samples, gamma: float, seed: int | None = None) -> MCEstimate:
         se = gamma * w.std(ddof=1) / (wbar * np.sqrt(psi.size))
     else:
         se = 0.0
-    return MCEstimate(value=float(value), std_error=float(se), n_paths=psi.size, seed=seed)
+    return MCEstimate(value=float(value), std_error=float(se), n_paths=psi.size)
 
 
-def _risk_closed(ou: OUParams, g: Generator, delta: np.ndarray, q: RiskQuery) -> np.ndarray:
-    """Shared closed-form pipeline; returns the per-state risks for an effective loading vector."""
+def _gamma_grid(q: RiskQuery, gammas) -> list[float]:
+    """``[q.gamma]`` by default, else ``gammas`` checked: nonempty, finite, positive."""
+    grid = [q.gamma] if gammas is None else list(gammas)
+    if not grid:
+        raise ValueError("gammas must be nonempty")
+    for gamma in grid:
+        _check_gamma(gamma)
+    return grid
+
+
+def _risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, gammas):
+    """Shared closed-form pipeline: one law and one ``expm`` for every gamma of the grid."""
+    grid = _gamma_grid(q, gammas)
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (g.n,):
         raise DimensionError(f"delta must have shape ({g.n},), got {delta.shape}")
     law = conditional_law(ou, q.x_s, q.s, q.T)
-    gamma = q.gamma
-    logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
     # P[j, i] = P(Z_T = j | Z_s = i); mix phi over the terminal law per start
     # state.  The shift is the max of logphi over each start state's reachable
     # support (not the global max: for a reducible chain an unreachable block
     # could hold the maximum and underflow every reachable term).
     P = matrix_exp(g, q.horizon)
-    masked = np.where(P > 0.0, logphi[:, None], -np.inf)
-    shift = masked.max(axis=0)
-    mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
-    return -gamma * (shift + np.log(mixed))
+    vectors = []
+    for gamma in grid:
+        logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
+        masked = np.where(P > 0.0, logphi[:, None], -np.inf)
+        shift = masked.max(axis=0)
+        mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
+        vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
+    return vectors[0] if gammas is None else vectors
 
 
 def spot_risk_closed(
-    ou: OUParams, g: Generator, delta, q: RiskQuery
-) -> RiskVector:
+    ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas=None
+) -> RiskVector | list[RiskVector]:
     """Closed-form entropic risk of the linear spot claim X_T delta[Z_T].
 
-    Returns the per-state vector; risk in starting state i is ``risks[i]``.
+    Returns the per-state vector at ``q.gamma``, ``risks[i]`` given start state i;
+    with ``gammas``, a list of vectors, one per gamma (as :func:`claim_risk_mc`).
     """
-    return RiskVector(risks=_risk_closed(ou, g, np.asarray(delta, dtype=float), q), query=q)
+    return _risk_closed(ou, g, delta, q, gammas)
 
 
 def future_risk_closed(
-    ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery
-) -> RiskVector:
+    ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas=None
+) -> RiskVector | list[RiskVector]:
     """Closed-form entropic risk of a future: the spot pipeline applied to
     the carry-discounted loading delta * e^{-(r+y)(T-s)}.
 
     The future matures at the query horizon T; the carry discount and the
-    regime propagation use the same T.
+    regime propagation use the same T.  ``gammas`` as in :func:`spot_risk_closed`.
     """
     scale = np.exp(-c.carry * q.horizon)
-    return RiskVector(risks=_risk_closed(ou, g, c.delta * scale, q), query=q)
+    return _risk_closed(ou, g, c.delta * scale, q, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +421,11 @@ def claim_risk_mc(
     for state in states:
         if not 0 <= state < g.n:
             raise StateOutOfRange(f"state {state} outside [0, {g.n})")
-    grid = [q.gamma] if gammas is None else list(gammas)
-    if not grid:
-        raise ValueError("gammas must be nonempty")
-    for gamma in grid:
-        _check_gamma(gamma)
+    grid = _gamma_grid(q, gammas)
     out = []
     for state in states:
         payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers)
-        ests = [entropic_mc(payoffs, gamma, seed=seed) for gamma in grid]
+        ests = [entropic_mc(payoffs, gamma) for gamma in grid]
         out.append(ests[0] if gammas is None else ests)
     return out
 

@@ -49,3 +49,19 @@ def draw_mc_instance(rng: np.random.Generator, exponent_sd_cap: float = 2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The horizon of every ``matrix_exp`` call the closed form makes."""
+    from regime_risk import entropic_risk
+
+    calls = []
+    real = entropic_risk.matrix_exp
+
+    def counting(g, t):
+        calls.append(t)
+        return real(g, t)
+
+    monkeypatch.setattr(entropic_risk, "matrix_exp", counting)
+    return calls

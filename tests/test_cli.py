@@ -497,6 +497,17 @@ class TestSimulateOnce:
         assert len(rows) == len(horizons) * len(shipped["grids"]["gammas"])
 
 
+class TestOneKernelPerHorizon:
+    """The closed form runs one matrix exponential per horizon, shared by every gamma."""
+
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    def test_shipped_config(self, tmp_path, expm_calls, command):
+        horizons = json.loads(EXAMPLE_CONFIG.read_text())["grids"]["horizons_days"]
+        assert run([command, "--config", EXAMPLE_CONFIG, "--out", tmp_path]) == 0
+        used = horizons[:1] if command == "risk" else horizons
+        assert expm_calls == [h / TRADING_DAYS_PER_YEAR for h in used]
+
+
 class TestConfigValidation:
     def test_missing_file(self, capsys):
         assert run(["risk", "--config", "/nonexistent.json"]) == 2
@@ -595,10 +606,17 @@ class TestConfigValidation:
             ("sweep", "chain", "matrix", [[1, "a"], [0, 1]],
              "ConfigError: chain.matrix[0][1] must be a finite number"),
             ("sweep", "chain", "matrix", [[-0.8, 0.5], [0.8]], "ConfigError: chain.matrix rows differ"),
+            ("sweep", "claim", "type", ["future"], "ConfigError: claim.type must be a string"),
+            ("sweep", "chain", "kind", ["generator"], "ConfigError: chain.kind must be a string"),
+            ("calibrate", "ou", "csv", 5, "ConfigError: ou.csv must be a string"),
+            ("calibrate", "ou", "params_file", 7, "ConfigError: ou.params_file must be a string"),
+            ("sweep", "output", "dir", 5, "ConfigError: output.dir must be a string"),
         ],
         ids=["claim.r_missing", "ou.alpha_negative", "ou.alpha_nan", "ou.sigma_nan",
              "claim.y_nan", "chain_entry_nan", "ou.alpha_text", "ou.alpha_bool",
-             "claim.delta_text", "grids.horizons_text", "chain_entry_text", "chain_ragged"],
+             "claim.delta_text", "grids.horizons_text", "chain_entry_text", "chain_ragged",
+             "claim.type_list", "chain.kind_list", "ou.csv_number", "ou.params_file_number",
+             "output.dir_number"],
     )
     def test_defective_field_rejected(self, tmp_path, capsys, command, section, key, value, error):
         cfg = base_config(claim={"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08})
@@ -628,8 +646,10 @@ class TestConfigValidation:
             ("claim.yield.kappa", None, "claim.yield.kappa must be a finite number"),
             ("claim.yield", [1], "claim.yield must be a JSON object"),
             ("grids", [1], "grids must be a JSON object"),
+            ("claim.yield.kind", ["constant"], "claim.yield.kind must be a string"),
         ],
-        ids=["chain.dt_text", "claim.rates_text", "claim.yield.kappa_null", "claim.yield_list", "grids_list"],
+        ids=["chain.dt_text", "claim.rates_text", "claim.yield.kappa_null", "claim.yield_list", "grids_list",
+             "claim.yield.kind_list"],
     )
     def test_malformed_value_named(self, tmp_path, capsys, path, value, named):
         """The shipped config with a four-state Gibson-Schwartz swap, one value broken."""

@@ -1,5 +1,7 @@
 """Closed-form risk vectors, the MC estimator, and their agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,16 +127,15 @@ class TestRiskQueryAndVector:
         lam = q.gamma * np.log(matrix_exp(TWO_STATE, q.horizon).T @ phi)
         np.testing.assert_allclose(spot_risk_closed(CRUDE, TWO_STATE, delta, q).risks, -lam, rtol=1e-12)
 
-        rv = RiskVector(risks=np.array([-1.5, 2.0]), query=q)
+        rv = RiskVector(risks=np.array([-1.5, 2.0]))
         np.testing.assert_array_equal(rv.risks, [-1.5, 2.0])
         assert rv.risk_given_state(1) == 2.0
         with pytest.raises(StateOutOfRange):
             rv.risk_given_state(2)
 
     def test_non_finite_rejected(self):
-        q = RiskQuery(gamma=1.0, s=0.0, T=1.0, x_s=50.0)
         with pytest.raises(ValueError):
-            RiskVector(risks=np.array([np.inf]), query=q)
+            RiskVector(risks=np.array([np.inf]))
 
 
 class TestSpotRiskClosed:
@@ -179,18 +180,63 @@ class TestSpotRiskClosed:
     def test_reducible_chain_with_extreme_loadings(self):
         # block-diagonal chain: the giant log-moment lives in the block the
         # other block cannot reach, so each block must be shifted on its own
-        q_mat = np.zeros((4, 4))
-        q_mat[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
-        q_mat[2:, 2:] = [[-2.0, 2.0], [2.0, -2.0]]
-        g = Generator(q_mat)
+        g = reducible_chain()
         delta = np.array([0.5, 0.6, -40.0, -42.0])
         q = RiskQuery(gamma=0.05, s=0.0, T=0.5, x_s=62.24)
         rv = spot_risk_closed(CRUDE, g, delta, q)
         assert np.all(np.isfinite(rv.risks))
         # the benign block must match its own standalone 2-state computation
-        g_small = Generator(q_mat[:2, :2])
+        g_small = Generator(g.q[:2, :2])
         rv_small = spot_risk_closed(CRUDE, g_small, delta[:2], q)
         np.testing.assert_allclose(rv.risks[:2], rv_small.risks, rtol=1e-12)
+
+
+def reducible_chain() -> Generator:
+    """Two blocks that cannot reach each other (see the extreme-loading test)."""
+    q_mat = np.zeros((4, 4))
+    q_mat[:2, :2] = [[-1.0, 1.0], [1.0, -1.0]]
+    q_mat[2:, 2:] = [[-2.0, 2.0], [2.0, -2.0]]
+    return Generator(q_mat)
+
+
+class TestClosedFormGammaGrid:
+    """One conditional law and one matrix exponential per call, reduced at every gamma."""
+
+    GAMMAS = [0.05, 0.5, 2.0, 7.0]
+
+    @pytest.mark.parametrize(
+        "route, g, loading",
+        [
+            ("spot", TWO_STATE, [0.75, 1.25]),
+            ("future", TWO_STATE, FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05)),
+            ("spot", reducible_chain(), [0.5, 0.6, -40.0, -42.0]),
+        ],
+        ids=["spot", "future", "reducible_extreme"],
+    )
+    def test_grid_is_bit_identical_to_single_gamma_calls(self, expm_calls, route, g, loading):
+        closed = spot_risk_closed if route == "spot" else future_risk_closed
+        q = RiskQuery(gamma=99.0, s=0.1, T=0.6, x_s=62.24)
+        grid = closed(CRUDE, g, loading, q, gammas=self.GAMMAS)
+        assert len(expm_calls) == 1
+        assert len(grid) == len(self.GAMMAS)
+        for gamma, rv in zip(self.GAMMAS, grid):
+            single = closed(CRUDE, g, loading, dataclasses.replace(q, gamma=gamma))
+            assert np.array_equal(rv.risks, single.risks)
+
+    @pytest.mark.parametrize(
+        "gammas, error",
+        [([], ValueError), ([1.0, np.nan], NonFinite), ([1.0, 0.0], NonPositiveGamma)],
+        ids=["empty", "nan", "zero"],
+    )
+    @pytest.mark.parametrize("route", ["spot", "future"])
+    def test_gamma_grid_checked_before_matrix_exp(self, expm_calls, route, gammas, error):
+        q = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
+        with pytest.raises(error):
+            if route == "spot":
+                spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], q, gammas=gammas)
+            else:
+                future_risk_closed(CRUDE, TWO_STATE, FutureClaim([1.0, 1.0], r=0.0, y=0.0), q, gammas=gammas)
+        assert expm_calls == []
 
 
 class TestFutureRiskClosed:
@@ -342,6 +388,8 @@ class TestClaimRiskMC:
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, np.nan])
         with pytest.raises(NonPositiveGamma):
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, -2.0])
+        with pytest.raises(NonPositiveGamma):
+            claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[0.0])
         with pytest.raises(ValueError):
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[])
 

@@ -17,15 +17,25 @@ from regime_risk.cli import main
 from conftest import EXAMPLE_CONFIG
 from test_tracing_contract import GS_SWAP
 
-# run id -> (command line without --config/--out, claim replacing the shipped one)
+LINEAR = {"type": "linear", "delta": [0.75, 0.9, 1.1, 1.3]}
+# the only chain shape that fills risk's ``oracle`` column
+ONE_STATE = {
+    "chain": {"kind": "generator", "matrix": [[0.0]]},
+    "claim": {"type": "future", "delta": [0.75], "r": 0.0, "y": 0.08},
+}
+
+# run id -> (command line without --config/--out, config sections replacing the shipped ones)
 RUNS = {
-    "risk": (["risk"], None),
-    "sweep": (["sweep"], None),
-    "yield_sweep": (["yield-sweep"], None),
-    "simulate": (["simulate"], None),
-    "risk_mc": (["risk", "--mc", "--paths", "2000"], None),
-    "sweep_mc": (["sweep", "--mc", "--paths", "2000"], None),
-    "gs_swap_risk_mc": (["risk", "--mc", "--paths", "2000"], GS_SWAP),
+    "risk": (["risk"], {}),
+    "sweep": (["sweep"], {}),
+    "yield_sweep": (["yield-sweep"], {}),
+    "simulate": (["simulate"], {}),
+    "risk_mc": (["risk", "--mc", "--paths", "2000"], {}),
+    "sweep_mc": (["sweep", "--mc", "--paths", "2000"], {}),
+    "gs_swap_risk_mc": (["risk", "--mc", "--paths", "2000"], {"claim": GS_SWAP}),
+    "linear_risk": (["risk"], {"claim": LINEAR}),
+    "linear_sweep": (["sweep"], {"claim": LINEAR}),
+    "one_state_risk": (["risk"], ONE_STATE),
 }
 
 GOLDEN = {
@@ -60,16 +70,28 @@ GOLDEN = {
         "risk.csv": "602e53c48541a2a2b799b9039d26e558f5e7f7fabb2424171e0cbdf60f861616",
         "risk.json": "feeef402515df5a90def471608aa0d47f3690349e4e1a3f9661d239e57249155",
     },
+    "linear_risk": {
+        "risk.csv": "c163b5a44c80a95b3c902c04993a9b32c70fa28eebf8583601dfdd24c5b8e2ae",
+        "risk.json": "7246f252ecf50c8da5eea2b06d895deff6768e863c06b6ae4ae65d3e52a5e597",
+    },
+    "linear_sweep": {
+        "sweep.csv": "b7b26c21c2dd9759e1f2ae30b2927db6ade9abd2cb002a1bcb3863dd1baae784",
+        "sweep.json": "08b5dee4f46c0ffab506a108725ec0450f3bb895897373ded6e23da7c9750a1d",
+    },
+    "one_state_risk": {
+        "risk.csv": "bf09faafcf7e63cb05d497f3773231c448372ab86734996665bbe8b5675cdcbe",
+        "risk.json": "15d95d505429fca3bb087f114a7c7ff8c6a5feb32cc7c843884f82ac6d9ab9cd",
+    },
 }
 
 
 def run_outputs(run_id: str, tmp: Path) -> dict[str, str]:
     """Run one command into ``tmp``/out and hash every file it writes."""
-    args, claim = RUNS[run_id]
+    args, sections = RUNS[run_id]
     config = EXAMPLE_CONFIG
-    if claim is not None:
+    if sections:
         cfg = json.loads(EXAMPLE_CONFIG.read_text())
-        cfg["claim"] = claim
+        cfg.update(sections)
         config = tmp / "cfg.json"
         config.write_text(json.dumps(cfg))
     out = tmp / "out"
