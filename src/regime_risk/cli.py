@@ -16,7 +16,6 @@ by :func:`regime_risk.config.load_config`; commands read its typed values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .config import (
 )
 from .entropic_risk import (
     RiskQuery,
+    _risk_closed,
     claim_risk_mc,
     future_risk_closed,
     sample_paths,
@@ -236,19 +236,17 @@ def cmd_yield_sweep(cfg: RunConfig) -> int:
     if not isinstance(cfg.claim, FutureClaim):
         raise ConfigError("yield-sweep requires a future claim")
     T = horizon_years(cfg.horizons_days[0])
-    gamma = cfg.gammas[0]
     times = [k * T / cfg.n_times for k in range(cfg.n_times)]
-
-    rows: list[list] = []
-    by_time: dict[float, list[float]] = {t: [] for t in times}
-    for y in cfg.yields:
-        fc = dataclasses.replace(cfg.claim, y=y)
-        for t in times:
-            q = RiskQuery(gamma=gamma, s=t, T=T, x_s=cfg.ou.x0)
-            risk = future_risk_closed(cfg.ou, cfg.chain, fc, q).risk_given_state(cfg.z0)
-            rows.append([t, y, risk])
-            by_time[t].append(risk)
-    summary = [[t, max(v) - min(v)] for t, v in by_time.items()]
+    carries = cfg.claim.r + np.asarray(cfg.yields)
+    risks = np.empty((len(times), len(cfg.yields)))
+    for i, t in enumerate(times):
+        # every yield's carry-scaled loading shares this time's law and expm
+        q = RiskQuery(gamma=cfg.gammas[0], s=t, T=T, x_s=cfg.ou.x0)
+        deltas = cfg.claim.delta * np.exp(-carries * q.horizon)[:, None]
+        vectors = _risk_closed(cfg.ou, cfg.chain, deltas, q, None)
+        risks[i] = [rv.risk_given_state(cfg.z0) for rv in vectors]
+    rows = [[t, y, risk] for y, col in zip(cfg.yields, risks.T.tolist()) for t, risk in zip(times, col)]
+    summary = [[t, max(row) - min(row)] for t, row in zip(times, risks.tolist())]
 
     prov = provenance(cfg, "yield-sweep")
     _write_table(cfg, "yield_sweep", prov, ["t_years", "yield", "risk"], rows)

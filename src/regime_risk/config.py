@@ -156,9 +156,10 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
         pf = (base / _text(section["params_file"], "ou.params_file")).resolve()
         if not pf.exists():
             raise ConfigError(f"ou.params_file does not exist: {pf}")
-        payload = _read_json(pf)
-        payload = payload.get("data", payload)
-        params, where = payload.get("params", payload), "ou.params_file params"
+        params, where = _read_json(pf), "ou.params_file params"
+        for key in ("data", "params"):
+            inner = _section(params, f"ou.params_file.{key}")
+            params = params if inner is None else inner
         _require_keys(params, _OU_KEYS, where)
     elif "csv" in section:
         csv_path = (base / _text(section["csv"], "ou.csv")).resolve()

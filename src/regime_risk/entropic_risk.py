@@ -24,6 +24,9 @@ beyond the transition-law parameters.
 Simulate once, reduce many: a payoff sample and ``expm(Q h)`` do not depend
 on gamma, so both routes take a ``gammas=`` grid and reduce each (horizon,
 starting state) sample, or each horizon's law and kernel, at every gamma.
+Nor do the law and kernel depend on the loading: the shared closed-form
+pipeline takes a stack of loadings, so ``yield-sweep`` evaluates every
+yield's carry-scaled loading from one law and one ``expm`` per time.
 
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over a few grid
@@ -181,26 +184,28 @@ def _gamma_grid(q: RiskQuery, gammas) -> list[float]:
     return grid
 
 
-def _risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, gammas):
-    """Shared closed-form pipeline: one law and one ``expm`` for every gamma of the grid."""
+def _risk_closed(ou: OUParams, g: Generator, deltas, q: RiskQuery, gammas) -> list:
+    """Shared closed-form pipeline: one law and one ``expm`` for every loading of
+    the (k, n) stack ``deltas`` and every gamma of the grid; one result per loading."""
     grid = _gamma_grid(q, gammas)
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (g.n,):
-        raise DimensionError(f"delta must have shape ({g.n},), got {delta.shape}")
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.shape[1:] != (g.n,):
+        raise DimensionError(f"delta must have shape ({g.n},), got {deltas.shape[1:]}")
     law = conditional_law(ou, q.x_s, q.s, q.T)
     # P[j, i] = P(Z_T = j | Z_s = i); mix phi over the terminal law per start
     # state.  The shift is the max of logphi over each start state's reachable
     # support (not the global max: for a reducible chain an unreachable block
     # could hold the maximum and underflow every reachable term).
     P = matrix_exp(g, q.horizon)
-    vectors = []
-    for gamma in grid:
-        logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
-        masked = np.where(P > 0.0, logphi[:, None], -np.inf)
-        shift = masked.max(axis=0)
-        mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
-        vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
-    return vectors[0] if gammas is None else vectors
+    out = [[] for _ in deltas]
+    for delta, vectors in zip(deltas, out):
+        for gamma in grid:
+            logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
+            masked = np.where(P > 0.0, logphi[:, None], -np.inf)
+            shift = masked.max(axis=0)
+            mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
+            vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
+    return [vectors[0] for vectors in out] if gammas is None else out
 
 
 def spot_risk_closed(
@@ -211,7 +216,7 @@ def spot_risk_closed(
     Returns the per-state vector at ``q.gamma``, ``risks[i]`` given start state i;
     with ``gammas``, a list of vectors, one per gamma (as :func:`claim_risk_mc`).
     """
-    return _risk_closed(ou, g, delta, q, gammas)
+    return _risk_closed(ou, g, [delta], q, gammas)[0]
 
 
 def future_risk_closed(
@@ -224,7 +229,7 @@ def future_risk_closed(
     regime propagation use the same T.  ``gammas`` as in :func:`spot_risk_closed`.
     """
     scale = np.exp(-c.carry * q.horizon)
-    return _risk_closed(ou, g, c.delta * scale, q, gammas)
+    return _risk_closed(ou, g, [c.delta * scale], q, gammas)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,9 @@ def _jump_table(g: Generator) -> tuple[np.ndarray, np.ndarray]:
         tot = col.sum()
         if tot > 0:
             cum[:, s] = np.cumsum(col / tot)
+            # the sum can round to just below 1; a uniform past it must not
+            # fall through to state 0, so the last target's entry is exactly 1
+            cum[np.flatnonzero(col)[-1]:, s] = 1.0
     return rates, cum
 
 

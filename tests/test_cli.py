@@ -507,6 +507,14 @@ class TestOneKernelPerHorizon:
         used = horizons[:1] if command == "risk" else horizons
         assert expm_calls == [h / TRADING_DAYS_PER_YEAR for h in used]
 
+    def test_yield_sweep_runs_one_per_evaluation_time(self, tmp_path, expm_calls):
+        """Every yield shares its time's kernel: one call per time, not per (yield, time)."""
+        grids = json.loads(EXAMPLE_CONFIG.read_text())["grids"]
+        T = grids["horizons_days"][0] / TRADING_DAYS_PER_YEAR
+        n = grids["n_times"]
+        assert run(["yield-sweep", "--config", EXAMPLE_CONFIG, "--out", tmp_path]) == 0
+        assert expm_calls == [T - k * T / n for k in range(n)]
+
 
 class TestConfigValidation:
     def test_missing_file(self, capsys):
@@ -626,6 +634,21 @@ class TestConfigValidation:
             cfg[section][key] = value
         assert run([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"data": [1, 2]}, "ou.params_file.data must be a JSON object"),
+            ({"params": 5}, "ou.params_file.params must be a JSON object"),
+        ],
+        ids=["data_list", "params_number"],
+    )
+    def test_malformed_params_file_named(self, tmp_path, capsys, payload, named):
+        (tmp_path / "ou_params.json").write_text(json.dumps(payload))
+        cfg = base_config(ou={"params_file": "ou_params.json"})
+        assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"ConfigError: {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

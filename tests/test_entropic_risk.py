@@ -223,6 +223,35 @@ class TestClosedFormGammaGrid:
             single = closed(CRUDE, g, loading, dataclasses.replace(q, gamma=gamma))
             assert np.array_equal(rv.risks, single.risks)
 
+    YIELDS = [-0.05, 0.0, 0.08, 0.2]
+
+    @pytest.mark.parametrize("gammas", [None, GAMMAS], ids=["q_gamma", "grid"])
+    @pytest.mark.parametrize("case", ["spot", "carry_scaled", "reducible_extreme"])
+    def test_stack_is_bit_identical_to_one_loading_calls(self, expm_calls, case, gammas):
+        q = RiskQuery(gamma=0.5, s=0.1, T=0.6, x_s=62.24)
+        if case == "carry_scaled":
+            # the stack yield-sweep builds: one carry-scaled loading per yield
+            g = TWO_STATE
+            claims = [FutureClaim(delta=[0.75, 1.25], r=0.03, y=y) for y in self.YIELDS]
+            stack = claims[0].delta * np.exp(-(0.03 + np.asarray(self.YIELDS)) * q.horizon)[:, None]
+            singles = [future_risk_closed(CRUDE, g, c, q, gammas=gammas) for c in claims]
+        else:
+            if case == "spot":
+                g, stack = TWO_STATE, [[0.75, 1.25], [-0.3, 2.0], [1.0, 1.0]]
+            else:
+                g, stack = reducible_chain(), [[0.5, 0.6, -40.0, -42.0], [-40.0, -42.0, 0.5, 0.6]]
+            singles = [spot_risk_closed(CRUDE, g, d, q, gammas=gammas) for d in stack]
+        expm_calls.clear()
+        results = entropic_risk._risk_closed(CRUDE, g, stack, q, gammas)
+        assert len(expm_calls) == 1
+        assert len(results) == len(singles)
+        for got, want in zip(results, singles):
+            if gammas is None:
+                got, want = [got], [want]
+            assert len(got) == len(want)
+            for rv, single in zip(got, want):
+                assert np.array_equal(rv.risks, single.risks)
+
     @pytest.mark.parametrize(
         "gammas, error",
         [([], ValueError), ([1.0, np.nan], NonFinite), ([1.0, 0.0], NonPositiveGamma)],
@@ -237,6 +266,29 @@ class TestClosedFormGammaGrid:
             else:
                 future_risk_closed(CRUDE, TWO_STATE, FutureClaim([1.0, 1.0], r=0.0, y=0.0), q, gammas=gammas)
         assert expm_calls == []
+
+
+class TestRegimeKernel:
+    def test_uniform_below_one_never_falls_through_to_state_0(self):
+        """State 3 jumps to 1 or 2 only, and its cumulative jump column sums to
+        0.9999999999999999; a uniform of nextafter(1, 0) must still land on 2."""
+        q = np.zeros((4, 4))
+        q[:, 3] = [0.0, 0.1, 0.3, -0.4]
+        col = q[:, 3].clip(min=0.0)
+        assert np.cumsum(col / col.sum())[-1] < 1.0
+
+        class JumpNowRng:
+            """Zero holding times (every path jumps at once), uniforms just below 1."""
+
+            def exponential(self, scale, size):
+                return np.zeros(size)
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        rates, cum = entropic_risk._jump_table(Generator(q))
+        states = entropic_risk._advance_regimes(rates, cum, np.full(5, 3), 1.0, JumpNowRng())
+        assert states.tolist() == [2] * 5
 
 
 class TestFutureRiskClosed:

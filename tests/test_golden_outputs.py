@@ -23,6 +23,14 @@ ONE_STATE = {
     "chain": {"kind": "generator", "matrix": [[0.0]]},
     "claim": {"type": "future", "delta": [0.75], "r": 0.0, "y": 0.08},
 }
+# yield-sweep from a non-zero start state, on a regime-dependent loading, with
+# more yields (negative ones too) and an odd number of evaluation times
+SHIPPED = json.loads(EXAMPLE_CONFIG.read_text())
+YIELD_SWEEP_DENSE = {
+    "chain": dict(SHIPPED["chain"], z0=2),
+    "claim": {"type": "future", "delta": [0.75, 0.9, 1.1, 1.3], "r": 0.01, "y": 0.08},
+    "grids": dict(SHIPPED["grids"], yields=[-0.1, -0.03, 0.0, 0.02, 0.08, 0.2], n_times=9),
+}
 
 # run id -> (command line without --config/--out, config sections replacing the shipped ones)
 RUNS = {
@@ -36,6 +44,7 @@ RUNS = {
     "linear_risk": (["risk"], {"claim": LINEAR}),
     "linear_sweep": (["sweep"], {"claim": LINEAR}),
     "one_state_risk": (["risk"], ONE_STATE),
+    "yield_sweep_dense": (["yield-sweep"], YIELD_SWEEP_DENSE),
 }
 
 GOLDEN = {
@@ -81,6 +90,12 @@ GOLDEN = {
     "one_state_risk": {
         "risk.csv": "bf09faafcf7e63cb05d497f3773231c448372ab86734996665bbe8b5675cdcbe",
         "risk.json": "15d95d505429fca3bb087f114a7c7ff8c6a5feb32cc7c843884f82ac6d9ab9cd",
+    },
+    "yield_sweep_dense": {
+        "yield_sweep.csv": "e65b73f70ae638811480cf9b13a41adf7fb010841779de7d0fbb083b3f8936c0",
+        "yield_sweep.json": "eaa3f022cec321850bf7afe69e0d3ac776966277eee5e7cbe96c47fcf9897abe",
+        "yield_sweep_summary.csv": "fb1cd106a1417f1c1db5f238e4695f1b0254d4467f64627f23460c94b3a7995e",
+        "yield_sweep_summary.json": "d94457b77828e8870436ae1da1a5f21a2d43df9bc1a37fa900287e36bf4348c0",
     },
 }
 
