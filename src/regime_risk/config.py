@@ -9,6 +9,7 @@ units; yields and rates are annualized.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, LengthMismatch
 from .instruments import (
     ConstantYield,
     FutureClaim,
@@ -313,21 +314,84 @@ def provenance(cfg: RunConfig, command: str) -> dict:
     }
 
 
+def _csv_template(rows: list[list]) -> tuple[str, list[int]]:
+    """One ``%`` template for every row, and the columns it leaves to :func:`_fmt`.
+
+    A column of floats takes ``%.12g`` and a column of ints (never bools)
+    ``%d``, which is what :func:`_fmt` writes for each of their cells; any
+    other column (labels, ``None``, bools) goes through ``_fmt`` cell by cell.
+    """
+    specs, mixed = [], []
+    for j, column in enumerate(zip(*rows)):
+        types = set(map(type, column))
+        if all(issubclass(t, float) for t in types):
+            specs.append("%.12g")
+        elif types == {int}:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            mixed.append(j)
+    return ",".join(specs), mixed
+
+
 def write_csv(path: Path, prov: dict, header: list[str], rows: list[list]) -> None:
     """RFC-4180 table preceded by '#'-prefixed provenance comment lines.
 
-    All formatting is locale-free and deterministic, so identical inputs
-    produce byte-identical files.
+    Every row has one cell per header column.  All formatting is locale-free
+    and deterministic, so identical inputs produce byte-identical files.
+    Each row is formatted by one ``%`` template chosen from its columns'
+    types; the bytes are those of formatting every cell with :func:`_fmt`.
     """
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise LengthMismatch(f"{path.name} row {i} has {len(row)} cells, header has {len(header)}")
+    template, mixed = _csv_template(rows)
     lines = [f"# {k}={prov[k]}" for k in sorted(prov)]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        cells = list(row)
+        for j in mixed:
+            cells[j] = _fmt(cells[j])
+        lines.append(template % tuple(cells))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\r\n".join(lines) + "\r\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(indent: str):
+    """The C encoder's ``encode`` with the indented encoder's item separator at ``indent``."""
+    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value ``indent`` deep.
+
+    Dicts, and lists that hold containers, recurse here; a flat list of
+    scalars goes through the C encoder in one call, with the separators the
+    indented (pure-Python) encoder would write between its items.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the C encoder turns the key into its JSON string as json.dumps does
+        items = (json.dumps({k: 0})[1:-4] + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        opening, body, closing = "{", (",\n" + inner).join(items), "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+            body = (",\n" + inner).join(_json(v, inner) for v in value)
+        else:
+            body = _flat_encoder(inner)(value)[1:-1]
+        opening, closing = "[", "]"
+    else:
+        return json.dumps(value)
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
 def write_json(path: Path, prov: dict, data) -> None:
+    """``{"provenance": prov, "data": data}`` as ``json.dumps(..., sort_keys=True,
+    indent=2)`` writes it, byte for byte, plus a final newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"provenance": prov, "data": data}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json({"provenance": prov, "data": data}) + "\n")

@@ -26,14 +26,18 @@ on gamma, so both routes take a ``gammas=`` grid and reduce each (horizon,
 starting state) sample, or each horizon's law and kernel, at every gamma.
 Nor do the law and kernel depend on the loading: the shared closed-form
 pipeline takes a stack of loadings, so ``yield-sweep`` evaluates every
-yield's carry-scaled loading from one law and one ``expm`` per time.
+yield's carry-scaled loading from one law and one ``expm`` per time.  The
+pipeline is one array pass over the (loading, gamma, state) block, with the
+arithmetic of a single evaluation per element, so its results are
+bit-identical to evaluating each (loading, gamma) pair on its own.
 
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over a few grid
 times: a terminal claim is the one-step grid [s, T], a swap its settlement
 grid.  :func:`sample_paths` draws one path over thousands of grid times, as
 the ``simulate`` command does; it loops over scalars, which is several times
-faster than the engine on one path.
+faster than the engine on one path, and draws each jump target by bisecting
+a per-state CDF built once, the draw ``Generator.choice`` would make.
 
 Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
@@ -45,6 +49,7 @@ identical (seed, n_paths) gives bit-identical estimates at any worker count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadDistribution,
+    ConfigError,
     DimensionError,
     EmptySamples,
     LengthMismatch,
@@ -111,6 +118,13 @@ class RiskVector:
         risks.setflags(write=False)
         object.__setattr__(self, "risks", risks)
 
+    @classmethod
+    def _checked(cls, risks: np.ndarray) -> RiskVector:
+        """Wrap a 1-d, finite, read-only float array the caller has checked."""
+        rv = object.__new__(cls)
+        object.__setattr__(rv, "risks", risks)
+        return rv
+
     @property
     def n_states(self) -> int:
         return self.risks.size
@@ -131,7 +145,7 @@ class MCEstimate:
 
     def __post_init__(self) -> None:
         if self.std_error < 0:
-            raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
+            raise BadDistribution(f"std_error must be nonnegative, got {self.std_error}")
 
     def z_score(self, reference: float) -> float:
         """Standardized discrepancy against a reference value (inf if se == 0 and off)."""
@@ -178,7 +192,7 @@ def _gamma_grid(q: RiskQuery, gammas) -> list[float]:
     """``[q.gamma]`` by default, else ``gammas`` checked: nonempty, finite, positive."""
     grid = [q.gamma] if gammas is None else list(gammas)
     if not grid:
-        raise ValueError("gammas must be nonempty")
+        raise DimensionError("gammas must be nonempty")
     for gamma in grid:
         _check_gamma(gamma)
     return grid
@@ -186,7 +200,12 @@ def _gamma_grid(q: RiskQuery, gammas) -> list[float]:
 
 def _risk_closed(ou: OUParams, g: Generator, deltas, q: RiskQuery, gammas) -> list:
     """Shared closed-form pipeline: one law and one ``expm`` for every loading of
-    the (k, n) stack ``deltas`` and every gamma of the grid; one result per loading."""
+    the (k, n) stack ``deltas`` and every gamma of the grid; one result per loading.
+
+    The whole (loading, gamma, terminal state) block is one array pass, with
+    the arithmetic of a single (loading, gamma) evaluation per element, and
+    one finiteness check covers every vector returned.
+    """
     grid = _gamma_grid(q, gammas)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape[1:] != (g.n,):
@@ -197,14 +216,19 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, q: RiskQuery, gammas) -> li
     # support (not the global max: for a reducible chain an unreachable block
     # could hold the maximum and underflow every reachable term).
     P = matrix_exp(g, q.horizon)
-    out = [[] for _ in deltas]
-    for delta, vectors in zip(deltas, out):
-        for gamma in grid:
-            logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
-            masked = np.where(P > 0.0, logphi[:, None], -np.inf)
-            shift = masked.max(axis=0)
-            mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
-            vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
+    gamma = np.array(grid, dtype=float)[:, None]
+    # gamma**2 as Python computes it: numpy's square can differ in the last bit
+    twice_sq = np.array([2.0 * gm**2 for gm in grid])[:, None]
+    logphi = (-deltas * law.mean)[:, None] / gamma + (deltas**2 * law.variance)[:, None] / twice_sq
+    masked = np.where(P > 0.0, logphi[..., None], -np.inf)
+    shift = masked.max(axis=-2)
+    mixed = np.einsum("ji,...ji->...i", P, np.exp(masked - shift[..., None, :]))
+    risks = -gamma * (shift + np.log(mixed))
+    bad = ~np.isfinite(risks).all(axis=-1)
+    if bad.any():
+        raise NonFinite(f"non-finite risk entries: {risks[tuple(np.argwhere(bad)[0])]!r}")
+    risks.setflags(write=False)
+    out = [[RiskVector._checked(row) for row in block] for block in risks]
     return [vectors[0] for vectors in out] if gammas is None else out
 
 
@@ -240,7 +264,7 @@ def future_risk_closed(
 def _state_rng(seed: int, state: int) -> np.random.Generator:
     """Counter-based stream for one starting state: Philox keyed by (seed, state)."""
     if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     key = np.array([seed & _MASK64, state], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -420,7 +444,7 @@ def claim_risk_mc(
     bit-identical for fixed (seed, n_paths) at any ``workers`` count.
     """
     if n_paths < 2:
-        raise ValueError(f"need n_paths >= 2, got {n_paths}")
+        raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
     if getattr(claim, "n_states", g.n) != g.n:
         raise DimensionError(
             f"claim loading has {claim.n_states} states, chain has {g.n}"
@@ -475,14 +499,12 @@ def sample_paths(
     times, states = [0.0], [int(z0)]
     t, state = 0.0, int(z0)
     rates = g.exit_rates()
+    cdfs = [_jump_cdf(g, s) if rate > 0.0 else None for s, rate in enumerate(rates)]
     while rates[state] > 0.0:
         t += rng.exponential(1.0 / rates[state])
         if t >= grid[-1]:
             break
-        probs = np.maximum(g.q[:, state], 0.0)
-        probs[state] = 0.0
-        probs /= probs.sum()
-        state = int(rng.choice(g.n, p=probs))
+        state = bisect.bisect_right(cdfs[state], rng.random())
         times.append(t)
         states.append(state)
     z = np.array(states)[np.searchsorted(times, grid, side="right") - 1]
@@ -496,6 +518,19 @@ def sample_paths(
     e2 = corr * eps + np.sqrt(1.0 - corr * corr) * rng.standard_normal(steps.size)
     y = _ar1_path(yield_spec.y0, [step_coefficients(yield_spec.historical_ou, dt) for dt in dts], which, e2)
     return x, z, y
+
+
+def _jump_cdf(g: Generator, state: int) -> list[float]:
+    """Jump-target CDF of ``state``: the off-diagonal rates of its column,
+    normalized, then cumulated and divided by the last entry as
+    ``Generator.choice(n, p=...)`` does, so that ``bisect_right`` on one
+    ``rng.random()`` draw picks the target ``choice`` would."""
+    probs = np.maximum(g.q[:, state], 0.0)
+    probs[state] = 0.0
+    probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def _ar1_path(v0: float, coeffs: list, which: np.ndarray, eps: np.ndarray) -> np.ndarray:

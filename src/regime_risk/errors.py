@@ -12,7 +12,7 @@ class RiskModelError(ValueError):
 
 
 class DimensionError(RiskModelError):
-    """A matrix or vector has the wrong shape."""
+    """A matrix or vector has the wrong shape, or a grid (such as gammas) is empty."""
 
 
 class NotAGenerator(RiskModelError):
@@ -50,7 +50,7 @@ class LengthMismatch(RiskModelError):
 
 
 class EmptySamples(RiskModelError):
-    """An estimator was given no samples."""
+    """An estimator was given no samples, or too few (a standard error needs two paths)."""
 
 
 class NonPositiveGamma(RiskModelError):
@@ -63,7 +63,7 @@ class NonFinite(RiskModelError):
 
 class ConfigError(RiskModelError):
     """A run configuration file, or an input file it names, is missing fields,
-    malformed or inconsistent."""
+    malformed or inconsistent, or a run setting (a negative MC seed) is out of range."""
 
 
 def require_finite(**values: float) -> None:

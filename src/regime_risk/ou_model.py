@@ -65,7 +65,7 @@ class ConditionalLaw:
 
     def __post_init__(self) -> None:
         if self.variance < 0:
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
+            raise BadDistribution(f"variance must be nonnegative, got {self.variance}")
 
     @property
     def std(self) -> float:

@@ -159,7 +159,7 @@ def matrix_exp(g: Generator, t: float) -> np.ndarray:
     [-1e-12, 0) are clamped to zero.
     """
     if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+        raise TimeOrder(f"t must be nonnegative, got {t}")
     if t == 0:
         return np.eye(g.n)
     out = expm(g.q * t)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from regime_risk.entropic_risk import (
+    MCEstimate,
     RiskQuery,
     RiskVector,
     claim_risk_mc,
@@ -15,6 +16,8 @@ from regime_risk.entropic_risk import (
 )
 from regime_risk import entropic_risk
 from regime_risk.errors import (
+    BadDistribution,
+    ConfigError,
     DimensionError,
     EmptySamples,
     LengthMismatch,
@@ -30,7 +33,7 @@ from regime_risk.instruments import (
     LinearSpotClaim,
     SwapClaim,
 )
-from regime_risk.ou_model import OUParams, conditional_law
+from regime_risk.ou_model import ConditionalLaw, OUParams, conditional_law
 from regime_risk.regime_chain import Generator, matrix_exp, validate_generator
 
 from conftest import draw_mc_instance, random_generator_matrix
@@ -138,6 +141,26 @@ class TestRiskQueryAndVector:
             RiskVector(risks=np.array([np.inf]))
 
 
+Q_HALF_YEAR = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: matrix_exp(TWO_STATE, -0.1), TimeOrder),
+        (lambda: ConditionalLaw(mean=60.0, variance=-1.0), BadDistribution),
+        (lambda: MCEstimate(value=1.0, std_error=-0.5, n_paths=10), BadDistribution),
+        (lambda: spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], Q_HALF_YEAR, gammas=[]), DimensionError),
+        (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 1, 0), EmptySamples),
+        (lambda: entropic_risk._state_rng(-1, 0), ConfigError),
+    ],
+    ids=["negative_time", "negative_variance", "negative_std_error", "empty_gammas", "one_path", "negative_seed"],
+)
+def test_out_of_range_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestSpotRiskClosed:
     def test_single_regime_reduces_to_gaussian_certainty_equivalent(self):
         g = validate_generator([[0.0]])
@@ -189,6 +212,36 @@ class TestSpotRiskClosed:
         g_small = Generator(g.q[:2, :2])
         rv_small = spot_risk_closed(CRUDE, g_small, delta[:2], q)
         np.testing.assert_allclose(rv.risks[:2], rv_small.risks, rtol=1e-12)
+
+
+def closed_by_loop(ou, g, deltas, q, gammas) -> list:
+    """Reference for ``_risk_closed``: one (loading, gamma) pair at a time,
+    each vector through ``RiskVector``'s own checks."""
+    grid = [q.gamma] if gammas is None else list(gammas)
+    law = conditional_law(ou, q.x_s, q.s, q.T)
+    P = matrix_exp(g, q.horizon)
+    out = []
+    for delta in np.asarray(deltas, dtype=float):
+        vectors = []
+        for gamma in grid:
+            logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
+            masked = np.where(P > 0.0, logphi[:, None], -np.inf)
+            shift = masked.max(axis=0)
+            mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
+            vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
+        out.append(vectors[0] if gammas is None else vectors)
+    return out
+
+
+def random_chain(rng, reducible: bool) -> Generator:
+    """A random generator; when ``reducible``, two blocks that cannot reach each other."""
+    if not reducible:
+        return Generator(random_generator_matrix(rng, int(rng.integers(1, 7))))
+    a, b = (random_generator_matrix(rng, int(rng.integers(1, 4))) for _ in range(2))
+    q_mat = np.zeros((len(a) + len(b),) * 2)
+    q_mat[: len(a), : len(a)] = a
+    q_mat[len(a) :, len(a) :] = b
+    return Generator(q_mat)
 
 
 def reducible_chain() -> Generator:
@@ -251,6 +304,32 @@ class TestClosedFormGammaGrid:
             assert len(got) == len(want)
             for rv, single in zip(got, want):
                 assert np.array_equal(rv.risks, single.risks)
+
+    # gammas whose Python square (libm pow) is not x * x, numpy's square, on
+    # glibc: a block that squared gamma with numpy would differ in the last bit
+    POW_NOT_PRODUCT = [0.139527, 2.073721, 16.510002]
+
+    @pytest.mark.parametrize("gamma_type", [float, np.float64])
+    @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
+    def test_block_is_bit_identical_to_the_per_pair_loop(self, gamma_type, reducible):
+        rng = np.random.default_rng(8100 + reducible)
+        for _ in range(20):
+            g = random_chain(rng, reducible)
+            deltas = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 5)), g.n)) * 10 ** rng.uniform(-1, 1.3)
+            s = float(rng.uniform(0.0, 0.5))
+            q = RiskQuery(gamma=gamma_type(10 ** rng.uniform(-1, 1)), s=s, T=s + float(rng.uniform(0.01, 2.0)), x_s=62.24)
+            draws = 10 ** rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
+            gammas = [gamma_type(gm) for gm in [*draws, *self.POW_NOT_PRODUCT]]
+            for grid in (None, gammas):
+                got = entropic_risk._risk_closed(CRUDE, g, deltas, q, grid)
+                want = closed_by_loop(CRUDE, g, deltas, q, grid)
+                if grid is None:
+                    got, want = [got], [want]
+                for got_vectors, want_vectors in zip(got, want):
+                    assert len(got_vectors) == len(want_vectors)
+                    for rv, ref in zip(got_vectors, want_vectors):
+                        assert np.array_equal(rv.risks, ref.risks)
+                        assert not rv.risks.flags.writeable
 
     @pytest.mark.parametrize(
         "gammas, error",

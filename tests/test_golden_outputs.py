@@ -15,6 +15,7 @@ import pytest
 from regime_risk.cli import main
 
 from conftest import EXAMPLE_CONFIG
+from test_cli import synthetic_csv
 from test_tracing_contract import GS_SWAP
 
 LINEAR = {"type": "linear", "delta": [0.75, 0.9, 1.1, 1.3]}
@@ -31,6 +32,12 @@ YIELD_SWEEP_DENSE = {
     "claim": {"type": "future", "delta": [0.75, 0.9, 1.1, 1.3], "r": 0.01, "y": 0.08},
     "grids": dict(SHIPPED["grids"], yields=[-0.1, -0.03, 0.0, 0.02, 0.08, 0.2], n_times=9),
 }
+# calibrate on a spot-only price series written by ``synthetic_csv``: the one
+# output of nested JSON objects
+CALIBRATE = {"ou": {"csv": "prices.csv"}}
+# a ten-year daily path with a stochastic yield: a ``yield`` column and
+# hundreds of regime jumps on the shipped chain
+GS_SWAP_SIMULATE = {"claim": GS_SWAP, "grids": dict(SHIPPED["grids"], horizons_days=[2520.0])}
 
 # run id -> (command line without --config/--out, config sections replacing the shipped ones)
 RUNS = {
@@ -45,6 +52,8 @@ RUNS = {
     "linear_sweep": (["sweep"], {"claim": LINEAR}),
     "one_state_risk": (["risk"], ONE_STATE),
     "yield_sweep_dense": (["yield-sweep"], YIELD_SWEEP_DENSE),
+    "calibrate": (["calibrate"], CALIBRATE),
+    "gs_swap_simulate": (["simulate"], GS_SWAP_SIMULATE),
 }
 
 GOLDEN = {
@@ -97,6 +106,13 @@ GOLDEN = {
         "yield_sweep_summary.csv": "fb1cd106a1417f1c1db5f238e4695f1b0254d4467f64627f23460c94b3a7995e",
         "yield_sweep_summary.json": "d94457b77828e8870436ae1da1a5f21a2d43df9bc1a37fa900287e36bf4348c0",
     },
+    "calibrate": {
+        "ou_params.json": "b31a01700486d70c5a3c9d5a2c437d01b72acbbfb3beacf269ac5bc10d09c4a3",
+    },
+    "gs_swap_simulate": {
+        "paths.csv": "27693122983fa6c7b6c4aad6f316a22209d0cc7d3abf4bdcd2b980d42eefbe8b",
+        "paths.json": "e0ed1ee6f69cec177eece0d321969bcdc2e27fa04c9e59397c3d032bf5a0c0ac",
+    },
 }
 
 
@@ -109,6 +125,8 @@ def run_outputs(run_id: str, tmp: Path) -> dict[str, str]:
         cfg.update(sections)
         config = tmp / "cfg.json"
         config.write_text(json.dumps(cfg))
+        if "csv" in cfg.get("ou", {}):
+            assert synthetic_csv(tmp).name == cfg["ou"]["csv"]
     out = tmp / "out"
     assert main(args + ["--config", str(config), "--out", str(out)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}

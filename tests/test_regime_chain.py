@@ -43,6 +43,27 @@ def regimes(g, z0, grid, rng):
     return sample_paths(SPOT, g, z0, grid, rng)[1]
 
 
+def regimes_by_choice(g, z0, grid, rng):
+    """Oracle for the regime column of :func:`sample_paths`: after the spot
+    normals, one ``rng.choice(n, p=...)`` per jump target."""
+    grid = np.asarray(grid, dtype=float)
+    rng.standard_normal(grid.size - 1)
+    times, states = [0.0], [z0]
+    t, state = 0.0, z0
+    rates = g.exit_rates()
+    while rates[state] > 0.0:
+        t += rng.exponential(1.0 / rates[state])
+        if t >= grid[-1]:
+            break
+        probs = np.maximum(g.q[:, state], 0.0)
+        probs[state] = 0.0
+        probs /= probs.sum()
+        state = int(rng.choice(g.n, p=probs))
+        times.append(t)
+        states.append(state)
+    return np.array(states)[np.searchsorted(times, grid, side="right") - 1]
+
+
 class TestValidateGenerator:
     def test_zero_1x1_is_valid(self):
         g = validate_generator([[0.0]])
@@ -231,6 +252,26 @@ class TestSamplePath:
         x2, z2, _ = sample_paths(SPOT, g, 0, grid, np.random.default_rng(42))
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(z1, z2)
+
+    # a dense chain, one with an absorbing state and a zero rate, a
+    # reducible one, and rates spread over six decades
+    CHAINS = {
+        "dense": random_generator_matrix(np.random.default_rng(1), 5, 5.0, 60.0),
+        "absorbing": [[-3.0, 0.0, 0.0], [2.0, 0.0, 7.0], [1.0, 0.0, -7.0]],
+        "reducible": [[-40.0, 9.0, 0.0, 0.0], [40.0, -9.0, 0.0, 0.0], [0.0, 0.0, -2.0, 90.0], [0.0, 0.0, 2.0, -90.0]],
+        "wide_rates": [[-1000.001, 0.5, 3.0], [0.001, -300.5, 1.0], [1000.0, 300.0, -4.0]],
+    }
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("seed", [0, 3, 41, 2**40 + 7])
+    def test_jump_targets_match_rng_choice_draw_for_draw(self, chain, seed):
+        g = validate_generator(self.CHAINS[chain])
+        grid = np.arange(1261) / 252.0
+        for z0 in range(g.n):
+            ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            z = sample_paths(SPOT, g, z0, grid, ours)[1]
+            np.testing.assert_array_equal(z, regimes_by_choice(g, z0, grid, oracle))
+            assert ours.bit_generator.state == oracle.bit_generator.state
 
     def test_state_out_of_range(self, rng):
         g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
