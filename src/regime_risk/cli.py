@@ -293,8 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at import, which also loads what argparse loads on first use (gettext,
+# locale), so that a command imports no module of its own
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(
             args.config,

@@ -55,6 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily: inside a command, otherwise)
 
 from .errors import (
     BadDistribution,
@@ -222,8 +223,13 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, q: RiskQuery, gammas) -> li
     logphi = (-deltas * law.mean)[:, None] / gamma + (deltas**2 * law.variance)[:, None] / twice_sq
     masked = np.where(P > 0.0, logphi[..., None], -np.inf)
     shift = masked.max(axis=-2)
-    mixed = np.einsum("ji,...ji->...i", P, np.exp(masked - shift[..., None, :]))
-    risks = -gamma * (shift + np.log(mixed))
+    weights = np.exp(masked - shift[..., None, :])
+    # the mixture over the kernel's column mass, summed the same way, so that a
+    # zero or state-constant loading gives its risk exactly: the columns of P
+    # sum to 1 only to within rounding
+    mixed = np.einsum("ji,...ji->...i", P, weights)
+    mass = np.einsum("ji,...ji->...i", P, np.ones_like(weights))
+    risks = -gamma * (shift + np.log(mixed / mass))
     bad = ~np.isfinite(risks).all(axis=-1)
     if bad.any():
         raise NonFinite(f"non-finite risk entries: {risks[tuple(np.argwhere(bad)[0])]!r}")

@@ -1,6 +1,8 @@
 """Finite-state continuous-time Markov chain: validation and exponentials.
 
-Paths of the chain are sampled together with the spot by the two samplers in
+The transition kernel ``expm(q t)`` is computed in numpy by scaling and
+squaring with the degree-13 Padé approximant (Higham 2005).  Paths of the
+chain are sampled together with the spot by the two samplers in
 :mod:`regime_risk.entropic_risk`.
 
 Convention
@@ -19,10 +21,10 @@ matrices, which handles the transpose for you.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     BadDistribution,
@@ -38,6 +40,23 @@ _COLSUM_TOL = 1e-9      # generator column sums must vanish within this
 _SIGN_TOL = 1e-12       # off-diagonal entries may be this far below zero
 _ROWSUM_TOL = 1e-6      # from_transition row sums
 _EXP_COLSUM_TOL = 1e-10
+
+# Degree-13 Padé approximant r = (V - U)^-1 (V + U) of exp, accurate to unit
+# roundoff for 1-norms up to theta_13 (Higham 2005, eq. 2.11 and Table 2.3).
+# Row k of _PADE13_PARTS weighs the powers (A^6, A^4, A^2, I) into the k-th
+# polynomial part, so that U = A (A^6 W0 + W1) and V = A^6 W2 + W3.
+_PADE13_B = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_PADE13_PARTS = np.array([
+    [_PADE13_B[13], _PADE13_B[11], _PADE13_B[9], 0.0],
+    [_PADE13_B[7], _PADE13_B[5], _PADE13_B[3], _PADE13_B[1]],
+    [_PADE13_B[12], _PADE13_B[10], _PADE13_B[8], 0.0],
+    [_PADE13_B[6], _PADE13_B[4], _PADE13_B[2], _PADE13_B[0]],
+])
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -154,15 +173,17 @@ def from_transition(p, dt: float) -> Generator:
 def matrix_exp(g: Generator, t: float) -> np.ndarray:
     """Transition kernel ``expm(q t)``; column i is the law at horizon t from state i.
 
-    Uses scaling-and-squaring with diagonal Padé approximants (scipy).  The
-    result is checked to be column-stochastic within 1e-10 and entries in
-    [-1e-12, 0) are clamped to zero.
+    Uses scaling and squaring with the degree-13 diagonal Padé approximant
+    (Higham 2005).  The result is checked to be column-stochastic within
+    1e-10 and entries in [-1e-12, 0) are clamped to zero.  A non-finite t, or
+    one so large that ``q t`` overflows, raises :class:`NonFinite`.
     """
+    require_finite(t=t)
     if t < 0:
         raise TimeOrder(f"t must be nonnegative, got {t}")
     if t == 0:
         return np.eye(g.n)
-    out = expm(g.q * t)
+    out = _expm(g.q * t)
     colsums = out.sum(axis=0)
     if np.any(np.abs(colsums - 1.0) > _EXP_COLSUM_TOL):
         j = int(np.argmax(np.abs(colsums - 1.0)))
@@ -171,6 +192,34 @@ def matrix_exp(g: Generator, t: float) -> np.ndarray:
         i, j = np.unravel_index(int(np.argmin(out)), out.shape)
         raise NotAGenerator(f"expm entry ({i},{j})={out[i, j]!r} is negative")
     return np.maximum(out, 0.0)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by scaling and squaring (Higham 2005, Algorithm 2.3, with the
+    degree-13 approximant alone): scale ``a`` by 2^-s so that its 1-norm is at
+    most theta_13, take the Padé approximant, and square it s times.  A 1x1
+    matrix is the exponential of its entry.  ``ndarray.dot`` has half the call
+    overhead of ``@`` on matrices this small."""
+    if a.shape == (1, 1):
+        return np.exp(a)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise NonFinite(f"q * t is not finite (1-norm {norm})")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a * 2.0**-s
+    n = a.shape[0]
+    powers = np.empty((4, n, n))
+    powers[2] = a2 = a.dot(a)
+    powers[1] = a4 = a2.dot(a2)
+    powers[0] = a6 = a4.dot(a2)
+    powers[3] = np.eye(n)
+    w = _PADE13_PARTS.dot(powers.reshape(4, -1)).reshape(4, n, n)
+    u = a.dot(a6.dot(w[0]) + w[1])
+    v = a6.dot(w[2]) + w[3]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r.dot(r)
+    return r
 
 
 def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:

@@ -2,9 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO_ROOT / "configs" / "crude_oil.json"
+
+# for property tests: an example's numpy work can outlast hypothesis's deadline
+SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def random_generator_matrix(rng: np.random.Generator, n: int, lo=0.1, hi=2.0) -> np.ndarray:

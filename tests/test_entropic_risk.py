@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regime_risk.entropic_risk import (
     MCEstimate,
@@ -26,6 +29,7 @@ from regime_risk.errors import (
     StateOutOfRange,
     TimeOrder,
 )
+from regime_risk.config import load_config
 from regime_risk.instruments import (
     ConstantYield,
     FutureClaim,
@@ -36,7 +40,7 @@ from regime_risk.instruments import (
 from regime_risk.ou_model import ConditionalLaw, OUParams, conditional_law
 from regime_risk.regime_chain import Generator, matrix_exp, validate_generator
 
-from conftest import draw_mc_instance, random_generator_matrix
+from conftest import EXAMPLE_CONFIG, SETTINGS, draw_mc_instance, random_generator_matrix
 
 CRUDE = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
 TWO_STATE = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
@@ -189,6 +193,20 @@ class TestSpotRiskClosed:
         rv = spot_risk_closed(CRUDE, TWO_STATE, [0.0, 0.0], q)
         np.testing.assert_allclose(rv.risks, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("chain", ["two_state", "shipped"])
+    def test_zero_and_constant_loadings_are_exact(self, chain):
+        """A zero loading's risk is exactly 0 and a state-constant loading's is
+        one value for every state, at every horizon: the columns of the kernel
+        sum to 1 only to within rounding."""
+        g = TWO_STATE if chain == "two_state" else load_config(EXAMPLE_CONFIG).chain
+        gammas = [1.0, 2.5, 5.0, 10.0]
+        for T in np.random.default_rng(8).uniform(1.0 / 252.0, 2.0, size=250):
+            q = RiskQuery(gamma=1.0, s=0.0, T=float(T), x_s=62.24)
+            for rv in spot_risk_closed(CRUDE, g, np.zeros(g.n), q, gammas=gammas):
+                assert np.all(rv.risks == 0.0)
+            for rv in spot_risk_closed(CRUDE, g, np.full(g.n, 0.75), q, gammas=gammas):
+                assert np.all(rv.risks == rv.risks[0])
+
     def test_wrong_delta_length(self):
         q = RiskQuery(gamma=1.0, s=0.0, T=1.0, x_s=50.0)
         with pytest.raises(DimensionError):
@@ -227,7 +245,8 @@ def closed_by_loop(ou, g, deltas, q, gammas) -> list:
             logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
             masked = np.where(P > 0.0, logphi[:, None], -np.inf)
             shift = masked.max(axis=0)
-            mixed = np.einsum("ji,ji->i", P, np.exp(masked - shift))
+            weights = np.exp(masked - shift)
+            mixed = np.einsum("ji,ji->i", P, weights) / np.einsum("ji,ji->i", P, np.ones_like(weights))
             vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
         out.append(vectors[0] if gammas is None else vectors)
     return out
@@ -627,7 +646,64 @@ class TestSwapRiskMC:
             swap_risk_mc(CRUDE, TWO_STATE, c, gamma=1.0, n_paths=100, seed=0, z0=2)
 
 
+@st.composite
+def closed_instances(draw):
+    """(chain, OU params, loading, query, increasing gamma grid): rates in
+    [0.1, 5] on 1 to 5 states, split into two blocks that cannot reach each
+    other half of the time, loadings in [-2, 2], horizons 0.05 to 2 years."""
+    n = draw(st.integers(1, 5))
+    rates = draw(arrays(np.float64, (n, n), elements=st.floats(0.1, 5.0)))
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        rates[:k, k:] = rates[k:, :k] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=0))
+    ou = OUParams(
+        alpha=draw(st.floats(0.5, 6.0)),
+        mu=draw(st.floats(30.0, 70.0)),
+        sigma=draw(st.floats(1.0, 20.0)),
+        x0=draw(st.floats(30.0, 70.0)),
+    )
+    delta = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+    s = draw(st.floats(0.0, 0.2))
+    q = RiskQuery(gamma=1.0, s=s, T=s + draw(st.floats(0.05, 2.0)), x_s=ou.x0)
+    gammas = sorted(draw(st.lists(st.floats(0.25, 100.0), min_size=2, max_size=6, unique=True)))
+    return Generator(rates), ou, delta, q, gammas
+
+
 class TestRiskProperties:
+    """Properties of the closed form over random chains, loadings and grids;
+    tolerances are relative to the payoff's scale, max |delta| E[X_T]."""
+
+    @staticmethod
+    def _scale(ou, delta, q) -> float:
+        return max(1.0, float(np.abs(delta).max()) * abs(conditional_law(ou, q.x_s, q.s, q.T).mean))
+
+    @SETTINGS
+    @given(closed_instances())
+    def test_non_decreasing_in_gamma_on_grids(self, instance):
+        g, ou, delta, q, gammas = instance
+        risks = np.array([rv.risks for rv in spot_risk_closed(ou, g, delta, q, gammas=gammas)])
+        assert np.all(np.diff(risks, axis=0) >= -1e-12 * self._scale(ou, delta, q))
+
+    @SETTINGS
+    @given(closed_instances())
+    def test_at_most_the_conditional_mean_on_grids(self, instance):
+        g, ou, delta, q, gammas = instance
+        mean = expected_payoff_closed(ou, g, delta, q)
+        for rv in spot_risk_closed(ou, g, delta, q, gammas=gammas):
+            assert np.all(rv.risks <= mean + 1e-12 * self._scale(ou, delta, q))
+
+    @SETTINGS
+    @given(closed_instances(), st.data())
+    def test_permuting_states_permutes_risks(self, instance, data):
+        g, ou, delta, q, gammas = instance
+        perm = np.array(data.draw(st.permutations(range(g.n))))
+        permuted = Generator(g.q[np.ix_(perm, perm)])
+        got = spot_risk_closed(ou, permuted, delta[perm], q, gammas=gammas)
+        for rv, ref in zip(got, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
+            np.testing.assert_allclose(rv.risks, ref.risks[perm], rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
+
     def _random_instance(self, rng):
         n = int(rng.integers(1, 5))
         g = Generator(random_generator_matrix(rng, n))

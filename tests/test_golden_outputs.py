@@ -59,11 +59,11 @@ RUNS = {
 GOLDEN = {
     "risk": {
         "risk.csv": "f34e853976e165f6e2c88c8bff48b4d8b81148b227f05a1644b6e3fd64e1511f",
-        "risk.json": "5d30c7948982f2e92b66b0537da567508d5fe4a796b0fc3f45c2e782e8eb8c9f",
+        "risk.json": "335cc529c76c10e005c456ad9072988a92f201899837f1dca77220eca1a4c09b",
     },
     "sweep": {
         "sweep.csv": "d349ea36d830ed53bf591517787b86ffe961a90ab8d21ed976a2125f6d9916c9",
-        "sweep.json": "3f7673e5cf8a68ffcdd494592e3faedec2104bed20a9739d4d8164a298b0eac1",
+        "sweep.json": "b1dc671b58a9fc821d96b9a54c23e12acd4b787549c92c1e0b20014ba5f4b4fb",
     },
     "yield_sweep": {
         "yield_sweep.csv": "9fb393e640ea97171d9c8ddc2f32b525bced5541439db0dfc8a5abb69183dc14",
@@ -76,13 +76,13 @@ GOLDEN = {
         "paths.json": "07e5d784981bb74b03b223ebfc927e994277363634acfb041aca06259e69916a",
     },
     "risk_mc": {
-        "risk.csv": "611da248a42a1ff4be6598bf808eec2c93098b355a09ad717b1add161c56d60b",
-        "risk.json": "19526109a4375c7cc950fa85641651d0814c6ddbecd99d24a4dc4b5aee274abe",
+        "risk.csv": "8d6936f3224eb36be09ad006cbe20b5e68fe87333f28d5b93bfb0b21042463f6",
+        "risk.json": "2bf46cc52ec01ed72fe1f266a60533887a4e563e93ced374f8eae542a52eedcd",
     },
     "sweep_mc": {
         "sweep.csv": "adcb0543669b65c7e081e60b37d1dc6a580190cb150247b57b089add47f85883",
-        "sweep.json": "46500908b71adb638532acba5dbc81041e489b63f64200fdd4ea2e53f59e62e4",
-        "sweep_mc.csv": "20d956df740d8cc29a0f459182c9d162aaa9ffae5488987e260bd66fcd1e6213",
+        "sweep.json": "0fe59b52aa9b944b73c04b6ec59d7bd1f19f3fbc7122da5aef2d268ab35e47c8",
+        "sweep_mc.csv": "78e1d5f92cc1461afce9f5f76d2e192e92ca4366fdfd677b0591adae3cbed38a",
     },
     "gs_swap_risk_mc": {
         "risk.csv": "602e53c48541a2a2b799b9039d26e558f5e7f7fabb2424171e0cbdf60f861616",
@@ -90,11 +90,11 @@ GOLDEN = {
     },
     "linear_risk": {
         "risk.csv": "c163b5a44c80a95b3c902c04993a9b32c70fa28eebf8583601dfdd24c5b8e2ae",
-        "risk.json": "7246f252ecf50c8da5eea2b06d895deff6768e863c06b6ae4ae65d3e52a5e597",
+        "risk.json": "3fa980c8e8907a8d84006e533659218ed815c766b32e70a8cc7142d24e15ff81",
     },
     "linear_sweep": {
         "sweep.csv": "b7b26c21c2dd9759e1f2ae30b2927db6ade9abd2cb002a1bcb3863dd1baae784",
-        "sweep.json": "08b5dee4f46c0ffab506a108725ec0450f3bb895897373ded6e23da7c9750a1d",
+        "sweep.json": "5f3ec55b380443f660cbfd6b70ceff4792cd33e4c10f6a1a03c52de1670003ea",
     },
     "one_state_risk": {
         "risk.csv": "bf09faafcf7e63cb05d497f3773231c448372ab86734996665bbe8b5675cdcbe",
@@ -102,9 +102,9 @@ GOLDEN = {
     },
     "yield_sweep_dense": {
         "yield_sweep.csv": "e65b73f70ae638811480cf9b13a41adf7fb010841779de7d0fbb083b3f8936c0",
-        "yield_sweep.json": "eaa3f022cec321850bf7afe69e0d3ac776966277eee5e7cbe96c47fcf9897abe",
+        "yield_sweep.json": "65e6e889dd2f5ef93307835ea04db8f1370ae15fa9822dc9f231d00a40ea98b9",
         "yield_sweep_summary.csv": "fb1cd106a1417f1c1db5f238e4695f1b0254d4467f64627f23460c94b3a7995e",
-        "yield_sweep_summary.json": "d94457b77828e8870436ae1da1a5f21a2d43df9bc1a37fa900287e36bf4348c0",
+        "yield_sweep_summary.json": "d17d5f616680690eeeaefdb44a643b59b6322473bb30d3fecbdcd95c730c4526",
     },
     "calibrate": {
         "ou_params.json": "b31a01700486d70c5a3c9d5a2c437d01b72acbbfb3beacf269ac5bc10d09c4a3",

@@ -1,8 +1,14 @@
 """Chain layer: generator validation, exponentials, and the chain law of the
 single-path sampler."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 from scipy.stats import chisquare
 
 from regime_risk.entropic_risk import sample_paths
@@ -23,7 +29,7 @@ from regime_risk.regime_chain import (
     validate_generator,
 )
 
-from conftest import random_generator_matrix
+from conftest import SETTINGS, random_generator_matrix
 
 # Daily 4-regime matrix whose third row sums to 0.95; must be rejected, never fixed.
 DEFECTIVE_4X4 = np.array(
@@ -36,6 +42,28 @@ DEFECTIVE_4X4 = np.array(
 )
 
 SPOT = OUParams(alpha=1.0, mu=0.0, sigma=1.0, x0=0.0)
+
+
+@st.composite
+def generators(draw) -> Generator:
+    """Generators of 1 to 8 states with rates over six decades: dense, sparse,
+    upper triangular (each state jumps only to lower-numbered ones, so state 0
+    absorbs), all-zero, or reducible (two blocks that cannot reach each other)."""
+    n = draw(st.integers(1, 8))
+    rates = draw(arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+    kind = draw(st.sampled_from(["dense", "sparse", "triangular", "zero", "reducible"]))
+    if kind == "sparse":
+        rates *= draw(arrays(np.bool_, (n, n)))
+    elif kind == "triangular":
+        rates = np.triu(rates)
+    elif kind == "zero":
+        rates[:] = 0.0
+    elif kind == "reducible" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        rates[:k, k:] = rates[k:, :k] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=0))
+    return Generator(rates)
 
 
 def regimes(g, z0, grid, rng):
@@ -194,6 +222,28 @@ class TestMatrixExp:
                 p = matrix_exp(g, t)
                 np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-9)
                 assert p.min() >= 0.0
+
+    @SETTINGS
+    @given(g=generators(), log_norm=st.floats(-6.0, 4.0))
+    def test_matches_scipy_expm(self, g, log_norm):
+        """Against SciPy's scaling and squaring (Al-Mohy & Higham 2009), with
+        ``||q t||_1`` from 1e-6 to 1e4."""
+        norm = np.abs(g.q).sum(axis=0).max()
+        t = 10.0**log_norm / (norm if norm > 0 else 1.0)
+        p = matrix_exp(g, t)
+        assert np.abs(p - expm(g.q * t)).max() <= 1e-10
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-10
+
+    @SETTINGS
+    @given(q=st.floats(-1e-12, 0.0), t=st.floats(0.0, 50.0))
+    def test_one_state_is_exact(self, q, t):
+        assert matrix_exp(validate_generator([[q]]), t)[0, 0] == np.exp(q * t)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
+    def test_non_finite_time_or_exponent_rejected(self, t):
+        with pytest.raises(NonFinite):
+            matrix_exp(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), t)
 
     def test_semigroup_property(self, rng):
         for _ in range(10):

@@ -10,13 +10,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from regime_risk.config import _fmt, write_csv, write_json
 from regime_risk.errors import LengthMismatch
 
-SETTINGS = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+from conftest import SETTINGS
 
 # floats a writer is most likely to get wrong: signed zero, subnormals, the
 # switch to exponent notation, and the non-finite values json spells out
