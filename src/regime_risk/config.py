@@ -249,8 +249,9 @@ def load_config(
         seed = int(seed_override)
     if n_paths < 2:
         raise ConfigError("mc.n_paths must be at least 2")
-    if seed < 0:
-        raise ConfigError("mc.seed must be a nonnegative integer")
+    if not 0 <= seed < 1 << 64:
+        # the Philox key holds the seed in one 64-bit word
+        raise ConfigError(f"mc.seed must be an integer in [0, 2**64), got {seed}")
 
     output = _section(raw, "output") or {}
     out_dir = base / _text(output.get("dir", "out"), "output.dir")

@@ -43,6 +43,8 @@ Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
 path-indexed layout — full-length draw rounds, never active-subset draws —
 so every path's inputs are a pure function of (seed, round, path index).
+The regime kernel's arithmetic runs only on the paths still moving; the
+draws of a round cover every path all the same.
 Worker parallelism only block-splits the pure payoff-evaluation stage;
 identical (seed, n_paths) gives bit-identical estimates at any worker count.
 """
@@ -78,9 +80,6 @@ from .instruments import (
 )
 from .ou_model import OUParams, conditional_law, step_coefficients
 from .regime_chain import Generator, matrix_exp
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class RiskQuery:
@@ -269,14 +268,19 @@ def future_risk_closed(
 
 def _state_rng(seed: int, state: int) -> np.random.Generator:
     """Counter-based stream for one starting state: Philox keyed by (seed, state)."""
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    key = np.array([seed & _MASK64, state], dtype=np.uint64)
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    key = np.array([seed, state], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _jump_table(g: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exit rates and per-column cumulative jump-target probabilities."""
+    """Exit rates and per-column cumulative jump-target probabilities.
+
+    Every column is nondecreasing in [0, 1] and ends at exactly 1.0 (a
+    zero-rate state's column is all ones), so the target of a uniform u < 1
+    is the count of its column's entries that are <= u.
+    """
     rates = g.exit_rates()
     n = g.n
     cum = np.ones((n, n))
@@ -285,7 +289,8 @@ def _jump_table(g: Generator) -> tuple[np.ndarray, np.ndarray]:
         col[s] = 0.0
         tot = col.sum()
         if tot > 0:
-            cum[:, s] = np.cumsum(col / tot)
+            # clamped at 1, so that each column is nondecreasing in [0, 1]
+            cum[:, s] = np.minimum(np.cumsum(col / tot), 1.0)
             # the sum can round to just below 1; a uniform past it must not
             # fall through to state 0, so the last target's entry is exactly 1
             cum[np.flatnonzero(col)[-1]:, s] = 1.0
@@ -301,27 +306,38 @@ def _advance_regimes(
 ) -> np.ndarray:
     """Exact chain transition of every path over ``dt``.
 
-    Identical in law to per-path holding-time/jump simulation; draws come in
-    full-length rounds (one exponential and one uniform array per round) so
-    the layout is path-indexed and decomposition-independent.
+    Identical in law to per-path holding-time/jump simulation.  Draws come in
+    full-length rounds (one exponential and one uniform array over every
+    path per round), so the layout is path-indexed and
+    decomposition-independent; the arithmetic of a round runs only on the
+    paths still moving.  A path stops moving once its next holding time
+    outlasts its time left or it reaches a zero-rate state.
     """
     states = states.copy()
     if dt <= 0.0:
         return states
     n = states.size
-    t_left = np.full(n, dt)
-    active = rates[states] > 0
-    while active.any():
+    idx = np.flatnonzero(rates[states] > 0)
+    src = states[idx]
+    t_left = np.full(idx.size, dt)
+    while idx.size:
         e = rng.exponential(1.0, n)
         u = rng.random(n)
-        r = rates[states]
-        hold = np.where(r > 0, e / np.where(r > 0, r, 1.0), np.inf)
-        jump = active & (hold < t_left)
-        if jump.any():
-            t_left[jump] -= hold[jump]
-            cum_cols = jump_cum[:, states[jump]]
-            states[jump] = (u[jump][None, :] < cum_cols).argmax(axis=0)
-        active = jump & (rates[states] > 0)
+        hold = e[idx] / rates[src]
+        jump = hold < t_left
+        if not jump.all():
+            idx, src, hold, t_left = idx[jump], src[jump], hold[jump], t_left[jump]
+        t_left = t_left - hold
+        # the target is the count of the source column's entries <= u (see
+        # _jump_table); the last entry is 1.0 > u and never counts
+        u = u[idx]
+        dest = np.zeros(idx.size, dtype=states.dtype)
+        for row in jump_cum[:-1]:
+            dest += row[src] <= u
+        states[idx] = src = dest
+        moving = rates[dest] > 0
+        if not moving.all():
+            idx, src, t_left = idx[moving], src[moving], t_left[moving]
     return states
 
 

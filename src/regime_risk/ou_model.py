@@ -33,6 +33,7 @@ from .errors import (
 
 TRADING_DAYS_PER_YEAR = 252.0
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_YEAR
+_EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 @dataclass(frozen=True)
@@ -249,5 +250,8 @@ def load_price_csv(path: str | Path, dt: float = DEFAULT_DT) -> PriceSeries:
             prices.append(v)
     if len(prices) < 3:
         raise TooFewPoints(f"{path}: need at least 3 rows, got {len(prices)}")
-    ts = np.array(dates, dtype="datetime64[D]")
+    # day offsets from the epoch, viewed as dates: numpy converts a list of
+    # date objects one by one, about 25x slower
+    days = np.fromiter(map(_dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+    ts = (days - _EPOCH_ORDINAL).view("datetime64[D]")
     return PriceSeries(timestamps=ts, prices=np.array(prices), dt=dt)

@@ -661,6 +661,26 @@ class TestConfigValidation:
         assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 2
         assert f"{section}.{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7], ids=["negative", "2**64", "past_2**64"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, where, seed):
+        """The MC stream's key holds the seed in one 64-bit word: a seed past
+        it must not wrap around to the stream of ``seed mod 2**64``."""
+        cfg = base_config()
+        args = ["risk", "--mc", "--out", tmp_path / "out"]
+        if where == "config":
+            cfg["mc"]["seed"] = seed
+        else:
+            args += ["--seed", seed]
+        assert run(args + ["--config", write_config(tmp_path, cfg)]) == 2
+        assert "ConfigError: mc.seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        assert run(["risk", "--mc", "--paths", "100", "--config", path, "--seed", (1 << 64) - 1]) == 0
+        assert "# seed=18446744073709551615" in (tmp_path / "out" / "risk.csv").read_text()
+
     @pytest.mark.parametrize(
         "path, value, named",
         [

@@ -157,8 +157,10 @@ Q_HALF_YEAR = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
         (lambda: spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], Q_HALF_YEAR, gammas=[]), DimensionError),
         (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 1, 0), EmptySamples),
         (lambda: entropic_risk._state_rng(-1, 0), ConfigError),
+        (lambda: entropic_risk._state_rng(1 << 64, 0), ConfigError),
     ],
-    ids=["negative_time", "negative_variance", "negative_std_error", "empty_gammas", "one_path", "negative_seed"],
+    ids=["negative_time", "negative_variance", "negative_std_error", "empty_gammas", "one_path", "negative_seed",
+         "seed_past_64_bits"],
 )
 def test_out_of_range_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -366,6 +368,70 @@ class TestClosedFormGammaGrid:
         assert expm_calls == []
 
 
+def advance_by_rounds(rates, jump_cum, states, dt, rng):
+    """Reference for ``_advance_regimes``: every path recomputed in every
+    round, jump targets by the first column entry above the uniform."""
+    states = states.copy()
+    if dt <= 0.0:
+        return states
+    n = states.size
+    t_left = np.full(n, dt)
+    active = rates[states] > 0
+    while active.any():
+        e = rng.exponential(1.0, n)
+        u = rng.random(n)
+        r = rates[states]
+        hold = np.where(r > 0, e / np.where(r > 0, r, 1.0), np.inf)
+        jump = active & (hold < t_left)
+        if jump.any():
+            t_left[jump] -= hold[jump]
+            cum_cols = jump_cum[:, states[jump]]
+            states[jump] = (u[jump][None, :] < cum_cols).argmax(axis=0)
+        active = jump & (rates[states] > 0)
+    return states
+
+
+@st.composite
+def kernel_instances(draw):
+    """(chain, start states, dt) for the regime kernel: 1 to 8 states with
+    off-diagonal rates of 0, 1e-3 to 1e3, or tenths (whose normalized column
+    sums can round below 1); absorbing columns and two blocks that cannot
+    reach each other half of the time each; start states anywhere, zero-rate
+    ones included; dt of 0 or 1e-4 to 1."""
+    n = draw(st.integers(1, 8))
+    rate = st.one_of(
+        st.just(0.0),
+        st.floats(-3.0, 3.0).map(lambda x: 10.0**x),
+        st.sampled_from([0.1, 0.2, 0.3, 0.7]),
+    )
+    q = draw(arrays(np.float64, (n, n), elements=rate))
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        q[:k, k:] = q[k:, :k] = 0.0
+    if draw(st.booleans()):
+        q[:, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = 0.0
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=0))
+    states = draw(arrays(np.int64, draw(st.integers(1, 40)), elements=st.integers(0, n - 1)))
+    dt = draw(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
+    return Generator(q), states, dt
+
+
+class FixedUniformRng:
+    """Holding times from a seeded stream and every jump uniform equal to
+    ``u``; ``random()`` without a size reads that stream's next draw."""
+
+    def __init__(self, seed, u):
+        self._rng = np.random.default_rng(seed)
+        self.u = u
+
+    def exponential(self, scale, size):
+        return self._rng.exponential(scale, size)
+
+    def random(self, size=None):
+        return self._rng.random() if size is None else np.full(size, self.u)
+
+
 class TestRegimeKernel:
     def test_uniform_below_one_never_falls_through_to_state_0(self):
         """State 3 jumps to 1 or 2 only, and its cumulative jump column sums to
@@ -387,6 +453,44 @@ class TestRegimeKernel:
         rates, cum = entropic_risk._jump_table(Generator(q))
         states = entropic_risk._advance_regimes(rates, cum, np.full(5, 3), 1.0, JumpNowRng())
         assert states.tolist() == [2] * 5
+
+    @SETTINGS
+    @given(kernel_instances(), st.integers(0, 2**64 - 1), st.sampled_from(["philox", "u=0", "u=1-"]))
+    def test_matches_the_round_loop(self, instance, seed, draws):
+        """Same regimes and the same draws consumed as the loop over every
+        path, on Philox streams and on uniforms at both ends of [0, 1)."""
+        g, states, dt = instance
+        rates, cum = entropic_risk._jump_table(g)
+
+        def make_rng():
+            if draws == "philox":
+                return entropic_risk._state_rng(seed, 0)
+            return FixedUniformRng(seed, 0.0 if draws == "u=0" else np.nextafter(1.0, 0.0))
+
+        rng, oracle = make_rng(), make_rng()
+        start = states.copy()
+        got = entropic_risk._advance_regimes(rates, cum, states, dt, rng)
+        want = advance_by_rounds(rates, cum, states, dt, oracle)
+        assert np.array_equal(states, start)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng.random() == oracle.random()
+
+    @SETTINGS
+    @given(kernel_instances())
+    def test_jump_columns_are_monotone_cdfs(self, instance):
+        """Each column is nondecreasing in [0, 1] and ends at exactly 1.0, the
+        invariant under which the count of entries <= u picks the target."""
+        g = instance[0]
+        rates, cum = entropic_risk._jump_table(g)
+        assert np.all(np.diff(cum, axis=0) >= 0.0)
+        assert np.all((cum >= 0.0) & (cum <= 1.0))
+        assert np.all(cum[-1] == 1.0)
+        assert np.all(cum[:, rates == 0.0] == 1.0)
+        # a state is never its own target
+        moving = np.flatnonzero(rates > 0.0)
+        below = np.where(moving > 0, cum[np.maximum(moving - 1, 0), moving], 0.0)
+        assert np.array_equal(cum[moving, moving], below)
 
 
 class TestFutureRiskClosed:

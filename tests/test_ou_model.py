@@ -1,5 +1,7 @@
 """Spot model: exact law, exact simulation, AR(1) calibration."""
 
+import datetime
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ class TestLoadPriceCsv(object):
         assert len(series) == 3
         np.testing.assert_allclose(series.prices, [10.5, 11.0, 10.8])
         assert series.dt == pytest.approx(1 / 252)
+
+    def test_timestamps_are_numpys_dates(self, tmp_path):
+        """Epoch day offsets give the array numpy builds from the dates, on
+        both sides of 1970 and at the ends of the ISO range."""
+        days = ["0001-01-01", "1969-12-31", "1970-01-01", "1970-01-02", "2024-02-29", "9999-12-31"]
+        series = load_price_csv(self._write(tmp_path, [f"{d},1.0" for d in days]))
+        want = np.array([datetime.date.fromisoformat(d) for d in days], dtype="datetime64[D]")
+        assert series.timestamps.dtype == want.dtype
+        np.testing.assert_array_equal(series.timestamps, want)
 
     def test_bad_header(self, tmp_path):
         f = self._write(tmp_path, ["2020-01-02,10.5"], header="day,px")

@@ -35,10 +35,16 @@ GS_SWAP = {
 }
 
 
+# The regime kernel's rounds at 2000 paths: one exponential and one uniform
+# array over every path per round.  The counts are those of the kernel that
+# recomputed every path in every round, so a kernel that skips paths at rest
+# must keep the same draw layout.
 @pytest.mark.parametrize(
-    "claim, normal_rounds", [(None, 1), (GS_SWAP, 6)], ids=["shipped", "gibson_schwartz_swap"]
+    "claim, normal_rounds, jump_rounds",
+    [(None, 1, 176), (GS_SWAP, 6, 1993)],
+    ids=["shipped", "gibson_schwartz_swap"],
 )
-def test_traced_risk_mc_records_every_layer(tmp_path, claim, normal_rounds):
+def test_traced_risk_mc_records_every_layer(tmp_path, claim, normal_rounds, jump_rounds):
     cfg = json.loads(EXAMPLE_CONFIG.read_text())
     if claim is not None:
         cfg["claim"] = claim
@@ -68,3 +74,7 @@ def test_traced_risk_mc_records_every_layer(tmp_path, claim, normal_rounds):
     assert spans["entropic_risk.gauss"] == n_states * normal_rounds
     assert spans["entropic_risk.advance"] >= n_states
     assert spans["instruments.swap_value"] == (0 if claim is None else n_states)
+
+    counts = payload["trace"]["counts"]
+    assert counts["rng.exponential.calls"] == jump_rounds
+    assert counts["rng.exponential.elems"] == counts["rng.random.elems"] == jump_rounds * 2000
