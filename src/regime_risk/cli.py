@@ -3,14 +3,14 @@
     regime-risk calibrate|simulate|yield-sweep --config cfg.json
                 [--seed N] [--paths N] [--out DIR]
     regime-risk risk|sweep --config cfg.json
-                [--seed N] [--paths N] [--mc] [--out DIR] [--workers N]
+                [--seed N] [--paths N] [--mc] [--out DIR]
 
 Every command is a pure function of (config, input files, seed): rerunning
-with identical inputs produces byte-identical outputs, at any --workers
-count (N >= 1; only risk and sweep take it).  Horizons are configured in
-days and converted at 252 trading days per year; outputs record that
-convention in their provenance headers.  The configuration is parsed once,
-by :func:`regime_risk.config.load_config`; commands read its typed values.
+with identical inputs produces byte-identical outputs.  Horizons are
+configured in days and converted at 252 trading days per year; outputs
+record that convention in their provenance headers.  The configuration
+is parsed once, by :func:`regime_risk.config.load_config`; commands read
+its typed values.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float |
     return d * law.mean - d * d * law.variance / (2.0 * gamma)
 
 
-def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
+def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
     """Per-state risk report for the configured claim at each configured gamma."""
     cfg.require("chain", "ou", "claim", "gammas", "horizons")
     claim = cfg.claim
@@ -133,7 +133,7 @@ def cmd_risk(cfg: RunConfig, use_mc: bool, workers: int) -> int:
     if use_mc:
         # one payoff sample per starting state, reduced at every gamma
         ests = claim_risk_mc(
-            cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, workers, gammas=cfg.gammas
+            cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, gammas=cfg.gammas
         )
     vectors = None if is_swap else _closed_form(cfg, claim, q, cfg.gammas)
     for j, gamma in enumerate(cfg.gammas):
@@ -165,7 +165,7 @@ def _write_table(cfg: RunConfig, name: str, prov: dict, header: list[str], rows:
     write_json(cfg.out_dir / f"{name}.json", prov, {"columns": header, "rows": rows})
 
 
-def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
+def cmd_sweep(cfg: RunConfig, use_mc: bool) -> int:
     """Risk per (horizon, gamma) for the starting regime, with variation rows."""
     cfg.require("chain", "ou", "claim", "gammas", "horizons")
     if isinstance(cfg.claim, SwapClaim):
@@ -177,7 +177,7 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool, workers: int) -> int:
         if use_mc:
             # one payoff sample for the starting regime, reduced at every gamma
             ests = claim_risk_mc(
-                cfg.ou, cfg.chain, cfg.claim, q, cfg.n_paths, cfg.seed, workers,
+                cfg.ou, cfg.chain, cfg.claim, q, cfg.n_paths, cfg.seed,
                 gammas=cfg.gammas, states=[cfg.z0],
             )[0]
         vectors = _closed_form(cfg, cfg.claim, q, cfg.gammas)
@@ -268,13 +268,6 @@ _COMMAND_HELP = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="regime-risk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override output directory")
         if name in ("risk", "sweep"):
             p.add_argument("--mc", action="store_true", help="add the Monte-Carlo cross-check")
-            p.add_argument(
-                "--workers", type=_positive_int, default=1,
-                help="MC evaluation blocks (at least 1); never changes results",
-            )
     return parser
 
 
@@ -312,9 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "risk":
-            return cmd_risk(cfg, args.mc, args.workers)
+            return cmd_risk(cfg, args.mc)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.mc, args.workers)
+            return cmd_sweep(cfg, args.mc)
         if args.command == "yield-sweep":
             return cmd_yield_sweep(cfg)
     except RiskModelError as exc:

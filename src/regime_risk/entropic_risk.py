@@ -45,15 +45,12 @@ path-indexed layout — full-length draw rounds, never active-subset draws —
 so every path's inputs are a pure function of (seed, round, path index).
 The regime kernel's arithmetic runs only on the paths still moving; the
 draws of a round cover every path all the same.
-Worker parallelism only block-splits the pure payoff-evaluation stage;
-identical (seed, n_paths) gives bit-identical estimates at any worker count.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +66,7 @@ from .errors import (
     NonPositiveGamma,
     StateOutOfRange,
     TimeOrder,
+    require_finite,
 )
 from .instruments import (
     FutureClaim,
@@ -144,6 +142,7 @@ class MCEstimate:
     n_paths: int
 
     def __post_init__(self) -> None:
+        require_finite(value=self.value, std_error=self.std_error)
         if self.std_error < 0:
             raise BadDistribution(f"std_error must be nonnegative, got {self.std_error}")
 
@@ -341,25 +340,6 @@ def _advance_regimes(
     return states
 
 
-def _blockwise(fn, n: int, workers: int) -> np.ndarray:
-    """Evaluate ``fn(lo, hi)`` over path blocks, concatenated in path order.
-
-    ``fn`` must be pure and elementwise per path, so the result is identical
-    for every block decomposition; workers > 1 runs blocks on threads.
-    """
-    if workers <= 1:
-        return np.asarray(fn(0, n))
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    out: list[np.ndarray | None] = [None] * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(fn, int(bounds[k]), int(bounds[k + 1])): k for k in range(workers)
-        }
-        for fut, k in futures.items():
-            out[k] = np.asarray(fut.result())
-    return np.concatenate([o for o in out if o is not None and o.size])
-
-
 def _simulate_grid(
     ou: OUParams,
     g: Generator,
@@ -397,7 +377,7 @@ def _simulate_grid(
     return X, Z, Y
 
 
-def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers) -> np.ndarray:
+def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
     """Simulate one starting state's paths on the claim's grid and evaluate the claim.
 
     A spot or future claim is simulated on the one-step grid [s, T]; a
@@ -422,19 +402,19 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers) -> np.nda
     else:
         raise TypeError(f"unsupported claim type {type(claim).__name__}")
     X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs)
+    return _blockwise(claim, q, X, Z, Y)
 
+
+def _blockwise(claim, q, X, Z, Y) -> np.ndarray:
+    """Every path's payoff from its simulated (X, Z[, Y]) rows.
+
+    The name is kept because the benchmark's tracer wraps this attribute as
+    its ``entropic_risk.payoff_eval`` span, one per simulated stream.
+    """
     if isinstance(claim, SwapClaim):
-
-        def evaluate(lo: int, hi: int) -> np.ndarray:
-            yp = None if Y is None else Y[1:, lo:hi]
-            return np.atleast_1d(swap_value(X[1:, lo:hi], Z[1:, lo:hi], claim, yp))
-    else:
-        scale = float(np.exp(-claim.carry * q.horizon)) if isinstance(claim, FutureClaim) else 1.0
-
-        def evaluate(lo: int, hi: int) -> np.ndarray:
-            return scale * X[-1, lo:hi] * claim.delta[Z[-1, lo:hi]]
-
-    return _blockwise(evaluate, n_paths, workers)
+        return np.atleast_1d(swap_value(X[1:], Z[1:], claim, None if Y is None else Y[1:]))
+    scale = float(np.exp(-claim.carry * q.horizon)) if isinstance(claim, FutureClaim) else 1.0
+    return scale * X[-1] * claim.delta[Z[-1]]
 
 
 def claim_risk_mc(
@@ -444,7 +424,6 @@ def claim_risk_mc(
     q: RiskQuery,
     n_paths: int,
     seed: int,
-    workers: int = 1,
     *,
     gammas=None,
     states=None,
@@ -462,8 +441,7 @@ def claim_risk_mc(
     Each state's stream is keyed by (seed, state) alone, so an estimate does
     not depend on which other states or gammas are requested.  Without
     ``gammas`` each entry is the :class:`MCEstimate` at ``q.gamma``; with
-    ``gammas`` it is a list of estimates, one per gamma.  Estimates are
-    bit-identical for fixed (seed, n_paths) at any ``workers`` count.
+    ``gammas`` it is a list of estimates, one per gamma.
     """
     if n_paths < 2:
         raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
@@ -478,7 +456,7 @@ def claim_risk_mc(
     grid = _gamma_grid(q, gammas)
     out = []
     for state in states:
-        payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, workers)
+        payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed)
         ests = [entropic_mc(payoffs, gamma) for gamma in grid]
         out.append(ests[0] if gammas is None else ests)
     return out

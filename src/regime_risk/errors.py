@@ -4,7 +4,7 @@ Everything derives from :class:`RiskModelError`, which is itself a
 ``ValueError``, so callers can catch broadly or precisely.
 """
 
-import math
+import numpy as np
 
 
 class RiskModelError(ValueError):
@@ -66,8 +66,9 @@ class ConfigError(RiskModelError):
     malformed or inconsistent, or a run setting (a negative MC seed) is out of range."""
 
 
-def require_finite(**values: float) -> None:
-    """Raise :class:`NonFinite` naming the first NaN or infinite value."""
+def require_finite(**values) -> None:
+    """Raise :class:`NonFinite` naming the first value that is, or holds, a NaN
+    or an infinity; a value is a number or an array of numbers."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not np.isfinite(value).all():
             raise NonFinite(f"{name} must be finite, got {value}")

@@ -65,6 +65,7 @@ class ConditionalLaw:
     variance: float
 
     def __post_init__(self) -> None:
+        require_finite(mean=self.mean, variance=self.variance)
         if self.variance < 0:
             raise BadDistribution(f"variance must be nonnegative, got {self.variance}")
 

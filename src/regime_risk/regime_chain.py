@@ -227,6 +227,7 @@ def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (g.n,):
         raise DimensionError(f"p0 must have shape ({g.n},), got {p0.shape}")
+    require_finite(p0=p0)
     if np.any(p0 < -_SIGN_TOL):
         raise BadDistribution(f"p0 has negative mass: {p0!r}")
     if abs(p0.sum() - 1.0) > _COLSUM_TOL:

@@ -277,14 +277,11 @@ class TestDeterminism:
             assert (tmp_path / "sw_a" / name).read_bytes() == (tmp_path / "sw_b" / name).read_bytes()
 
         args = ["risk", "--config", cfg, "--mc", "--paths", "20000"]
-        main(args + ["--out", str(tmp_path / "r1"), "--workers", "1"])
-        main(args + ["--out", str(tmp_path / "r4"), "--workers", "4"])
-        main(args + ["--out", str(tmp_path / "r1b"), "--workers", "1"])
+        main(args + ["--out", str(tmp_path / "r1")])
+        main(args + ["--out", str(tmp_path / "r1b")])
         for name in ("risk.csv", "risk.json"):
-            a = (tmp_path / "r1" / name).read_bytes()
-            assert a == (tmp_path / "r4" / name).read_bytes()
-            assert a == (tmp_path / "r1b" / name).read_bytes()
-        _report("determinism (byte-identical reruns, worker-count invariant)")
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r1b" / name).read_bytes()
+        _report("determinism (byte-identical reruns)")
 
 
 class TestExampleConfigCrossCheck:

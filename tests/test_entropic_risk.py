@@ -158,9 +158,14 @@ Q_HALF_YEAR = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
         (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 1, 0), EmptySamples),
         (lambda: entropic_risk._state_rng(-1, 0), ConfigError),
         (lambda: entropic_risk._state_rng(1 << 64, 0), ConfigError),
+        (lambda: ConditionalLaw(mean=np.nan, variance=1.0), NonFinite),
+        (lambda: ConditionalLaw(0.0, np.nan), NonFinite),
+        (lambda: conditional_law(CRUDE, np.nan, 0.0, 1.0), NonFinite),
+        (lambda: MCEstimate(value=np.nan, std_error=0.5, n_paths=10), NonFinite),
+        (lambda: MCEstimate(value=1.0, std_error=np.nan, n_paths=10), NonFinite),
     ],
     ids=["negative_time", "negative_variance", "negative_std_error", "empty_gammas", "one_path", "negative_seed",
-         "seed_past_64_bits"],
+         "seed_past_64_bits", "nan_mean", "nan_variance", "nan_spot", "nan_mc_value", "nan_std_error"],
 )
 def test_out_of_range_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -557,17 +562,6 @@ class TestClaimRiskMC:
             assert est.std_error == 0.0
             assert est.value == pytest.approx(m * delta[i], rel=1e-12)
 
-    def test_bit_identical_across_workers(self):
-        delta = np.array([0.75, 1.25])
-        runs = [
-            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim(delta), self.Q, 20_000, seed=5, workers=w)
-            for w in (1, 2, 7)
-        ]
-        for other in runs[1:]:
-            for a, b in zip(runs[0], other):
-                assert a.value == b.value
-                assert a.std_error == b.std_error
-
     def test_deterministic_given_seed(self):
         c = FutureClaim(delta=[1.0, 0.5], r=0.02, y=0.04)
         a = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9)
@@ -807,6 +801,50 @@ class TestRiskProperties:
         got = spot_risk_closed(ou, permuted, delta[perm], q, gammas=gammas)
         for rv, ref in zip(got, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
             np.testing.assert_allclose(rv.risks, ref.risks[perm], rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
+
+    @SETTINGS
+    @given(closed_instances(), st.floats(-2.0, 2.0), st.floats(-20.0, 20.0))
+    def test_cash_additive_in_the_spot(self, instance, d, shift):
+        """A state-constant loading d moves every risk by d e^{-alpha h} when
+        x_s moves by 1: the payoff moves by that constant on every path."""
+        g, ou, _, q, gammas = instance
+        delta = np.full(g.n, d)
+        moved = dataclasses.replace(q, x_s=q.x_s + shift)
+        step = d * np.exp(-ou.alpha * q.horizon) * shift
+        scale = max(self._scale(ou, delta, q), self._scale(ou, delta, moved))
+        base = spot_risk_closed(ou, g, delta, q, gammas=gammas)
+        for rv, ref in zip(spot_risk_closed(ou, g, delta, moved, gammas=gammas), base):
+            np.testing.assert_allclose(rv.risks - ref.risks, step, rtol=0, atol=1e-12 * scale)
+
+    @SETTINGS
+    @given(closed_instances())
+    def test_between_the_reachable_certainty_equivalents(self, instance):
+        """risks[i] is a mixture of the Gaussian certainty equivalents
+        delta_j m - delta_j^2 v / (2 gamma) over the states j reachable from i."""
+        g, ou, delta, q, gammas = instance
+        law = conditional_law(ou, q.x_s, q.s, q.T)
+        reachable = matrix_exp(g, q.horizon) > 0.0
+        tol = 1e-12 * self._scale(ou, delta, q)
+        for gamma, rv in zip(gammas, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
+            ce = delta * law.mean - delta**2 * law.variance / (2.0 * gamma)
+            for i, risk in enumerate(rv.risks):
+                assert ce[reachable[:, i]].min() - tol <= risk <= ce[reachable[:, i]].max() + tol
+
+    @SETTINGS
+    @given(closed_instances())
+    def test_blocks_of_a_reducible_chain_are_evaluated_alone(self, instance):
+        """On a block-diagonal generator each block's risks are those of the
+        block's own generator: an unreachable block does not enter the shift."""
+        g, ou, delta, q, gammas = instance
+        linked = (g.q != 0.0) | np.eye(g.n, dtype=bool)
+        for _ in range(g.n):
+            linked = (linked.astype(int) @ linked) > 0
+        blocks = {tuple(np.flatnonzero(row)) for row in linked}
+        full = spot_risk_closed(ou, g, delta, q, gammas=gammas)
+        for block in map(list, blocks):
+            alone = Generator(g.q[np.ix_(block, block)])
+            for rv, ref in zip(full, spot_risk_closed(ou, alone, delta[block], q, gammas=gammas)):
+                np.testing.assert_allclose(rv.risks[block], ref.risks, rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
 
     def _random_instance(self, rng):
         n = int(rng.integers(1, 5))

@@ -1,6 +1,7 @@
 """Import hygiene, each check in a fresh interpreter: the package runs without
-SciPy, and a command run after ``import regime_risk.cli`` loads no module,
-so that what a command needs is loaded, and timed, at import."""
+SciPy or a thread pool, and a command run after ``import regime_risk.cli``
+loads no module, so that what a command needs is loaded, and timed, at
+import."""
 
 import json
 import os
@@ -32,8 +33,10 @@ def python(code: str, *args) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def test_package_import_loads_no_scipy():
-    code = "import sys, regime_risk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+@pytest.mark.parametrize("package", ["scipy", "concurrent"])
+def test_package_import_loads_no_scipy(package):
+    """Neither SciPy nor a thread pool (``concurrent.futures``) comes in at import."""
+    code = f"import sys, regime_risk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     assert python(code) == "[]"
 
 

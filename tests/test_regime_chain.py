@@ -281,6 +281,8 @@ class TestDistributionAt:
             distribution_at(g, np.array([1.5, -0.5]), 1.0)
         with pytest.raises(DimensionError):
             distribution_at(g, np.array([1.0, 0.0, 0.0]), 1.0)
+        with pytest.raises(NonFinite):
+            distribution_at(g, np.array([np.nan, np.nan]), 1.0)
 
     def test_sums_to_one(self, rng):
         g = Generator(random_generator_matrix(rng, 5))
