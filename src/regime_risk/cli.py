@@ -170,25 +170,26 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool) -> int:
     cfg.require("chain", "ou", "claim", "gammas", "horizons")
     if isinstance(cfg.claim, SwapClaim):
         raise ConfigError("sweep supports linear and future claims (swaps fix their own schedule)")
-    cells = np.empty((len(cfg.horizons_days), len(cfg.gammas)))
+    # one closed-form pass over every horizon, each with its own (for a
+    # future, carry-scaled) loading; cells[i, j] is horizon i, gamma j
+    queries = [
+        RiskQuery(gamma=cfg.gammas[0], s=0.0, T=horizon_years(hd), x_s=cfg.ou.x0) for hd in cfg.horizons_days
+    ]
+    deltas = np.broadcast_to(cfg.claim.delta, (len(queries), 1, cfg.chain.n))
+    if isinstance(cfg.claim, FutureClaim):
+        deltas = deltas * np.exp(-cfg.claim.carry * np.array([q.horizon for q in queries]))[:, None, None]
+    cells = _risk_closed(cfg.ou, cfg.chain, deltas, queries, cfg.gammas)[:, 0, :, cfg.z0]
     mc_rows: list[list] = []
-    for i, hd in enumerate(cfg.horizons_days):
-        q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=horizon_years(hd), x_s=cfg.ou.x0)
-        if use_mc:
+    if use_mc:
+        for i, (hd, q) in enumerate(zip(cfg.horizons_days, queries)):
             # one payoff sample for the starting regime, reduced at every gamma
             ests = claim_risk_mc(
                 cfg.ou, cfg.chain, cfg.claim, q, cfg.n_paths, cfg.seed,
                 gammas=cfg.gammas, states=[cfg.z0],
             )[0]
-        vectors = _closed_form(cfg, cfg.claim, q, cfg.gammas)
-        for j, gamma in enumerate(cfg.gammas):
-            cells[i, j] = vectors[j].risk_given_state(cfg.z0)
-            if use_mc:
-                est = ests[j]
+            for j, (gamma, est) in enumerate(zip(cfg.gammas, ests)):
                 z = est.z_score(cells[i, j])
-                mc_rows.append(
-                    [hd, gamma, cells[i, j], est.value, est.std_error, z, abs(z) > 3.0]
-                )
+                mc_rows.append([hd, gamma, cells[i, j], est.value, est.std_error, z, abs(z) > 3.0])
 
     # variation rows: the change from the first to the last horizon, absolute
     # and in percent of the first-horizon magnitude (None when that is ~0 or
@@ -238,13 +239,12 @@ def cmd_yield_sweep(cfg: RunConfig) -> int:
     T = horizon_years(cfg.horizons_days[0])
     times = [k * T / cfg.n_times for k in range(cfg.n_times)]
     carries = cfg.claim.r + np.asarray(cfg.yields)
-    risks = np.empty((len(times), len(cfg.yields)))
-    for i, t in enumerate(times):
-        # every yield's carry-scaled loading shares this time's law and expm
-        q = RiskQuery(gamma=cfg.gammas[0], s=t, T=T, x_s=cfg.ou.x0)
-        deltas = cfg.claim.delta * np.exp(-carries * q.horizon)[:, None]
-        vectors = _risk_closed(cfg.ou, cfg.chain, deltas, q, None)
-        risks[i] = [rv.risk_given_state(cfg.z0) for rv in vectors]
+    # one closed-form pass: every time's law and expm are shared by each
+    # yield's carry-scaled loading; risks[i, k] is time i, yield k
+    queries = [RiskQuery(gamma=cfg.gammas[0], s=t, T=T, x_s=cfg.ou.x0) for t in times]
+    horizons = np.array([q.horizon for q in queries])
+    deltas = cfg.claim.delta * np.exp(-carries * horizons[:, None])[..., None]
+    risks = _risk_closed(cfg.ou, cfg.chain, deltas, queries, None)[:, :, 0, cfg.z0]
     rows = [[t, y, risk] for y, col in zip(cfg.yields, risks.T.tolist()) for t, risk in zip(times, col)]
     summary = [[t, max(row) - min(row)] for t, row in zip(times, risks.tolist())]
 

@@ -364,12 +364,40 @@ def _flat_encoder(indent: str):
     return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
 
 
+def _is_flat(values) -> bool:
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def _json_rows(rows, indent: str) -> str | None:
+    """The items of a list of nonempty flat rows ``indent`` deep, as
+    :func:`_json` writes them, from one C-encoder call; None for any other list.
+
+    The encoder writes every cell of every row with the rows' item separator
+    between them, and the result is split back on it: a JSON scalar never
+    holds a raw newline, so never the separator.
+    """
+    if not all(isinstance(row, (list, tuple)) and row for row in rows):
+        return None
+    cells = [cell for row in rows for cell in row]
+    if not _is_flat(cells):
+        return None
+    inner = indent + "  "
+    sep = ",\n" + inner
+    encoded = _flat_encoder(inner)(cells)[1:-1].split(sep)
+    out, k = [], 0
+    for row in rows:
+        out.append(f"[\n{inner}{sep.join(encoded[k:k + len(row)])}\n{indent}]")
+        k += len(row)
+    return (",\n" + indent).join(out)
+
+
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for a value ``indent`` deep.
 
-    Dicts, and lists that hold containers, recurse here; a flat list of
-    scalars goes through the C encoder in one call, with the separators the
-    indented (pure-Python) encoder would write between its items.
+    A flat list of scalars goes through the C encoder in one call, with the
+    separators the indented (pure-Python) encoder would write between its
+    items, and so does a list of nonempty flat rows (:func:`_json_rows`).
+    Dicts, and other lists that hold containers, recurse here.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -381,10 +409,12 @@ def _json(value, indent: str = "") -> str:
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
-            body = (",\n" + inner).join(_json(v, inner) for v in value)
-        else:
+        if _is_flat(value):
             body = _flat_encoder(inner)(value)[1:-1]
+        else:
+            body = _json_rows(value, inner)
+            if body is None:
+                body = (",\n" + inner).join(_json(v, inner) for v in value)
         opening, closing = "[", "]"
     else:
         return json.dumps(value)

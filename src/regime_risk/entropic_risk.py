@@ -25,11 +25,13 @@ Simulate once, reduce many: a payoff sample and ``expm(Q h)`` do not depend
 on gamma, so both routes take a ``gammas=`` grid and reduce each (horizon,
 starting state) sample, or each horizon's law and kernel, at every gamma.
 Nor do the law and kernel depend on the loading: the shared closed-form
-pipeline takes a stack of loadings, so ``yield-sweep`` evaluates every
-yield's carry-scaled loading from one law and one ``expm`` per time.  The
-pipeline is one array pass over the (loading, gamma, state) block, with the
-arithmetic of a single evaluation per element, so its results are
-bit-identical to evaluating each (loading, gamma) pair on its own.
+pipeline takes a stack of queries, each with its own stack of loadings, and
+makes one law and one ``expm`` per query.  ``sweep`` passes one query per
+horizon with that horizon's carry-scaled loading, and ``yield-sweep`` one
+query per evaluation time with every yield's carry-scaled loading.  The
+pipeline is one array pass over the (query, loading, gamma, state) block,
+with the arithmetic of a single evaluation per element, so its results are
+bit-identical to evaluating each (query, loading, gamma) triple on its own.
 
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over a few grid
@@ -197,43 +199,58 @@ def _gamma_grid(q: RiskQuery, gammas) -> list[float]:
     return grid
 
 
-def _risk_closed(ou: OUParams, g: Generator, deltas, q: RiskQuery, gammas) -> list:
-    """Shared closed-form pipeline: one law and one ``expm`` for every loading of
-    the (k, n) stack ``deltas`` and every gamma of the grid; one result per loading.
+def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndarray:
+    """Shared closed-form pipeline: the (query, loading, gamma, state) risk block.
 
-    The whole (loading, gamma, terminal state) block is one array pass, with
-    the arithmetic of a single (loading, gamma) evaluation per element, and
-    one finiteness check covers every vector returned.
+    ``deltas`` is a (Q, k, n) stack, k loadings for each of the Q ``queries``.
+    Each query has its own law and its own ``expm``, made in query order, and
+    shares them with all its loadings and every gamma of the grid (each
+    query's own ``gamma`` when ``gammas`` is None).  The whole block is one
+    array pass, with the arithmetic of a single (query, loading, gamma)
+    evaluation per element, and one finiteness check covers every vector.
+    The block is read-only.
     """
-    grid = _gamma_grid(q, gammas)
+    grid = [[q.gamma] for q in queries] if gammas is None else [_gamma_grid(queries[0], gammas)]
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape[1:] != (g.n,):
-        raise DimensionError(f"delta must have shape ({g.n},), got {deltas.shape[1:]}")
-    law = conditional_law(ou, q.x_s, q.s, q.T)
-    # P[j, i] = P(Z_T = j | Z_s = i); mix phi over the terminal law per start
-    # state.  The shift is the max of logphi over each start state's reachable
-    # support (not the global max: for a reducible chain an unreachable block
-    # could hold the maximum and underflow every reachable term).
-    P = matrix_exp(g, q.horizon)
-    gamma = np.array(grid, dtype=float)[:, None]
+    if deltas.shape[2:] != (g.n,):
+        raise DimensionError(f"delta must have shape ({g.n},), got {deltas.shape[2:]}")
+    laws, kernels = [], []
+    for q in queries:
+        laws.append(conditional_law(ou, q.x_s, q.s, q.T))
+        kernels.append(matrix_exp(g, q.horizon))
+    mean = np.array([law.mean for law in laws])[:, None, None]
+    variance = np.array([law.variance for law in laws])[:, None, None]
+    # P[q, j, i] = P(Z_T = j | Z_s = i) at query q's horizon; mix phi over the
+    # terminal law per start state.  The shift is the max of logphi over each
+    # start state's reachable support (not the global max: for a reducible
+    # chain an unreachable block could hold the maximum and underflow every
+    # reachable term).
+    P = np.stack(kernels)
+    gamma = np.array(grid, dtype=float)[:, None, :, None]
     # gamma**2 as Python computes it: numpy's square can differ in the last bit
-    twice_sq = np.array([2.0 * gm**2 for gm in grid])[:, None]
-    logphi = (-deltas * law.mean)[:, None] / gamma + (deltas**2 * law.variance)[:, None] / twice_sq
-    masked = np.where(P > 0.0, logphi[..., None], -np.inf)
+    twice_sq = np.array([[2.0 * gm**2 for gm in row] for row in grid])[:, None, :, None]
+    logphi = (-deltas * mean)[:, :, None] / gamma + (deltas**2 * variance)[:, :, None] / twice_sq
+    masked = np.where(P[:, None, None] > 0.0, logphi[..., None], -np.inf)
     shift = masked.max(axis=-2)
     weights = np.exp(masked - shift[..., None, :])
     # the mixture over the kernel's column mass, summed the same way, so that a
     # zero or state-constant loading gives its risk exactly: the columns of P
     # sum to 1 only to within rounding
-    mixed = np.einsum("ji,...ji->...i", P, weights)
-    mass = np.einsum("ji,...ji->...i", P, np.ones_like(weights))
+    mixed = np.einsum("qji,qkgji->qkgi", P, weights)
+    mass = np.einsum("qji,qkgji->qkgi", P, np.ones_like(weights))
     risks = -gamma * (shift + np.log(mixed / mass))
     bad = ~np.isfinite(risks).all(axis=-1)
     if bad.any():
         raise NonFinite(f"non-finite risk entries: {risks[tuple(np.argwhere(bad)[0])]!r}")
     risks.setflags(write=False)
-    out = [[RiskVector._checked(row) for row in block] for block in risks]
-    return [vectors[0] for vectors in out] if gammas is None else out
+    return risks
+
+
+def _risk_vectors(block: np.ndarray, gammas) -> RiskVector | list[RiskVector]:
+    """One query's single loading from a :func:`_risk_closed` block, as the
+    vector at ``q.gamma`` or, with ``gammas``, a list of one vector per gamma."""
+    vectors = [RiskVector._checked(row) for row in block[0, 0]]
+    return vectors[0] if gammas is None else vectors
 
 
 def spot_risk_closed(
@@ -244,7 +261,7 @@ def spot_risk_closed(
     Returns the per-state vector at ``q.gamma``, ``risks[i]`` given start state i;
     with ``gammas``, a list of vectors, one per gamma (as :func:`claim_risk_mc`).
     """
-    return _risk_closed(ou, g, [delta], q, gammas)[0]
+    return _risk_vectors(_risk_closed(ou, g, [[delta]], [q], gammas), gammas)
 
 
 def future_risk_closed(
@@ -257,7 +274,7 @@ def future_risk_closed(
     regime propagation use the same T.  ``gammas`` as in :func:`spot_risk_closed`.
     """
     scale = np.exp(-c.carry * q.horizon)
-    return _risk_closed(ou, g, [c.delta * scale], q, gammas)[0]
+    return _risk_vectors(_risk_closed(ou, g, [[c.delta * scale]], [q], gammas), gammas)
 
 
 # ---------------------------------------------------------------------------

@@ -231,12 +231,14 @@ def load_price_csv(path: str | Path, dt: float = DEFAULT_DT) -> PriceSeries:
         if header is None or [h.strip().lower() for h in header[:2]] != ["date", "price"]:
             raise ConfigError(f"{path}: expected header 'date,price', got {header!r}")
         for i, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
+            first = row[0].strip() if row else ""
+            # a row is skipped when every cell is blank; one with a date is not
+            if not first and all(not cell.strip() for cell in row):
                 continue
             if len(row) < 2:
                 raise ConfigError(f"{path} row {i}: expected 2 fields, got {row!r}")
             try:
-                d = _dt.date.fromisoformat(row[0].strip())
+                d = _dt.date.fromisoformat(first)
             except ValueError as exc:
                 raise ConfigError(f"{path} row {i}: bad date {row[0]!r}") from exc
             try:

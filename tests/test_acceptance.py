@@ -46,14 +46,15 @@ class TestOracleEquivalence:
             q = RiskQuery(gamma=gamma, s=s, T=T, x_s=float(rng.uniform(30, 70)))
             state = int(rng.integers(0, g.n))
             rv_spot = spot_risk_closed(ou, g, delta, q)
-            est_spot = claim_risk_mc(ou, g, LinearSpotClaim(delta), q, 100_000, seed=5000 + k)[state]
+            # each stream is keyed by (seed, state): simulate the one state read
+            est_spot = claim_risk_mc(ou, g, LinearSpotClaim(delta), q, 100_000, seed=5000 + k, states=[state])[0]
             fc = FutureClaim(
                 delta=delta,
                 r=float(rng.uniform(0.0, 0.1)),
                 y=float(rng.uniform(-0.05, 0.15)),
             )
             rv_fut = future_risk_closed(ou, g, fc, q)
-            est_fut = claim_risk_mc(ou, g, fc, q, 100_000, seed=6000 + k)[state]
+            est_fut = claim_risk_mc(ou, g, fc, q, 100_000, seed=6000 + k, states=[state])[0]
             ok = (
                 abs(est_spot.z_score(rv_spot.risk_given_state(state))) <= 3.0
                 and abs(est_fut.z_score(rv_fut.risk_given_state(state))) <= 3.0

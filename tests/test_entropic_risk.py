@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import chi2, poisson
 
 from regime_risk.entropic_risk import (
     MCEstimate,
@@ -38,7 +39,7 @@ from regime_risk.instruments import (
     SwapClaim,
 )
 from regime_risk.ou_model import ConditionalLaw, OUParams, conditional_law
-from regime_risk.regime_chain import Generator, matrix_exp, validate_generator
+from regime_risk.regime_chain import Generator, distribution_at, matrix_exp, validate_generator
 
 from conftest import EXAMPLE_CONFIG, SETTINGS, draw_mc_instance, random_generator_matrix
 
@@ -259,6 +260,12 @@ def closed_by_loop(ou, g, deltas, q, gammas) -> list:
     return out
 
 
+def closed_block(ou, g, deltas, q, gammas) -> np.ndarray:
+    """:func:`closed_by_loop` as a (loading, gamma, state) array."""
+    vectors = closed_by_loop(ou, g, deltas, q, gammas)
+    return np.array([[rv.risks for rv in ([v] if gammas is None else v)] for v in vectors])
+
+
 def random_chain(rng, reducible: bool) -> Generator:
     """A random generator; when ``reducible``, two blocks that cannot reach each other."""
     if not reducible:
@@ -321,15 +328,14 @@ class TestClosedFormGammaGrid:
                 g, stack = reducible_chain(), [[0.5, 0.6, -40.0, -42.0], [-40.0, -42.0, 0.5, 0.6]]
             singles = [spot_risk_closed(CRUDE, g, d, q, gammas=gammas) for d in stack]
         expm_calls.clear()
-        results = entropic_risk._risk_closed(CRUDE, g, stack, q, gammas)
+        block = entropic_risk._risk_closed(CRUDE, g, [stack], [q], gammas)
         assert len(expm_calls) == 1
-        assert len(results) == len(singles)
-        for got, want in zip(results, singles):
+        assert block.shape == (1, len(singles), 1 if gammas is None else len(gammas), g.n)
+        for got, want in zip(block[0], singles):
             if gammas is None:
-                got, want = [got], [want]
-            assert len(got) == len(want)
-            for rv, single in zip(got, want):
-                assert np.array_equal(rv.risks, single.risks)
+                want = [want]
+            for risks, single in zip(got, want):
+                assert np.array_equal(risks, single.risks)
 
     # gammas whose Python square (libm pow) is not x * x, numpy's square, on
     # glibc: a block that squared gamma with numpy would differ in the last bit
@@ -337,25 +343,30 @@ class TestClosedFormGammaGrid:
 
     @pytest.mark.parametrize("gamma_type", [float, np.float64])
     @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
-    def test_block_is_bit_identical_to_the_per_pair_loop(self, gamma_type, reducible):
+    def test_block_is_bit_identical_to_the_per_pair_loop(self, expm_calls, gamma_type, reducible):
+        """A stack of queries with random (s, T, x_s, gamma), repeated horizons
+        among them, gives each query's block of the per-pair loop, with one
+        ``expm`` per query in query order."""
         rng = np.random.default_rng(8100 + reducible)
         for _ in range(20):
             g = random_chain(rng, reducible)
-            deltas = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 5)), g.n)) * 10 ** rng.uniform(-1, 1.3)
-            s = float(rng.uniform(0.0, 0.5))
-            q = RiskQuery(gamma=gamma_type(10 ** rng.uniform(-1, 1)), s=s, T=s + float(rng.uniform(0.01, 2.0)), x_s=62.24)
+            n_q, k = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            s = rng.uniform(0.0, 0.5, n_q)
+            T = s + rng.choice([0.1, 1.0, 1e-3 + rng.uniform(0.0, 3.0)], n_q)
+            queries = [
+                RiskQuery(gamma=gamma_type(10 ** rng.uniform(-1, 1)), s=float(a), T=float(b), x_s=float(rng.uniform(30, 70)))
+                for a, b in zip(s, T)
+            ]
+            deltas = rng.uniform(-3.0, 3.0, (n_q, k, g.n)) * 10 ** rng.uniform(-1, 1.3)
             draws = 10 ** rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
             gammas = [gamma_type(gm) for gm in [*draws, *self.POW_NOT_PRODUCT]]
             for grid in (None, gammas):
-                got = entropic_risk._risk_closed(CRUDE, g, deltas, q, grid)
-                want = closed_by_loop(CRUDE, g, deltas, q, grid)
-                if grid is None:
-                    got, want = [got], [want]
-                for got_vectors, want_vectors in zip(got, want):
-                    assert len(got_vectors) == len(want_vectors)
-                    for rv, ref in zip(got_vectors, want_vectors):
-                        assert np.array_equal(rv.risks, ref.risks)
-                        assert not rv.risks.flags.writeable
+                expm_calls.clear()
+                block = entropic_risk._risk_closed(CRUDE, g, deltas, queries, grid)
+                assert expm_calls == [q.horizon for q in queries]
+                assert not block.flags.writeable
+                want = [closed_block(CRUDE, g, d, q, grid) for d, q in zip(deltas, queries)]
+                assert np.array_equal(block, np.array(want))
 
     @pytest.mark.parametrize(
         "gammas, error",
@@ -496,6 +507,80 @@ class TestRegimeKernel:
         moving = np.flatnonzero(rates > 0.0)
         below = np.where(moving > 0, cum[np.maximum(moving - 1, 0), moving], 0.0)
         assert np.array_equal(cum[moving, moving], below)
+
+
+@st.composite
+def law_instances(draw):
+    """(chain, start state, grid) for the simulated law: 1 to 5 states with
+    off-diagonal rates of 0, 0.1 to 10, or tenths; absorbing columns and two
+    blocks that cannot reach each other half of the time each; a start state
+    anywhere, zero-rate ones included; a grid of 1 to 4 steps, each 0.01 to 3
+    mean holding times at the largest exit rate."""
+    n = draw(st.integers(1, 5))
+    rate = st.one_of(
+        st.just(0.0), st.floats(-1.0, 1.0).map(lambda x: 10.0**x), st.sampled_from([0.1, 0.3, 0.7])
+    )
+    q = draw(arrays(np.float64, (n, n), elements=rate))
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        q[:k, k:] = q[k:, :k] = 0.0
+    if draw(st.booleans()):
+        q[:, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = 0.0
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=0))
+    g = Generator(q)
+    steps = np.array(draw(st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4)))
+    top = g.exit_rates().max()
+    s = draw(st.floats(0.0, 1.0))
+    grid = s + np.concatenate([[0.0], np.cumsum(steps / (top if top > 0 else 1.0))])
+    return g, draw(st.integers(0, n - 1)), grid
+
+
+def assert_counts_follow(counts: np.ndarray, probs: np.ndarray, alpha: float = 1e-9) -> None:
+    """Observed counts against the law ``probs``: a chi-square over the cells
+    expected at least 5 times, the others pooled (into the smallest such cell
+    when the pool is expected fewer than 5 times), plus a Poisson tail on
+    the pool's count, so that mass where the law has next to none fails."""
+    n = counts.sum()
+    expected = probs * n
+    big = expected >= 5.0
+    rest_obs, rest_exp = counts[~big].sum(), expected[~big].sum()
+    assert poisson.sf(rest_obs - 1, rest_exp) > alpha, (counts, expected)
+    obs, exp = counts[big].astype(float), expected[big]
+    if rest_exp >= 5.0:
+        obs, exp = np.append(obs, rest_obs), np.append(exp, rest_exp)
+    elif obs.size:
+        smallest = np.argmin(exp)
+        obs[smallest] += rest_obs
+        exp[smallest] += rest_exp
+    if obs.size >= 2:
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert chi2.sf(stat, obs.size - 1) > alpha, (counts, expected)
+
+
+class TestSimulatedLaw:
+    """The engine's regimes follow the chain's law: the kernel is checked
+    against ``expm`` through ``distribution_at``, whatever the kernel's draws."""
+
+    N_PATHS = 4000
+
+    @SETTINGS
+    @given(law_instances(), st.integers(0, 2**64 - 1))
+    def test_grid_rows_follow_distribution_at(self, instance, seed):
+        """Each row of Z, and each pair of consecutive rows, against the
+        chain's marginal and one-step laws."""
+        g, state, grid = instance
+        rng = entropic_risk._state_rng(seed, state)
+        _, Z, _ = entropic_risk._simulate_grid(CRUDE, g, grid, 60.0, state, self.N_PATHS, rng)
+        assert np.all(Z[0] == state)
+        p = np.eye(g.n)[state]
+        for k in range(1, len(grid)):
+            kernel = matrix_exp(g, float(grid[k] - grid[k - 1]))
+            joint = kernel * p  # joint[j, i] = P(Z[k-1] = i, Z[k] = j)
+            pairs = np.bincount(Z[k] * g.n + Z[k - 1], minlength=g.n * g.n)
+            assert_counts_follow(pairs, joint.ravel())
+            p = distribution_at(g, np.eye(g.n)[state], float(grid[k] - grid[0]))
+            assert_counts_follow(np.bincount(Z[k], minlength=g.n), p)
 
 
 class TestFutureRiskClosed:
@@ -896,7 +981,7 @@ class TestRiskProperties:
             q = RiskQuery(gamma=gamma, s=s, T=T, x_s=ou.x0)
             rv = spot_risk_closed(ou, g, delta, q)
             state = int(rng.integers(0, g.n))
-            est = claim_risk_mc(ou, g, LinearSpotClaim(delta), q, 20_000, seed=1000 + k)[state]
+            est = claim_risk_mc(ou, g, LinearSpotClaim(delta), q, 20_000, seed=1000 + k, states=[state])[0]
             total += 1
             hits += abs(est.z_score(rv.risk_given_state(state))) <= 3.0
         assert hits >= total - 1

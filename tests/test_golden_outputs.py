@@ -32,6 +32,19 @@ YIELD_SWEEP_DENSE = {
     "claim": {"type": "future", "delta": [0.75, 0.9, 1.1, 1.3], "r": 0.01, "y": 0.08},
     "grids": dict(SHIPPED["grids"], yields=[-0.1, -0.03, 0.0, 0.02, 0.08, 0.2], n_times=9),
 }
+# sweep over many horizons and gammas (the libm-square ones among them) from a
+# non-zero start state, on a regime-dependent future loading: the closed form's
+# horizon axis, each horizon with its own carry-scaled loading
+SWEEP_DENSE = {
+    "chain": dict(SHIPPED["chain"], z0=2),
+    "claim": {"type": "future", "delta": [0.6, 0.85, 1.15, 1.4], "r": 0.02, "y": 0.05},
+    "grids": dict(
+        SHIPPED["grids"],
+        horizons_days=[0.5, 1.0, 3.0, 7.5, 12.0, 21.0, 33.3, 50.0, 63.0, 90.0, 126.0, 150.0,
+                       189.0, 252.0, 300.0, 378.0, 504.0, 756.0],
+        gammas=[0.139527, 0.25, 0.5, 1.0, 2.073721, 2.5, 5.0, 10.0, 16.510002, 40.0],
+    ),
+}
 # calibrate on a spot-only price series written by ``synthetic_csv``: the one
 # output of nested JSON objects
 CALIBRATE = {"ou": {"csv": "prices.csv"}}
@@ -52,6 +65,7 @@ RUNS = {
     "linear_sweep": (["sweep"], {"claim": LINEAR}),
     "one_state_risk": (["risk"], ONE_STATE),
     "yield_sweep_dense": (["yield-sweep"], YIELD_SWEEP_DENSE),
+    "sweep_dense": (["sweep"], SWEEP_DENSE),
     "calibrate": (["calibrate"], CALIBRATE),
     "gs_swap_simulate": (["simulate"], GS_SWAP_SIMULATE),
 }
@@ -105,6 +119,10 @@ GOLDEN = {
         "yield_sweep.json": "65e6e889dd2f5ef93307835ea04db8f1370ae15fa9822dc9f231d00a40ea98b9",
         "yield_sweep_summary.csv": "fb1cd106a1417f1c1db5f238e4695f1b0254d4467f64627f23460c94b3a7995e",
         "yield_sweep_summary.json": "d17d5f616680690eeeaefdb44a643b59b6322473bb30d3fecbdcd95c730c4526",
+    },
+    "sweep_dense": {
+        "sweep.csv": "83c16baec28e0959e9c2a0e071513144fdef35d385b7ad05d448704be253f579",
+        "sweep.json": "ec3fd81cc0aecef505d76008cc3e70b53a9c8e7a3915b4cfab442ab68eb94eb1",
     },
     "calibrate": {
         "ou_params.json": "b31a01700486d70c5a3c9d5a2c437d01b72acbbfb3beacf269ac5bc10d09c4a3",

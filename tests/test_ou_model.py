@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regime_risk.entropic_risk import sample_paths
-from regime_risk.errors import NotMeanReverting, TimeOrder, TooFewPoints
+from regime_risk.errors import ConfigError, NotMeanReverting, TimeOrder, TooFewPoints
 from regime_risk.ou_model import (
     OUParams,
     PriceSeries,
@@ -182,6 +182,18 @@ class TestLoadPriceCsv(object):
         f = self._write(tmp_path, ["2020-01-02,10.5", "2020-01-05,11.0", "2020-01-03,12.0"])
         with pytest.raises(ValueError, match="row 3"):
             load_price_csv(f)
+
+    def test_only_rows_blank_in_every_cell_are_skipped(self, tmp_path):
+        """Empty lines and rows of blank cells are skipped and still count as
+        rows; a blank date before a price is a bad date, and a padded date is
+        read."""
+        rows = ["2020-01-02,10.5", "", ",", " ,  ", "\t", " 2020-01-03 ,11.0", "2020-01-06,10.8"]
+        series = load_price_csv(self._write(tmp_path, rows))
+        np.testing.assert_allclose(series.prices, [10.5, 11.0, 10.8])
+        with pytest.raises(ConfigError, match=r"row 3: bad date ' '"):
+            load_price_csv(self._write(tmp_path, ["2020-01-02,10.5", ",", " ,11.0", "2020-01-06,10.8"]))
+        with pytest.raises(ConfigError, match="row 2: expected 2 fields"):
+            load_price_csv(self._write(tmp_path, ["2020-01-02,10.5", "2020-01-03", "2020-01-06,10.8"]))
 
     def test_two_rows_too_few(self, tmp_path):
         f = self._write(tmp_path, ["2020-01-02,10.5", "2020-01-03,11.0"])
