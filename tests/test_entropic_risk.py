@@ -344,9 +344,9 @@ class TestClosedFormGammaGrid:
     @pytest.mark.parametrize("gamma_type", [float, np.float64])
     @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
     def test_block_is_bit_identical_to_the_per_pair_loop(self, expm_calls, gamma_type, reducible):
-        """A stack of queries with random (s, T, x_s, gamma), repeated horizons
-        among them, gives each query's block of the per-pair loop, with one
-        ``expm`` per query in query order."""
+        """A stack of queries with random (s, T, x_s, gamma), horizons drawn
+        from three lengths, gives each query's block of the per-pair loop, with
+        one ``expm`` per query in query order."""
         rng = np.random.default_rng(8100 + reducible)
         for _ in range(20):
             g = random_chain(rng, reducible)
