@@ -22,12 +22,12 @@ from regime_risk import (
 ou = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
 gen = validate_generator([[-2.0, 1.0], [2.0, -1.0]])  # slow regime 1, fast regime 0
 delta = np.array([0.75, 1.10])  # price haircut in downturn, premium in recovery
-query = RiskQuery(gamma=2.5, s=0.0, T=50 / 252, x_s=ou.x0)
+query = RiskQuery(s=0.0, T=50 / 252, x_s=ou.x0)
 
 print("linear spot claim, 50-day horizon, gamma = 2.5")
-closed = spot_risk_closed(ou, gen, delta, query)
-estimates = claim_risk_mc(ou, gen, LinearSpotClaim(delta), query, n_paths=200_000, seed=3)
-for i, est in enumerate(estimates):
+closed = spot_risk_closed(ou, gen, delta, query, gammas=[2.5])[0]
+estimates = claim_risk_mc(ou, gen, LinearSpotClaim(delta), query, n_paths=200_000, seed=3, gammas=[2.5])
+for i, (est,) in enumerate(estimates):
     z = est.z_score(closed.risk_given_state(i))
     print(
         f"  start regime {i}: closed {closed.risk_given_state(i):9.4f}   "
@@ -36,9 +36,9 @@ for i, est in enumerate(estimates):
 
 future = FutureClaim(delta=delta, r=0.02, y=0.08)  # matures at query.T
 print("\nfuture claim with 10% total carry:")
-closed_f = future_risk_closed(ou, gen, future, query)
-estimates_f = claim_risk_mc(ou, gen, future, query, n_paths=200_000, seed=4)
-for i, est in enumerate(estimates_f):
+closed_f = future_risk_closed(ou, gen, future, query, gammas=[2.5])[0]
+estimates_f = claim_risk_mc(ou, gen, future, query, n_paths=200_000, seed=4, gammas=[2.5])
+for i, (est,) in enumerate(estimates_f):
     z = est.z_score(closed_f.risk_given_state(i))
     print(
         f"  start regime {i}: closed {closed_f.risk_given_state(i):9.4f}   "
@@ -46,8 +46,7 @@ for i, est in enumerate(estimates_f):
     )
 
 print("\nrisk aversion limits (start regime 0):")
-for gamma in (0.5, 1.0, 5.0, 100.0, 1e6):
-    q = RiskQuery(gamma=gamma, s=0.0, T=query.T, x_s=ou.x0)
-    r = spot_risk_closed(ou, gen, delta, q).risk_given_state(0)
-    print(f"  gamma {gamma:>9.1f}: risk {r:9.4f}")
+gammas = (0.5, 1.0, 5.0, 100.0, 1e6)
+for gamma, rv in zip(gammas, spot_risk_closed(ou, gen, delta, query, gammas=gammas)):
+    print(f"  gamma {gamma:>9.1f}: risk {rv.risk_given_state(0):9.4f}")
 print("  (small gamma punishes the downside; large gamma tends to the expectation)")

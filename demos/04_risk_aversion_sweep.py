@@ -25,9 +25,8 @@ horizons_days = [50.0, 150.0]
 
 cells = np.empty((2, 4))
 for i, days in enumerate(horizons_days):
-    for j, gamma in enumerate(gammas):
-        q = RiskQuery(gamma=gamma, s=0.0, T=days / 252, x_s=ou.x0)
-        cells[i, j] = spot_risk_closed(ou, gen, delta, q).risk_given_state(0)
+    q = RiskQuery(s=0.0, T=days / 252, x_s=ou.x0)
+    cells[i] = [rv.risk_given_state(0) for rv in spot_risk_closed(ou, gen, delta, q, gammas=gammas)]
 
 header = "".join(f"  gamma={g:<6g}" for g in gammas)
 print(f"{'':14s}{header}")

@@ -28,11 +28,11 @@ print("future-claim risk over evaluation time, one curve per yield level")
 print("(gamma = 2.5, delta = 0.75, r = 0, start regime 0)\n")
 print("  t (days)" + "".join(f"   y={y:<5g}" for y in yields) + "   spread")
 for t in times:
+    q = RiskQuery(s=t, T=T, x_s=ou.x0)
     row = []
     for y in yields:
         claim = FutureClaim(delta=[0.75, 0.75], r=0.0, y=y)
-        q = RiskQuery(gamma=2.5, s=t, T=T, x_s=ou.x0)
-        row.append(future_risk_closed(ou, gen, claim, q).risk_given_state(0))
+        row.append(future_risk_closed(ou, gen, claim, q, gammas=[2.5])[0].risk_given_state(0))
     spread = max(row) - min(row)
     print(f"  {t * 252:7.1f} " + "".join(f"  {v:8.4f}" for v in row) + f"  {spread:7.4f}")
 print("\nthe spread column contracts toward zero as t approaches delivery.")

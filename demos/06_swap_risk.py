@@ -25,8 +25,8 @@ gen = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
 
 def swap_risk(ou, gen, swap, gamma, n_paths, seed, z0=0):
     """Entropic risk of the swap from regime z0: settlements at t = 1..T from s = 0."""
-    q = RiskQuery(gamma=gamma, s=0.0, T=float(swap.n_periods), x_s=ou.x0)
-    return claim_risk_mc(ou, gen, swap, q, n_paths, seed, states=[z0])[0]
+    q = RiskQuery(s=0.0, T=float(swap.n_periods), x_s=ou.x0)
+    return claim_risk_mc(ou, gen, swap, q, n_paths, seed, gammas=[gamma], states=[z0])[0][0]
 
 
 flat = SwapClaim(
@@ -56,7 +56,7 @@ print("\nsame swap with a mean-reverting stochastic yield (regime-loaded 1.0 / 0
 # The paths do not depend on gamma: simulate regime 0's paths once and
 # reduce them at every gamma.
 gammas = (1.0, 5.0, 20.0)
-q = RiskQuery(gamma=gammas[0], s=0.0, T=float(stochastic.n_periods), x_s=ou.x0)
+q = RiskQuery(s=0.0, T=float(stochastic.n_periods), x_s=ou.x0)
 ests = claim_risk_mc(ou, gen, stochastic, q, n_paths=100_000, seed=12, gammas=gammas, states=[0])[0]
 for gamma, est in zip(gammas, ests):
     print(f"  gamma {gamma:5.1f}: risk {est.value:9.4f} +/- {est.std_error:.4f}")

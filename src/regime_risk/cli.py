@@ -128,7 +128,7 @@ def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
 
     header = ["gamma", "state", "closed", "oracle", "mc_value", "mc_std_error", "z_score"]
     rows: list[list] = []
-    q = RiskQuery(gamma=cfg.gammas[0], s=0.0, T=T, x_s=cfg.ou.x0)
+    q = RiskQuery(s=0.0, T=T, x_s=cfg.ou.x0)
     ests = None
     if use_mc:
         # one payoff sample per starting state, reduced at every gamma
@@ -172,9 +172,7 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool) -> int:
         raise ConfigError("sweep supports linear and future claims (swaps fix their own schedule)")
     # one closed-form pass over every horizon, each with its own (for a
     # future, carry-scaled) loading; cells[i, j] is horizon i, gamma j
-    queries = [
-        RiskQuery(gamma=cfg.gammas[0], s=0.0, T=horizon_years(hd), x_s=cfg.ou.x0) for hd in cfg.horizons_days
-    ]
+    queries = [RiskQuery(s=0.0, T=horizon_years(hd), x_s=cfg.ou.x0) for hd in cfg.horizons_days]
     deltas = np.broadcast_to(cfg.claim.delta, (len(queries), 1, cfg.chain.n))
     if isinstance(cfg.claim, FutureClaim):
         deltas = deltas * np.exp(-cfg.claim.carry * np.array([q.horizon for q in queries]))[:, None, None]
@@ -239,12 +237,12 @@ def cmd_yield_sweep(cfg: RunConfig) -> int:
     T = horizon_years(cfg.horizons_days[0])
     times = [k * T / cfg.n_times for k in range(cfg.n_times)]
     carries = cfg.claim.r + np.asarray(cfg.yields)
-    # one closed-form pass: every time's law and expm are shared by each
-    # yield's carry-scaled loading; risks[i, k] is time i, yield k
-    queries = [RiskQuery(gamma=cfg.gammas[0], s=t, T=T, x_s=cfg.ou.x0) for t in times]
+    # one closed-form pass at the first gamma: every time's law and expm are
+    # shared by each yield's carry-scaled loading; risks[i, k] is time i, yield k
+    queries = [RiskQuery(s=t, T=T, x_s=cfg.ou.x0) for t in times]
     horizons = np.array([q.horizon for q in queries])
     deltas = cfg.claim.delta * np.exp(-carries * horizons[:, None])[..., None]
-    risks = _risk_closed(cfg.ou, cfg.chain, deltas, queries, None)[:, :, 0, cfg.z0]
+    risks = _risk_closed(cfg.ou, cfg.chain, deltas, queries, cfg.gammas[:1])[:, :, 0, cfg.z0]
     rows = [[t, y, risk] for y, col in zip(cfg.yields, risks.T.tolist()) for t, risk in zip(times, col)]
     summary = [[t, max(row) - min(row)] for t, row in zip(times, risks.tolist())]
 

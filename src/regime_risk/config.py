@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch
+from .errors import ConfigError, LengthMismatch, read_text
 from .instruments import (
     ConstantYield,
     FutureClaim,
@@ -122,7 +122,7 @@ def _section(parent: dict, path: str) -> dict | None:
 
 def _read_json(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -155,8 +155,6 @@ def _parse_ou(section: dict, base: Path) -> tuple[OUParams | None, Path | None, 
     params, where, csv_path = section, "ou", None
     if "params_file" in section:
         pf = (base / _text(section["params_file"], "ou.params_file")).resolve()
-        if not pf.exists():
-            raise ConfigError(f"ou.params_file does not exist: {pf}")
         params, where = _read_json(pf), "ou.params_file params"
         for key in ("data", "params"):
             inner = _section(params, f"ou.params_file.{key}")
@@ -213,8 +211,6 @@ def load_config(
     :meth:`RunConfig.require` for the sections they need.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     raw = _read_json(path)
     base = path.parent
 

@@ -22,8 +22,9 @@ spot by its exact Gaussian transition, so the two routes share no kernel
 beyond the transition-law parameters.
 
 Simulate once, reduce many: a payoff sample and ``expm(Q h)`` do not depend
-on gamma, so both routes take a ``gammas=`` grid and reduce each (horizon,
-starting state) sample, or each horizon's law and kernel, at every gamma.
+on gamma, so both routes take gamma only as a ``gammas=`` grid and reduce
+each (horizon, starting state) sample, or each horizon's law and kernel, at
+every gamma, one result entry per gamma.
 Nor do the law and kernel depend on the loading: the shared closed-form
 pipeline takes a stack of queries, each with its own stack of loadings, and
 makes one law and one ``expm`` per query.  ``sweep`` passes one query per
@@ -83,9 +84,9 @@ from .regime_chain import Generator, matrix_exp
 
 @dataclass(frozen=True)
 class RiskQuery:
-    """Evaluation point: aversion gamma, observation time s, horizon T, spot x_s."""
+    """Evaluation point: observation time s, horizon T, spot x_s; each risk
+    route evaluates it at every gamma of its ``gammas=`` grid."""
 
-    gamma: float
     s: float
     T: float
     x_s: float
@@ -94,7 +95,6 @@ class RiskQuery:
         for name in ("s", "T", "x_s"):
             if not math.isfinite(getattr(self, name)):
                 raise NonFinite(f"{name} must be finite, got {getattr(self, name)}")
-        _check_gamma(self.gamma)
         if not 0 <= self.s < self.T:
             raise TimeOrder(f"need 0 <= s < T, got s={self.s}, T={self.T}")
 
@@ -189,9 +189,9 @@ def entropic_mc(samples, gamma: float) -> MCEstimate:
     return MCEstimate(value=float(value), std_error=float(se), n_paths=psi.size)
 
 
-def _gamma_grid(q: RiskQuery, gammas) -> list[float]:
-    """``[q.gamma]`` by default, else ``gammas`` checked: nonempty, finite, positive."""
-    grid = [q.gamma] if gammas is None else list(gammas)
+def _gamma_grid(gammas) -> list[float]:
+    """``gammas`` as a list, checked: nonempty, finite, positive."""
+    grid = list(gammas)
     if not grid:
         raise DimensionError("gammas must be nonempty")
     for gamma in grid:
@@ -204,13 +204,13 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndar
 
     ``deltas`` is a (Q, k, n) stack, k loadings for each of the Q ``queries``.
     Each query has its own law and its own ``expm``, made in query order, and
-    shares them with all its loadings and every gamma of the grid (each
-    query's own ``gamma`` when ``gammas`` is None).  The whole block is one
+    shares them with all its loadings and every gamma of the grid.  The
+    block's shape is (Q, k, len(gammas), n).  The whole block is one
     array pass, with the arithmetic of a single (query, loading, gamma)
     evaluation per element, and one finiteness check covers every vector.
     The block is read-only.
     """
-    grid = [[q.gamma] for q in queries] if gammas is None else [_gamma_grid(queries[0], gammas)]
+    grid = _gamma_grid(gammas)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape[2:] != (g.n,):
         raise DimensionError(f"delta must have shape ({g.n},), got {deltas.shape[2:]}")
@@ -226,9 +226,9 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndar
     # chain an unreachable block could hold the maximum and underflow every
     # reachable term).
     P = np.stack(kernels)
-    gamma = np.array(grid, dtype=float)[:, None, :, None]
+    gamma = np.array(grid, dtype=float)[:, None]
     # gamma**2 as Python computes it: numpy's square can differ in the last bit
-    twice_sq = np.array([[2.0 * gm**2 for gm in row] for row in grid])[:, None, :, None]
+    twice_sq = np.array([2.0 * gm**2 for gm in grid])[:, None]
     logphi = (-deltas * mean)[:, :, None] / gamma + (deltas**2 * variance)[:, :, None] / twice_sq
     masked = np.where(P[:, None, None] > 0.0, logphi[..., None], -np.inf)
     shift = masked.max(axis=-2)
@@ -246,35 +246,25 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndar
     return risks
 
 
-def _risk_vectors(block: np.ndarray, gammas) -> RiskVector | list[RiskVector]:
-    """One query's single loading from a :func:`_risk_closed` block, as the
-    vector at ``q.gamma`` or, with ``gammas``, a list of one vector per gamma."""
-    vectors = [RiskVector._checked(row) for row in block[0, 0]]
-    return vectors[0] if gammas is None else vectors
-
-
-def spot_risk_closed(
-    ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas=None
-) -> RiskVector | list[RiskVector]:
+def spot_risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas) -> list[RiskVector]:
     """Closed-form entropic risk of the linear spot claim X_T delta[Z_T].
 
-    Returns the per-state vector at ``q.gamma``, ``risks[i]`` given start state i;
-    with ``gammas``, a list of vectors, one per gamma (as :func:`claim_risk_mc`).
+    Returns one per-state vector per gamma of ``gammas``, in grid order;
+    ``risks[i]`` is the risk given start state i.
     """
-    return _risk_vectors(_risk_closed(ou, g, [[delta]], [q], gammas), gammas)
+    return [RiskVector._checked(row) for row in _risk_closed(ou, g, [[delta]], [q], gammas)[0, 0]]
 
 
-def future_risk_closed(
-    ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas=None
-) -> RiskVector | list[RiskVector]:
+def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas) -> list[RiskVector]:
     """Closed-form entropic risk of a future: the spot pipeline applied to
     the carry-discounted loading delta * e^{-(r+y)(T-s)}.
 
     The future matures at the query horizon T; the carry discount and the
-    regime propagation use the same T.  ``gammas`` as in :func:`spot_risk_closed`.
+    regime propagation use the same T.  Returns one vector per gamma, as
+    :func:`spot_risk_closed`.
     """
     scale = np.exp(-c.carry * q.horizon)
-    return _risk_vectors(_risk_closed(ou, g, [[c.delta * scale]], [q], gammas), gammas)
+    return [RiskVector._checked(row) for row in _risk_closed(ou, g, [[c.delta * scale]], [q], gammas)[0, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +432,9 @@ def claim_risk_mc(
     n_paths: int,
     seed: int,
     *,
-    gammas=None,
+    gammas,
     states=None,
-) -> list[MCEstimate] | list[list[MCEstimate]]:
+) -> list[list[MCEstimate]]:
     """Monte-Carlo entropic risk of a claim, one entry per starting regime.
 
     Spot values use the exact Gaussian transition; regimes use the exact
@@ -454,11 +444,10 @@ def claim_risk_mc(
 
     One payoff sample is simulated per requested state in ``states``
     (default: every state, in order) and reduced at every gamma in
-    ``gammas`` (default: ``q.gamma`` alone); ``q`` supplies s, T and x_s.
-    Each state's stream is keyed by (seed, state) alone, so an estimate does
-    not depend on which other states or gammas are requested.  Without
-    ``gammas`` each entry is the :class:`MCEstimate` at ``q.gamma``; with
-    ``gammas`` it is a list of estimates, one per gamma.
+    ``gammas``; ``q`` supplies s, T and x_s.  Each entry is a list of
+    :class:`MCEstimate`, one per gamma, in grid order.  Each state's stream
+    is keyed by (seed, state) alone, so an estimate does not depend on which
+    other states or gammas are requested.
     """
     if n_paths < 2:
         raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
@@ -470,12 +459,11 @@ def claim_risk_mc(
     for state in states:
         if not 0 <= state < g.n:
             raise StateOutOfRange(f"state {state} outside [0, {g.n})")
-    grid = _gamma_grid(q, gammas)
+    grid = _gamma_grid(gammas)
     out = []
     for state in states:
         payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed)
-        ests = [entropic_mc(payoffs, gamma) for gamma in grid]
-        out.append(ests[0] if gammas is None else ests)
+        out.append([entropic_mc(payoffs, gamma) for gamma in grid])
     return out
 
 

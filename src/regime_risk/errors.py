@@ -4,6 +4,8 @@ Everything derives from :class:`RiskModelError`, which is itself a
 ``ValueError``, so callers can catch broadly or precisely.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -64,6 +66,16 @@ class NonFinite(RiskModelError):
 class ConfigError(RiskModelError):
     """A run configuration file, or an input file it names, is missing fields,
     malformed or inconsistent, or a run setting (a negative MC seed) is out of range."""
+
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of the file at ``path``, line endings as stored;
+    :class:`ConfigError` naming the file when it is missing, is not a readable
+    file, or is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path} as UTF-8 text: {exc}") from exc
 
 
 def require_finite(**values) -> None:

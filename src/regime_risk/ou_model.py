@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import (
     NotMeanReverting,
     TimeOrder,
     TooFewPoints,
+    read_text,
     require_finite,
 )
 
@@ -218,14 +220,15 @@ def calibrate(series: PriceSeries) -> CalibrationResult:
 def load_price_csv(path: str | Path, dt: float = DEFAULT_DT) -> PriceSeries:
     """Read a ``date,price`` CSV (ISO-8601 dates, one row per opening day).
 
-    Raises ConfigError naming the file and row on a malformed header, date or
-    price (a price must be a finite positive number), TimeOrder on
-    out-of-order dates, and TooFewPoints below 3 rows.
+    Raises ConfigError naming the file when it cannot be read as UTF-8 text,
+    and naming the file and row on a malformed header, date or price (a
+    price must be a finite positive number); TimeOrder on out-of-order
+    dates, and TooFewPoints below 3 rows.
     """
     path = Path(path)
     dates: list[_dt.date] = []
     prices: list[float] = []
-    with path.open(newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["date", "price"]:

@@ -34,6 +34,16 @@ def write_config(tmp_path: Path, payload: dict, name="cfg.json") -> Path:
     return p
 
 
+def write_input(path: Path, content: str | bytes | None) -> None:
+    """Write an input file as text or raw bytes; None makes a directory there instead."""
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
 def base_config(**overrides) -> dict:
     cfg = {
         "chain": {
@@ -140,11 +150,15 @@ class TestCalibrateCommand:
             ("date,price\n2020-01-02,10.0\n2020-01-03,nan\n2020-01-06,12.0\n", "row 2: bad price 'nan'"),
             ("date,price\n2020-01-02,10.0\n2020-13-03,11.0\n2020-01-06,12.0\n", "row 2: bad date"),
             ("day,value\n2020-01-02,10.0\n2020-01-03,11.0\n2020-01-06,12.0\n", "expected header"),
+            ("date,price\n2020-01-02,10.0\n".encode() + "2020-01-03,11\u20ac\n".encode("cp1252"),
+             "bad.csv as UTF-8 text"),
+            (None, "bad.csv as UTF-8 text"),
         ],
-        ids=["price_text", "price_negative", "price_nan", "bad_date", "bad_header"],
+        ids=["price_text", "price_negative", "price_nan", "bad_date", "bad_header", "not_utf8", "directory"],
     )
     def test_malformed_csv_rejected(self, tmp_path, capsys, text, named):
-        (tmp_path / "bad.csv").write_text(text)
+        """``text`` is the file's text, its raw bytes, or None for a directory."""
+        write_input(tmp_path / "bad.csv", text)
         cfg = write_config(tmp_path, {"ou": {"csv": "bad.csv"}})
         assert run(["calibrate", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -280,8 +294,8 @@ class TestYieldSweepCommand:
         T = 50.0 / TRADING_DAYS_PER_YEAR
         for t, y, risk in payload["data"]["rows"]:
             assert y == 0.0
-            q = RiskQuery(gamma=1.0, s=t, T=T, x_s=62.24)
-            expected = spot_risk_closed(ou, g, [0.75, 0.9], q).risk_given_state(0)
+            q = RiskQuery(s=t, T=T, x_s=62.24)
+            expected = spot_risk_closed(ou, g, [0.75, 0.9], q, gammas=[1.0])[0].risk_given_state(0)
             assert risk == pytest.approx(expected, abs=1e-12)
 
     def test_configured_yield_levels_present(self, tmp_path):
@@ -502,14 +516,28 @@ class TestOneKernelPerHorizon:
 
 
 class TestConfigValidation:
-    def test_missing_file(self, capsys):
-        assert run(["risk", "--config", "/nonexistent.json"]) == 2
-        assert "not found" in capsys.readouterr().err
+    @pytest.mark.parametrize("directory", [False, True], ids=["absent", "directory"])
+    def test_missing_file(self, tmp_path, capsys, directory):
+        """A config path that names no readable file: nothing there, or a directory."""
+        path = tmp_path / "cfg.json"
+        if directory:
+            path.mkdir()
+        assert run(["risk", "--config", path]) == 2
+        assert f"ConfigError: cannot read {path} as UTF-8 text" in capsys.readouterr().err
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b"{not json", "{file}: invalid JSON"),
+            ('{"note": "caf\u00e9"}'.encode("latin-1"), "cannot read {file} as UTF-8 text"),
+        ],
+        ids=["not_json", "not_utf8"],
+    )
+    def test_invalid_json(self, tmp_path, capsys, content, named):
         p = tmp_path / "bad.json"
-        p.write_text("{not json")
+        p.write_bytes(content)
         assert run(["risk", "--config", p]) == 2
+        assert f"ConfigError: {named.format(file=p)}" in capsys.readouterr().err
 
     def test_defective_transition_matrix_surfaces(self, tmp_path, capsys):
         cfg = base_config()
@@ -626,14 +654,18 @@ class TestConfigValidation:
         [
             ({"data": [1, 2]}, "ou.params_file.data must be a JSON object"),
             ({"params": 5}, "ou.params_file.params must be a JSON object"),
+            ('{"alpha": 5.0, "note": "caf\u00e9"}'.encode("latin-1"), "cannot read {file} as UTF-8 text"),
+            (None, "cannot read {file} as UTF-8 text"),
         ],
-        ids=["data_list", "params_number"],
+        ids=["data_list", "params_number", "not_utf8", "directory"],
     )
     def test_malformed_params_file_named(self, tmp_path, capsys, payload, named):
-        (tmp_path / "ou_params.json").write_text(json.dumps(payload))
+        """``payload`` is a JSON value, raw bytes, or None for a directory."""
+        params_file = tmp_path / "ou_params.json"
+        write_input(params_file, json.dumps(payload) if isinstance(payload, dict) else payload)
         cfg = base_config(ou={"params_file": "ou_params.json"})
         assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 2
-        assert f"ConfigError: {named}" in capsys.readouterr().err
+        assert f"ConfigError: {named.format(file=params_file.resolve())}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

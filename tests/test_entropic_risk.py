@@ -49,8 +49,8 @@ TWO_STATE = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
 
 def swap_risk_mc(ou, g, c, gamma, n_paths, seed, z0=0):
     """Swap risk from regime z0: settlements at t = 1..T from s = 0, x_0 = ou.x0."""
-    q = RiskQuery(gamma, 0.0, float(c.n_periods), ou.x0)
-    return claim_risk_mc(ou, g, c, q, n_paths, seed, states=[z0])[0]
+    q = RiskQuery(0.0, float(c.n_periods), ou.x0)
+    return claim_risk_mc(ou, g, c, q, n_paths, seed, gammas=[gamma], states=[z0])[0][0]
 
 
 def expected_payoff_closed(ou, g, delta, q):
@@ -109,31 +109,40 @@ class TestEntropicMC:
 
 
 class TestRiskQueryAndVector:
-    def test_gamma_must_be_positive(self):
-        with pytest.raises(NonPositiveGamma):
-            RiskQuery(gamma=0.0, s=0.0, T=1.0, x_s=50.0)
-
     @pytest.mark.parametrize(
-        "field", [{"gamma": np.nan}, {"gamma": np.inf}, {"T": np.inf}, {"s": np.nan}, {"x_s": np.nan}]
+        "gamma, error",
+        [(0.0, NonPositiveGamma), (-1.0, NonPositiveGamma), (np.nan, NonFinite), (np.inf, NonFinite)],
+        ids=["zero", "negative", "nan", "inf"],
     )
+    def test_gamma_must_be_finite_and_positive(self, gamma, error):
+        """A query carries no gamma: each route rejects a bad one on its grid."""
+        q = RiskQuery(s=0.0, T=1.0, x_s=50.0)
+        with pytest.raises(error):
+            spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], q, gammas=[gamma])
+        with pytest.raises(error):
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), q, 100, seed=0, gammas=[gamma])
+
+    @pytest.mark.parametrize("field", [{"T": np.inf}, {"s": np.nan}, {"x_s": np.nan}])
     def test_non_finite_fields_rejected(self, field):
         with pytest.raises(NonFinite):
-            RiskQuery(**{"gamma": 1.0, "s": 0.0, "T": 1.0, "x_s": 50.0, **field})
+            RiskQuery(**{"s": 0.0, "T": 1.0, "x_s": 50.0, **field})
 
     def test_time_order(self):
         with pytest.raises(TimeOrder):
-            RiskQuery(gamma=1.0, s=1.0, T=1.0, x_s=50.0)
+            RiskQuery(s=1.0, T=1.0, x_s=50.0)
         with pytest.raises(TimeOrder):
-            RiskQuery(gamma=1.0, s=-0.1, T=1.0, x_s=50.0)
+            RiskQuery(s=-0.1, T=1.0, x_s=50.0)
 
-    def test_risk_is_negated_lam(self):
-        """risks[i] = -lam_i with lam_i = gamma ln sum_j P(Z_T = j | Z_s = i) phi_j."""
-        q = RiskQuery(gamma=2.0, s=0.0, T=0.5, x_s=60.0)
+    def test_risk_is_minus_gamma_log_mixture(self):
+        """risks[i] = -gamma ln sum_j P(Z_T = j | Z_s = i) phi_j."""
+        gamma, q = 2.0, RiskQuery(s=0.0, T=0.5, x_s=60.0)
         delta = np.array([0.7, 1.3])
         law = conditional_law(CRUDE, q.x_s, q.s, q.T)
-        phi = np.exp(-delta * law.mean / q.gamma + delta**2 * law.variance / (2 * q.gamma**2))
-        lam = q.gamma * np.log(matrix_exp(TWO_STATE, q.horizon).T @ phi)
-        np.testing.assert_allclose(spot_risk_closed(CRUDE, TWO_STATE, delta, q).risks, -lam, rtol=1e-12)
+        phi = np.exp(-delta * law.mean / gamma + delta**2 * law.variance / (2 * gamma**2))
+        log_mixture = gamma * np.log(matrix_exp(TWO_STATE, q.horizon).T @ phi)
+        np.testing.assert_allclose(
+            spot_risk_closed(CRUDE, TWO_STATE, delta, q, gammas=[gamma])[0].risks, -log_mixture, rtol=1e-12
+        )
 
         rv = RiskVector(risks=np.array([-1.5, 2.0]))
         np.testing.assert_array_equal(rv.risks, [-1.5, 2.0])
@@ -146,7 +155,7 @@ class TestRiskQueryAndVector:
             RiskVector(risks=np.array([np.inf]))
 
 
-Q_HALF_YEAR = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
+Q_HALF_YEAR = RiskQuery(s=0.0, T=0.5, x_s=60.0)
 
 
 @pytest.mark.parametrize(
@@ -156,7 +165,7 @@ Q_HALF_YEAR = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
         (lambda: ConditionalLaw(mean=60.0, variance=-1.0), BadDistribution),
         (lambda: MCEstimate(value=1.0, std_error=-0.5, n_paths=10), BadDistribution),
         (lambda: spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], Q_HALF_YEAR, gammas=[]), DimensionError),
-        (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 1, 0), EmptySamples),
+        (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 1, 0, gammas=[1.0]), EmptySamples),
         (lambda: entropic_risk._state_rng(-1, 0), ConfigError),
         (lambda: entropic_risk._state_rng(1 << 64, 0), ConfigError),
         (lambda: ConditionalLaw(mean=np.nan, variance=1.0), NonFinite),
@@ -178,27 +187,27 @@ class TestSpotRiskClosed:
         g = validate_generator([[0.0]])
         for gamma in (0.5, 1.0, 5.0, 20.0):
             for d in (-1.5, 0.3, 2.0):
-                q = RiskQuery(gamma=gamma, s=0.1, T=0.6, x_s=58.0)
+                q = RiskQuery(s=0.1, T=0.6, x_s=58.0)
                 law = conditional_law(CRUDE, q.x_s, q.s, q.T)
                 expected = d * law.mean - d * d * law.variance / (2 * gamma)
-                rv = spot_risk_closed(CRUDE, g, [d], q)
+                rv = spot_risk_closed(CRUDE, g, [d], q, gammas=[gamma])[0]
                 assert rv.risk_given_state(0) == pytest.approx(expected, abs=1e-10)
 
     def test_zero_vol_reduces_to_finite_regime_sum(self):
         ou = OUParams(alpha=2.0, mu=45.0, sigma=0.0, x0=50.0)
         delta = np.array([0.5, -1.0, 2.0])
-        q = RiskQuery(gamma=2.0, s=0.0, T=0.7, x_s=50.0)
+        gamma, q = 2.0, RiskQuery(s=0.0, T=0.7, x_s=50.0)
         g = Generator(random_generator_matrix(np.random.default_rng(1), 3))
         m = conditional_law(ou, q.x_s, q.s, q.T).mean
         P = matrix_exp(g, q.T)
-        rv = spot_risk_closed(ou, g, delta, q)
+        rv = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
         for i in range(3):
-            mix = sum(P[j, i] * np.exp(-delta[j] * m / q.gamma) for j in range(3))
-            assert rv.risk_given_state(i) == pytest.approx(-q.gamma * np.log(mix), abs=1e-10)
+            mix = sum(P[j, i] * np.exp(-delta[j] * m / gamma) for j in range(3))
+            assert rv.risk_given_state(i) == pytest.approx(-gamma * np.log(mix), abs=1e-10)
 
     def test_zero_loading_gives_zero_risk(self):
-        q = RiskQuery(gamma=1.0, s=0.0, T=1.0, x_s=50.0)
-        rv = spot_risk_closed(CRUDE, TWO_STATE, [0.0, 0.0], q)
+        q = RiskQuery(s=0.0, T=1.0, x_s=50.0)
+        rv = spot_risk_closed(CRUDE, TWO_STATE, [0.0, 0.0], q, gammas=[1.0])[0]
         np.testing.assert_allclose(rv.risks, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("chain", ["two_state", "shipped"])
@@ -209,21 +218,21 @@ class TestSpotRiskClosed:
         g = TWO_STATE if chain == "two_state" else load_config(EXAMPLE_CONFIG).chain
         gammas = [1.0, 2.5, 5.0, 10.0]
         for T in np.random.default_rng(8).uniform(1.0 / 252.0, 2.0, size=250):
-            q = RiskQuery(gamma=1.0, s=0.0, T=float(T), x_s=62.24)
+            q = RiskQuery(s=0.0, T=float(T), x_s=62.24)
             for rv in spot_risk_closed(CRUDE, g, np.zeros(g.n), q, gammas=gammas):
                 assert np.all(rv.risks == 0.0)
             for rv in spot_risk_closed(CRUDE, g, np.full(g.n, 0.75), q, gammas=gammas):
                 assert np.all(rv.risks == rv.risks[0])
 
     def test_wrong_delta_length(self):
-        q = RiskQuery(gamma=1.0, s=0.0, T=1.0, x_s=50.0)
+        q = RiskQuery(s=0.0, T=1.0, x_s=50.0)
         with pytest.raises(DimensionError):
-            spot_risk_closed(CRUDE, TWO_STATE, [1.0, 2.0, 3.0], q)
+            spot_risk_closed(CRUDE, TWO_STATE, [1.0, 2.0, 3.0], q, gammas=[1.0])
 
     def test_extreme_exponents_stay_finite(self):
         # |log phi| far beyond 30: the max-shift path must hold
-        q = RiskQuery(gamma=0.05, s=0.0, T=1.0, x_s=62.24)
-        rv = spot_risk_closed(CRUDE, TWO_STATE, [2.0, -2.0], q)
+        q = RiskQuery(s=0.0, T=1.0, x_s=62.24)
+        rv = spot_risk_closed(CRUDE, TWO_STATE, [2.0, -2.0], q, gammas=[0.05])[0]
         assert np.all(np.isfinite(rv.risks))
 
     def test_reducible_chain_with_extreme_loadings(self):
@@ -231,39 +240,38 @@ class TestSpotRiskClosed:
         # other block cannot reach, so each block must be shifted on its own
         g = reducible_chain()
         delta = np.array([0.5, 0.6, -40.0, -42.0])
-        q = RiskQuery(gamma=0.05, s=0.0, T=0.5, x_s=62.24)
-        rv = spot_risk_closed(CRUDE, g, delta, q)
+        q = RiskQuery(s=0.0, T=0.5, x_s=62.24)
+        rv = spot_risk_closed(CRUDE, g, delta, q, gammas=[0.05])[0]
         assert np.all(np.isfinite(rv.risks))
         # the benign block must match its own standalone 2-state computation
         g_small = Generator(g.q[:2, :2])
-        rv_small = spot_risk_closed(CRUDE, g_small, delta[:2], q)
+        rv_small = spot_risk_closed(CRUDE, g_small, delta[:2], q, gammas=[0.05])[0]
         np.testing.assert_allclose(rv.risks[:2], rv_small.risks, rtol=1e-12)
 
 
 def closed_by_loop(ou, g, deltas, q, gammas) -> list:
     """Reference for ``_risk_closed``: one (loading, gamma) pair at a time,
     each vector through ``RiskVector``'s own checks."""
-    grid = [q.gamma] if gammas is None else list(gammas)
     law = conditional_law(ou, q.x_s, q.s, q.T)
     P = matrix_exp(g, q.horizon)
     out = []
     for delta in np.asarray(deltas, dtype=float):
         vectors = []
-        for gamma in grid:
+        for gamma in gammas:
             logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
             masked = np.where(P > 0.0, logphi[:, None], -np.inf)
             shift = masked.max(axis=0)
             weights = np.exp(masked - shift)
             mixed = np.einsum("ji,ji->i", P, weights) / np.einsum("ji,ji->i", P, np.ones_like(weights))
             vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
-        out.append(vectors[0] if gammas is None else vectors)
+        out.append(vectors)
     return out
 
 
 def closed_block(ou, g, deltas, q, gammas) -> np.ndarray:
     """:func:`closed_by_loop` as a (loading, gamma, state) array."""
     vectors = closed_by_loop(ou, g, deltas, q, gammas)
-    return np.array([[rv.risks for rv in ([v] if gammas is None else v)] for v in vectors])
+    return np.array([[rv.risks for rv in v] for v in vectors])
 
 
 def random_chain(rng, reducible: bool) -> Generator:
@@ -301,20 +309,20 @@ class TestClosedFormGammaGrid:
     )
     def test_grid_is_bit_identical_to_single_gamma_calls(self, expm_calls, route, g, loading):
         closed = spot_risk_closed if route == "spot" else future_risk_closed
-        q = RiskQuery(gamma=99.0, s=0.1, T=0.6, x_s=62.24)
+        q = RiskQuery(s=0.1, T=0.6, x_s=62.24)
         grid = closed(CRUDE, g, loading, q, gammas=self.GAMMAS)
         assert len(expm_calls) == 1
         assert len(grid) == len(self.GAMMAS)
         for gamma, rv in zip(self.GAMMAS, grid):
-            single = closed(CRUDE, g, loading, dataclasses.replace(q, gamma=gamma))
+            single = closed(CRUDE, g, loading, q, gammas=[gamma])[0]
             assert np.array_equal(rv.risks, single.risks)
 
     YIELDS = [-0.05, 0.0, 0.08, 0.2]
 
-    @pytest.mark.parametrize("gammas", [None, GAMMAS], ids=["q_gamma", "grid"])
+    @pytest.mark.parametrize("gammas", [[0.5], GAMMAS], ids=["one_gamma", "grid"])
     @pytest.mark.parametrize("case", ["spot", "carry_scaled", "reducible_extreme"])
     def test_stack_is_bit_identical_to_one_loading_calls(self, expm_calls, case, gammas):
-        q = RiskQuery(gamma=0.5, s=0.1, T=0.6, x_s=62.24)
+        q = RiskQuery(s=0.1, T=0.6, x_s=62.24)
         if case == "carry_scaled":
             # the stack yield-sweep builds: one carry-scaled loading per yield
             g = TWO_STATE
@@ -330,10 +338,8 @@ class TestClosedFormGammaGrid:
         expm_calls.clear()
         block = entropic_risk._risk_closed(CRUDE, g, [stack], [q], gammas)
         assert len(expm_calls) == 1
-        assert block.shape == (1, len(singles), 1 if gammas is None else len(gammas), g.n)
+        assert block.shape == (1, len(singles), len(gammas), g.n)
         for got, want in zip(block[0], singles):
-            if gammas is None:
-                want = [want]
             for risks, single in zip(got, want):
                 assert np.array_equal(risks, single.risks)
 
@@ -344,9 +350,9 @@ class TestClosedFormGammaGrid:
     @pytest.mark.parametrize("gamma_type", [float, np.float64])
     @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
     def test_block_is_bit_identical_to_the_per_pair_loop(self, expm_calls, gamma_type, reducible):
-        """A stack of queries with random (s, T, x_s, gamma), horizons drawn
-        from three lengths, gives each query's block of the per-pair loop, with
-        one ``expm`` per query in query order."""
+        """A stack of queries with random (s, T, x_s), horizons drawn from
+        three lengths, gives each query's block of the per-pair loop, with one
+        ``expm`` per query in query order."""
         rng = np.random.default_rng(8100 + reducible)
         for _ in range(20):
             g = random_chain(rng, reducible)
@@ -354,28 +360,32 @@ class TestClosedFormGammaGrid:
             s = rng.uniform(0.0, 0.5, n_q)
             T = s + rng.choice([0.1, 1.0, 1e-3 + rng.uniform(0.0, 3.0)], n_q)
             queries = [
-                RiskQuery(gamma=gamma_type(10 ** rng.uniform(-1, 1)), s=float(a), T=float(b), x_s=float(rng.uniform(30, 70)))
-                for a, b in zip(s, T)
+                RiskQuery(s=float(a), T=float(b), x_s=float(rng.uniform(30, 70))) for a, b in zip(s, T)
             ]
             deltas = rng.uniform(-3.0, 3.0, (n_q, k, g.n)) * 10 ** rng.uniform(-1, 1.3)
             draws = 10 ** rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
             gammas = [gamma_type(gm) for gm in [*draws, *self.POW_NOT_PRODUCT]]
-            for grid in (None, gammas):
-                expm_calls.clear()
-                block = entropic_risk._risk_closed(CRUDE, g, deltas, queries, grid)
-                assert expm_calls == [q.horizon for q in queries]
-                assert not block.flags.writeable
-                want = [closed_block(CRUDE, g, d, q, grid) for d, q in zip(deltas, queries)]
-                assert np.array_equal(block, np.array(want))
+            expm_calls.clear()
+            block = entropic_risk._risk_closed(CRUDE, g, deltas, queries, gammas)
+            assert expm_calls == [q.horizon for q in queries]
+            assert not block.flags.writeable
+            want = [closed_block(CRUDE, g, d, q, gammas) for d, q in zip(deltas, queries)]
+            assert np.array_equal(block, np.array(want))
 
     @pytest.mark.parametrize(
         "gammas, error",
-        [([], ValueError), ([1.0, np.nan], NonFinite), ([1.0, 0.0], NonPositiveGamma)],
-        ids=["empty", "nan", "zero"],
+        [
+            ([], ValueError),
+            ([1.0, np.nan], NonFinite),
+            ([1.0, np.inf], NonFinite),
+            ([1.0, 0.0], NonPositiveGamma),
+            ([1.0, -2.0], NonPositiveGamma),
+        ],
+        ids=["empty", "nan", "inf", "zero", "negative"],
     )
     @pytest.mark.parametrize("route", ["spot", "future"])
     def test_gamma_grid_checked_before_matrix_exp(self, expm_calls, route, gammas, error):
-        q = RiskQuery(gamma=1.0, s=0.0, T=0.5, x_s=60.0)
+        q = RiskQuery(s=0.0, T=0.5, x_s=60.0)
         with pytest.raises(error):
             if route == "spot":
                 spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], q, gammas=gammas)
@@ -585,10 +595,10 @@ class TestSimulatedLaw:
 
 class TestFutureRiskClosed:
     def test_zero_carry_equals_spot_risk(self):
-        q = RiskQuery(gamma=2.0, s=0.0, T=0.5, x_s=60.0)
+        q = RiskQuery(s=0.0, T=0.5, x_s=60.0)
         c = FutureClaim(delta=[0.7, 1.3], r=0.04, y=-0.04)
-        rv_f = future_risk_closed(CRUDE, TWO_STATE, c, q)
-        rv_s = spot_risk_closed(CRUDE, TWO_STATE, c.delta, q)
+        rv_f = future_risk_closed(CRUDE, TWO_STATE, c, q, gammas=[2.0])[0]
+        rv_s = spot_risk_closed(CRUDE, TWO_STATE, c.delta, q, gammas=[2.0])[0]
         np.testing.assert_array_equal(rv_f.risks, rv_s.risks)
 
     def test_scaling_identity_against_spot_pipeline(self, rng):
@@ -603,63 +613,60 @@ class TestFutureRiskClosed:
             )
             s = rng.uniform(0.0, 0.2)
             T = s + rng.uniform(0.05, 0.4)
-            q = RiskQuery(
-                gamma=float(rng.choice([0.5, 1.0, 5.0, 20.0])),
-                s=s,
-                T=T,
-                x_s=rng.uniform(30, 70),
-            )
+            gamma = float(rng.choice([0.5, 1.0, 5.0, 20.0]))
+            q = RiskQuery(s=s, T=T, x_s=rng.uniform(30, 70))
             c = FutureClaim(
                 delta=rng.uniform(-2, 2, size=n),
                 r=rng.uniform(0, 0.1),
                 y=rng.uniform(-0.05, 0.15),
             )
             scaled = c.delta * np.exp(-(c.r + c.y) * (T - s))
-            lhs = future_risk_closed(ou, g, c, q).risks
-            rhs = spot_risk_closed(ou, g, scaled, q).risks
+            lhs = future_risk_closed(ou, g, c, q, gammas=[gamma])[0].risks
+            rhs = spot_risk_closed(ou, g, scaled, q, gammas=[gamma])[0].risks
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestClaimRiskMC:
-    Q = RiskQuery(gamma=2.0, s=0.0, T=0.25, x_s=62.24)
+    Q = RiskQuery(s=0.0, T=0.25, x_s=62.24)
+    GAMMAS = [2.0]
 
     def test_linear_matches_closed_form(self):
         delta = np.array([0.75, 1.25])
-        rv = spot_risk_closed(CRUDE, TWO_STATE, delta, self.Q)
-        ests = claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim(delta), self.Q, 60_000, seed=17)
-        for i, est in enumerate(ests):
+        rv = spot_risk_closed(CRUDE, TWO_STATE, delta, self.Q, gammas=self.GAMMAS)[0]
+        ests = claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim(delta), self.Q, 60_000, seed=17, gammas=self.GAMMAS)
+        for i, (est,) in enumerate(ests):
             assert abs(est.z_score(rv.risk_given_state(i))) < 3.0
 
     def test_future_matches_closed_form(self):
         c = FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05)
-        rv = future_risk_closed(CRUDE, TWO_STATE, c, self.Q)
-        ests = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 60_000, seed=23)
-        for i, est in enumerate(ests):
+        rv = future_risk_closed(CRUDE, TWO_STATE, c, self.Q, gammas=self.GAMMAS)[0]
+        ests = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 60_000, seed=23, gammas=self.GAMMAS)
+        for i, (est,) in enumerate(ests):
             assert abs(est.z_score(rv.risk_given_state(i))) < 3.0
 
     def test_degenerate_instance_is_exact(self):
         ou = OUParams(alpha=1.0, mu=50.0, sigma=0.0, x0=55.0)
         frozen = validate_generator(np.zeros((2, 2)))
         delta = np.array([0.8, 1.1])
-        ests = claim_risk_mc(ou, frozen, LinearSpotClaim(delta), self.Q, 1000, seed=1)
+        ests = claim_risk_mc(ou, frozen, LinearSpotClaim(delta), self.Q, 1000, seed=1, gammas=self.GAMMAS)
         m = conditional_law(ou, self.Q.x_s, self.Q.s, self.Q.T).mean
-        for i, est in enumerate(ests):
+        for i, (est,) in enumerate(ests):
             assert est.std_error == 0.0
             assert est.value == pytest.approx(m * delta[i], rel=1e-12)
 
     def test_deterministic_given_seed(self):
         c = FutureClaim(delta=[1.0, 0.5], r=0.02, y=0.04)
-        a = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9)
-        b = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9)
-        assert [e.value for e in a] == [e.value for e in b]
+        a = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9, gammas=self.GAMMAS)
+        b = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 5000, seed=9, gammas=self.GAMMAS)
+        assert [e.value for (e,) in a] == [e.value for (e,) in b]
 
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
-            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 1, seed=0)
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 1, seed=0, gammas=self.GAMMAS)
 
     def test_delta_dimension_checked(self):
         with pytest.raises(DimensionError):
-            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0]), self.Q, 100, seed=0)
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0]), self.Q, 100, seed=0, gammas=self.GAMMAS)
 
     @pytest.mark.parametrize(
         "claim, T",
@@ -682,14 +689,13 @@ class TestClaimRiskMC:
     def test_many_gamma_path_is_bit_identical(self, claim, T):
         gammas = [0.5, 2.0, 7.0]
         states = [1, 0]
-        q = RiskQuery(gamma=99.0, s=0.0, T=T, x_s=62.24)
+        q = RiskQuery(s=0.0, T=T, x_s=62.24)
         grid = claim_risk_mc(CRUDE, TWO_STATE, claim, q, 3000, seed=31, gammas=gammas, states=states)
         assert len(grid) == len(states)
         for k, state in enumerate(states):
             assert len(grid[k]) == len(gammas)
             for j, gamma in enumerate(gammas):
-                qg = RiskQuery(gamma=gamma, s=0.0, T=T, x_s=62.24)
-                single = claim_risk_mc(CRUDE, TWO_STATE, claim, qg, 3000, seed=31)[state]
+                single = claim_risk_mc(CRUDE, TWO_STATE, claim, q, 3000, seed=31, gammas=[gamma])[state][0]
                 assert grid[k][j] == single
 
     def test_one_simulation_per_requested_state(self, monkeypatch):
@@ -716,9 +722,11 @@ class TestClaimRiskMC:
         c = LinearSpotClaim([1.0, 1.0])
         for states in ([2], [0, -1]):
             with pytest.raises(StateOutOfRange):
-                claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, states=states)
+                claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=self.GAMMAS, states=states)
         with pytest.raises(NonFinite):
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, np.nan])
+        with pytest.raises(NonFinite):
+            claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, np.inf])
         with pytest.raises(NonPositiveGamma):
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[1.0, -2.0])
         with pytest.raises(NonPositiveGamma):
@@ -729,9 +737,9 @@ class TestClaimRiskMC:
     def test_swap_query_constraints(self):
         c = SwapClaim(rates=[0.05, 0.05], delta=[1.0, 1.0], yield_spec=ConstantYield(r=0.02, y=0.04))
         with pytest.raises(TimeOrder):
-            claim_risk_mc(CRUDE, TWO_STATE, c, RiskQuery(gamma=1.0, s=0.5, T=2.5, x_s=60.0), 100, seed=0)
+            claim_risk_mc(CRUDE, TWO_STATE, c, RiskQuery(s=0.5, T=2.5, x_s=60.0), 100, seed=0, gammas=self.GAMMAS)
         with pytest.raises(LengthMismatch):
-            claim_risk_mc(CRUDE, TWO_STATE, c, RiskQuery(gamma=1.0, s=0.0, T=3.0, x_s=60.0), 100, seed=0)
+            claim_risk_mc(CRUDE, TWO_STATE, c, RiskQuery(s=0.0, T=3.0, x_s=60.0), 100, seed=0, gammas=self.GAMMAS)
 
 
 class TestSwapRiskMC:
@@ -760,11 +768,11 @@ class TestSwapRiskMC:
 
     def test_matches_per_state_dispatch(self):
         c = SwapClaim(rates=[0.05, 0.05], delta=[1.0, 0.5], yield_spec=ConstantYield(r=0.02, y=0.06))
-        q = RiskQuery(gamma=5.0, s=0.0, T=2.0, x_s=CRUDE.x0)
-        per_state = claim_risk_mc(CRUDE, TWO_STATE, c, q, 4000, seed=21)
+        q = RiskQuery(s=0.0, T=2.0, x_s=CRUDE.x0)
+        per_state = claim_risk_mc(CRUDE, TWO_STATE, c, q, 4000, seed=21, gammas=[5.0])
         for z0 in range(2):
             single = swap_risk_mc(CRUDE, TWO_STATE, c, gamma=5.0, n_paths=4000, seed=21, z0=z0)
-            assert single.value == per_state[z0].value
+            assert single.value == per_state[z0][0].value
 
     def test_frozen_chain_swap_matches_gaussian_oracle(self):
         # zero generator and constant yield make W a linear combination of
@@ -849,7 +857,7 @@ def closed_instances(draw):
     )
     delta = draw(arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
     s = draw(st.floats(0.0, 0.2))
-    q = RiskQuery(gamma=1.0, s=s, T=s + draw(st.floats(0.05, 2.0)), x_s=ou.x0)
+    q = RiskQuery(s=s, T=s + draw(st.floats(0.05, 2.0)), x_s=ou.x0)
     gammas = sorted(draw(st.lists(st.floats(0.25, 100.0), min_size=2, max_size=6, unique=True)))
     return Generator(rates), ou, delta, q, gammas
 
@@ -949,27 +957,23 @@ class TestRiskProperties:
         gammas = [0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
         for _ in range(15):
             g, ou, delta, s, T = self._random_instance(rng)
-            risks = np.array(
-                [
-                    spot_risk_closed(ou, g, delta, RiskQuery(gamma=gm, s=s, T=T, x_s=ou.x0)).risks
-                    for gm in gammas
-                ]
-            )
+            q = RiskQuery(s=s, T=T, x_s=ou.x0)
+            risks = np.array([spot_risk_closed(ou, g, delta, q, gammas=[gm])[0].risks for gm in gammas])
             assert np.all(np.diff(risks, axis=0) >= -1e-9)
 
     def test_jensen_upper_bound(self, rng):
         for _ in range(15):
             g, ou, delta, s, T = self._random_instance(rng)
-            q = RiskQuery(gamma=float(rng.choice([0.5, 1.0, 5.0])), s=s, T=T, x_s=ou.x0)
-            risks = spot_risk_closed(ou, g, delta, q).risks
+            gamma, q = float(rng.choice([0.5, 1.0, 5.0])), RiskQuery(s=s, T=T, x_s=ou.x0)
+            risks = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0].risks
             bound = expected_payoff_closed(ou, g, delta, q)
             assert np.all(risks <= bound + 1e-8)
 
     def test_large_gamma_tends_to_expectation(self, rng):
         for _ in range(10):
             g, ou, delta, s, T = self._random_instance(rng)
-            q = RiskQuery(gamma=1e6, s=s, T=T, x_s=ou.x0)
-            risks = spot_risk_closed(ou, g, delta, q).risks
+            q = RiskQuery(s=s, T=T, x_s=ou.x0)
+            risks = spot_risk_closed(ou, g, delta, q, gammas=[1e6])[0].risks
             expect = expected_payoff_closed(ou, g, delta, q)
             scale = np.maximum(np.abs(expect), 1.0)
             assert np.all(np.abs(risks - expect) / scale < 1e-3)
@@ -978,10 +982,12 @@ class TestRiskProperties:
         hits = total = 0
         for k in range(20):
             g, ou, delta, gamma, s, T = draw_mc_instance(rng)
-            q = RiskQuery(gamma=gamma, s=s, T=T, x_s=ou.x0)
-            rv = spot_risk_closed(ou, g, delta, q)
+            q = RiskQuery(s=s, T=T, x_s=ou.x0)
+            rv = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
             state = int(rng.integers(0, g.n))
-            est = claim_risk_mc(ou, g, LinearSpotClaim(delta), q, 20_000, seed=1000 + k, states=[state])[0]
+            est = claim_risk_mc(
+                ou, g, LinearSpotClaim(delta), q, 20_000, seed=1000 + k, gammas=[gamma], states=[state]
+            )[0][0]
             total += 1
             hits += abs(est.z_score(rv.risk_given_state(state))) <= 3.0
         assert hits >= total - 1

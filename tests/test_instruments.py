@@ -30,8 +30,8 @@ def terminal_payoff(claim, x: float, z: int, s: float = 0.0, T: float = 1.0) -> 
     """
     ou = OUParams(alpha=1000.0, mu=x, sigma=0.0, x0=x)
     frozen = validate_generator(np.zeros((claim.n_states, claim.n_states)))
-    q = RiskQuery(gamma=1.0, s=s, T=T, x_s=x)
-    return claim_risk_mc(ou, frozen, claim, q, 2, seed=0, states=[z])[0].value
+    q = RiskQuery(s=s, T=T, x_s=x)
+    return claim_risk_mc(ou, frozen, claim, q, 2, seed=0, gammas=[1.0], states=[z])[0][0].value
 
 
 def yield_path(gs, grid, rng):
