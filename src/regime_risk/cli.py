@@ -72,7 +72,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     """Write spot, regime, and (for stochastic-yield swaps) yield paths on a daily grid."""
     cfg.require("chain", "ou", "horizons")
-    n_days = max(1, int(round(cfg.horizons_days[0])))
+    days = cfg.horizons_days[0]
+    if days != int(days):
+        raise ConfigError(f"grids.horizons_days[0] must be a whole number of days for simulate, got {days!r}")
+    n_days = int(days)
     grid = np.arange(n_days + 1) * horizon_years(1.0)
     rng = np.random.default_rng(cfg.seed)
     spot, regimes, yld = sample_paths(cfg.ou, cfg.chain, cfg.z0, grid, rng, _configured_gs_yield(cfg))
@@ -81,7 +84,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if yld is not None:
         header.append("yield")
         cols.append(yld.tolist())
-    rows = [list(r) for r in zip(*cols)]
+    rows = list(zip(*cols))
     prov = provenance(cfg, "simulate")
     write_csv(cfg.out_dir / "paths.csv", prov, header, rows)
     write_json(

@@ -331,13 +331,14 @@ def _csv_template(rows: list[list]) -> tuple[str, list[int]]:
     return ",".join(specs), mixed
 
 
-def write_csv(path: Path, prov: dict, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
     """RFC-4180 table preceded by '#'-prefixed provenance comment lines.
 
-    Every row has one cell per header column.  All formatting is locale-free
-    and deterministic, so identical inputs produce byte-identical files.
-    Each row is formatted by one ``%`` template chosen from its columns'
-    types; the bytes are those of formatting every cell with :func:`_fmt`.
+    ``rows`` is a list of lists or tuples, one cell per header column.  All
+    formatting is locale-free and deterministic, so identical inputs produce
+    byte-identical files.  Each row is formatted by one ``%`` template chosen
+    from its columns' types; the bytes are those of formatting every cell
+    with :func:`_fmt`.
     """
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -345,11 +346,15 @@ def write_csv(path: Path, prov: dict, header: list[str], rows: list[list]) -> No
     template, mixed = _csv_template(rows)
     lines = [f"# {k}={prov[k]}" for k in sorted(prov)]
     lines.append(",".join(header))
-    for row in rows:
-        cells = list(row)
-        for j in mixed:
-            cells[j] = _fmt(cells[j])
-        lines.append(template % tuple(cells))
+    if mixed:
+        for row in rows:
+            cells = list(row)
+            for j in mixed:
+                cells[j] = _fmt(cells[j])
+            lines.append(template % tuple(cells))
+    else:
+        # ``tuple`` returns a tuple row itself, not a copy
+        lines += map(template.__mod__, map(tuple, rows))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\r\n".join(lines) + "\r\n")
 

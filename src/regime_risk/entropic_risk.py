@@ -27,9 +27,10 @@ each (horizon, starting state) sample, or each horizon's law and kernel, at
 every gamma, one result entry per gamma.
 Nor do the law and kernel depend on the loading: the shared closed-form
 pipeline takes a stack of queries, each with its own stack of loadings, and
-makes one law and one ``expm`` per query.  ``sweep`` passes one query per
-horizon with that horizon's carry-scaled loading, and ``yield-sweep`` one
-query per evaluation time with every yield's carry-scaled loading.  The
+makes one law per query and one stacked ``expm`` over every query's horizon.
+``sweep`` passes one query per horizon with that horizon's carry-scaled
+loading, and ``yield-sweep`` one query per evaluation time with every
+yield's carry-scaled loading.  The
 pipeline is one array pass over the (query, loading, gamma, state) block,
 with the arithmetic of a single evaluation per element, so its results are
 bit-identical to evaluating each (query, loading, gamma) triple on its own.
@@ -203,8 +204,9 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndar
     """Shared closed-form pipeline: the (query, loading, gamma, state) risk block.
 
     ``deltas`` is a (Q, k, n) stack, k loadings for each of the Q ``queries``.
-    Each query has its own law and its own ``expm``, made in query order, and
-    shares them with all its loadings and every gamma of the grid.  The
+    Each query has its own law and its own kernel, and shares them with all
+    its loadings and every gamma of the grid; the kernels come from one
+    ``matrix_exp`` call on the stack of horizons, in query order.  The
     block's shape is (Q, k, len(gammas), n).  The whole block is one
     array pass, with the arithmetic of a single (query, loading, gamma)
     evaluation per element, and one finiteness check covers every vector.
@@ -214,18 +216,15 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndar
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape[2:] != (g.n,):
         raise DimensionError(f"delta must have shape ({g.n},), got {deltas.shape[2:]}")
-    laws, kernels = [], []
-    for q in queries:
-        laws.append(conditional_law(ou, q.x_s, q.s, q.T))
-        kernels.append(matrix_exp(g, q.horizon))
+    laws = [conditional_law(ou, q.x_s, q.s, q.T) for q in queries]
+    # P[q, j, i] = P(Z_T = j | Z_s = i) at query q's horizon, one stacked call
+    P = matrix_exp(g, [q.horizon for q in queries])
     mean = np.array([law.mean for law in laws])[:, None, None]
     variance = np.array([law.variance for law in laws])[:, None, None]
-    # P[q, j, i] = P(Z_T = j | Z_s = i) at query q's horizon; mix phi over the
-    # terminal law per start state.  The shift is the max of logphi over each
-    # start state's reachable support (not the global max: for a reducible
-    # chain an unreachable block could hold the maximum and underflow every
-    # reachable term).
-    P = np.stack(kernels)
+    # mix phi over the terminal law per start state.  The shift is the max of
+    # logphi over each start state's reachable support (not the global max:
+    # for a reducible chain an unreachable block could hold the maximum and
+    # underflow every reachable term).
     gamma = np.array(grid, dtype=float)[:, None]
     # gamma**2 as Python computes it: numpy's square can differ in the last bit
     twice_sq = np.array([2.0 * gm**2 for gm in grid])[:, None]
@@ -503,13 +502,14 @@ def sample_paths(
     # target drawn in proportion to the rates in the state's column
     times, states = [0.0], [int(z0)]
     t, state = 0.0, int(z0)
-    rates = g.exit_rates()
+    rates = g.exit_rates().tolist()
     cdfs = [_jump_cdf(g, s) if rate > 0.0 else None for s, rate in enumerate(rates)]
+    end, exponential, uniform = float(grid[-1]), rng.exponential, rng.random
     while rates[state] > 0.0:
-        t += rng.exponential(1.0 / rates[state])
-        if t >= grid[-1]:
+        t += exponential(1.0 / rates[state])
+        if t >= end:
             break
-        state = bisect.bisect_right(cdfs[state], rng.random())
+        state = bisect.bisect_right(cdfs[state], uniform())
         times.append(t)
         states.append(state)
     z = np.array(states)[np.searchsorted(times, grid, side="right") - 1]

@@ -170,55 +170,79 @@ def from_transition(p, dt: float) -> Generator:
     return validate_generator(q)
 
 
-def matrix_exp(g: Generator, t: float) -> np.ndarray:
+def matrix_exp(g: Generator, t) -> np.ndarray:
     """Transition kernel ``expm(q t)``; column i is the law at horizon t from state i.
 
+    ``t`` is one horizon, giving an (n, n) kernel, or a 1-d array of k
+    horizons, giving the (k, n, n) stack of their kernels from one batched
+    pass; each matrix of a stack is bit-identical to its horizon's own call.
     Uses scaling and squaring with the degree-13 diagonal Padé approximant
-    (Higham 2005).  The result is checked to be column-stochastic within
+    (Higham 2005).  Every kernel is checked to be column-stochastic within
     1e-10 and entries in [-1e-12, 0) are clamped to zero.  A non-finite t, or
-    one so large that ``q t`` overflows, raises :class:`NonFinite`.
+    one so large that ``q t`` overflows, raises :class:`NonFinite`, a
+    negative t :class:`TimeOrder`, and an empty stack :class:`DimensionError`.
     """
-    require_finite(t=t)
-    if t < 0:
-        raise TimeOrder(f"t must be nonnegative, got {t}")
-    if t == 0:
-        return np.eye(g.n)
-    out = _expm(g.q * t)
-    colsums = out.sum(axis=0)
-    if np.any(np.abs(colsums - 1.0) > _EXP_COLSUM_TOL):
-        j = int(np.argmax(np.abs(colsums - 1.0)))
-        raise NotAGenerator(f"expm column {j} sums to {colsums[j]!r}; generator is corrupt")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DimensionError(f"t must be a number or a 1-d array, got shape {ts.shape}")
+    require_finite(t=ts)
+    if (ts < 0).any():
+        raise TimeOrder(f"t must be nonnegative, got {ts[ts < 0][0]}")
+    stack = np.atleast_1d(ts)
+    if not stack.size:
+        raise DimensionError("t must hold at least one horizon")
+    out = _expm(g.q * stack[:, None, None])
+    if not stack.all():
+        out[stack == 0] = np.eye(g.n)
+    colsums = out.sum(axis=1)
+    off = np.abs(colsums - 1.0)
+    if np.any(off > _EXP_COLSUM_TOL):
+        m, j = np.unravel_index(int(np.argmax(off)), off.shape)
+        raise NotAGenerator(
+            f"expm column {j} at t={stack[m]!r} sums to {colsums[m, j]!r}; generator is corrupt"
+        )
     if out.min() < -_SIGN_TOL:
-        i, j = np.unravel_index(int(np.argmin(out)), out.shape)
-        raise NotAGenerator(f"expm entry ({i},{j})={out[i, j]!r} is negative")
-    return np.maximum(out, 0.0)
+        m, i, j = np.unravel_index(int(np.argmin(out)), out.shape)
+        raise NotAGenerator(f"expm entry ({i},{j}) at t={stack[m]!r} is {out[m, i, j]!r}, negative")
+    np.maximum(out, 0.0, out=out)
+    return out if ts.ndim else out[0]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """``exp(a)`` by scaling and squaring (Higham 2005, Algorithm 2.3, with the
-    degree-13 approximant alone): scale ``a`` by 2^-s so that its 1-norm is at
-    most theta_13, take the Padé approximant, and square it s times.  A 1x1
-    matrix is the exponential of its entry.  ``ndarray.dot`` has half the call
-    overhead of ``@`` on matrices this small."""
-    if a.shape == (1, 1):
+    """``exp`` of each matrix of a (k, n, n) stack by scaling and squaring
+    (Higham 2005, Algorithm 2.3, with the degree-13 approximant alone): scale
+    each matrix by 2^-s so that its 1-norm is at most theta_13, take the Padé
+    approximant of the whole stack, and square each matrix its own s times.
+    A 1x1 matrix is the exponential of its entry.  Each step is a stacked
+    ``@`` or ``np.linalg.solve``, which run one BLAS or LAPACK call per
+    matrix, so a matrix's result does not depend on the rest of its stack."""
+    if a.shape[1:] == (1, 1):
         return np.exp(a)
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(norm):
-        raise NonFinite(f"q * t is not finite (1-norm {norm})")
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a * 2.0**-s
-    n = a.shape[0]
-    powers = np.empty((4, n, n))
-    powers[2] = a2 = a.dot(a)
-    powers[1] = a4 = a2.dot(a2)
-    powers[0] = a6 = a4.dot(a2)
-    powers[3] = np.eye(n)
-    w = _PADE13_PARTS.dot(powers.reshape(4, -1)).reshape(4, n, n)
-    u = a.dot(a6.dot(w[0]) + w[1])
-    v = a6.dot(w[2]) + w[3]
+    norms = np.abs(a).sum(axis=1).max(axis=1)
+    if not np.isfinite(norms).all():
+        raise NonFinite(f"q * t is not finite (1-norm {norms[~np.isfinite(norms)][0]})")
+    # libm's log2: numpy's own may differ in the last bit, which moves s where
+    # norm / theta_13 is a hair above a power of two
+    s = [math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0 for x in norms.tolist()]
+    counts = np.array(s)
+    a = np.ldexp(a, -counts[:, None, None])
+    k, n = a.shape[:2]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    # per matrix, the rows (A^6, A^4, A^2, I) that _PADE13_PARTS weighs
+    powers = np.empty((k, 4, n, n))
+    powers[:, 0], powers[:, 1], powers[:, 2], powers[:, 3] = a6, a4, a2, np.eye(n)
+    w = (_PADE13_PARTS @ powers.reshape(k, 4, -1)).reshape(k, 4, n, n)
+    u = a @ (a6 @ w[:, 0] + w[:, 1])
+    v = a6 @ w[:, 2] + w[:, 3]
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r.dot(r)
+    # every matrix is squared min(s) times, then each on to its own count
+    for _ in range(min(s)):
+        r = r @ r
+    for j in range(min(s), max(s)):
+        sq = counts > j
+        r[sq] = r[sq] @ r[sq]
     return r
 
 

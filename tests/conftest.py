@@ -57,14 +57,15 @@ def rng():
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """The horizon of every ``matrix_exp`` call the closed form makes."""
+    """The horizon of every kernel the closed form asks ``matrix_exp`` for,
+    each horizon of a stacked call in stack order."""
     from regime_risk import entropic_risk
 
     calls = []
     real = entropic_risk.matrix_exp
 
     def counting(g, t):
-        calls.append(t)
+        calls.extend(np.atleast_1d(t).tolist())
         return real(g, t)
 
     monkeypatch.setattr(entropic_risk, "matrix_exp", counting)

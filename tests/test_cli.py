@@ -340,6 +340,13 @@ class TestSimulateCommand:
         assert all(a > b for a, b in zip(spot, spot[1:]))
         assert spot[-1] > 48.22
 
+    def test_whole_day_float_horizon_runs(self, tmp_path):
+        cfg = base_config()
+        cfg["grids"]["horizons_days"] = [3.0]
+        assert run(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "paths.csv")
+        assert [r[header.index("step")] for r in rows] == ["0", "1", "2", "3"]
+
     def test_daily_year_path_within_gaussian_envelope(self, tmp_path):
         cfg = base_config()
         cfg["grids"]["horizons_days"] = [252.0]
@@ -497,7 +504,8 @@ class TestSimulateOnce:
 
 
 class TestOneKernelPerHorizon:
-    """The closed form runs one matrix exponential per horizon, shared by every gamma."""
+    """The closed form runs one matrix exponential per horizon, shared by every
+    gamma; ``sweep`` and ``yield-sweep`` ask for all of theirs in one call."""
 
     @pytest.mark.parametrize("command", ["risk", "sweep"])
     def test_shipped_config(self, tmp_path, expm_calls, command):
@@ -513,6 +521,23 @@ class TestOneKernelPerHorizon:
         n = grids["n_times"]
         assert run(["yield-sweep", "--config", EXAMPLE_CONFIG, "--out", tmp_path]) == 0
         assert expm_calls == [T - k * T / n for k in range(n)]
+
+    @pytest.mark.parametrize("command", ["sweep", "yield-sweep"])
+    def test_one_matrix_exp_call_per_command(self, tmp_path, monkeypatch, command):
+        """Every horizon's kernel comes from one stacked ``matrix_exp`` call."""
+        stacks = []
+        real = entropic_risk.matrix_exp
+
+        def recording(g, t):
+            stacks.append(t)
+            return real(g, t)
+
+        monkeypatch.setattr(entropic_risk, "matrix_exp", recording)
+        assert run([command, "--config", EXAMPLE_CONFIG, "--out", tmp_path]) == 0
+        grids = json.loads(EXAMPLE_CONFIG.read_text())["grids"]
+        n_kernels = len(grids["horizons_days"]) if command == "sweep" else grids["n_times"]
+        assert len(stacks) == 1
+        assert len(stacks[0]) == n_kernels
 
 
 class TestConfigValidation:
@@ -632,12 +657,16 @@ class TestConfigValidation:
             ("calibrate", "ou", "csv", 5, "ConfigError: ou.csv must be a string"),
             ("calibrate", "ou", "params_file", 7, "ConfigError: ou.params_file must be a string"),
             ("sweep", "output", "dir", 5, "ConfigError: output.dir must be a string"),
+            ("simulate", "grids", "horizons_days", [0.3],
+             "ConfigError: grids.horizons_days[0] must be a whole number of days for simulate, got 0.3"),
+            ("simulate", "grids", "horizons_days", [2.6, 50.0],
+             "ConfigError: grids.horizons_days[0] must be a whole number of days for simulate, got 2.6"),
         ],
         ids=["claim.r_missing", "ou.alpha_negative", "ou.alpha_nan", "ou.sigma_nan",
              "claim.y_nan", "chain_entry_nan", "ou.alpha_text", "ou.alpha_bool",
              "claim.delta_text", "grids.horizons_text", "chain_entry_text", "chain_ragged",
              "claim.type_list", "chain.kind_list", "ou.csv_number", "ou.params_file_number",
-             "output.dir_number"],
+             "output.dir_number", "simulate_fractional_day", "simulate_fractional_days"],
     )
     def test_defective_field_rejected(self, tmp_path, capsys, command, section, key, value, error):
         cfg = base_config(claim={"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08})

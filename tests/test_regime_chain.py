@@ -19,6 +19,7 @@ from regime_risk.errors import (
     NotAGenerator,
     NotStochastic,
     StateOutOfRange,
+    TimeOrder,
 )
 from regime_risk.ou_model import OUParams
 from regime_risk.regime_chain import (
@@ -45,11 +46,12 @@ SPOT = OUParams(alpha=1.0, mu=0.0, sigma=1.0, x0=0.0)
 
 
 @st.composite
-def generators(draw) -> Generator:
-    """Generators of 1 to 8 states with rates over six decades: dense, sparse,
-    upper triangular (each state jumps only to lower-numbered ones, so state 0
-    absorbs), all-zero, or reducible (two blocks that cannot reach each other)."""
-    n = draw(st.integers(1, 8))
+def generators(draw, max_states: int = 8) -> Generator:
+    """Generators of 1 to ``max_states`` states with rates over six decades:
+    dense, sparse, upper triangular (each state jumps only to lower-numbered
+    ones, so state 0 absorbs), all-zero, or reducible (two blocks that cannot
+    reach each other)."""
+    n = draw(st.integers(1, max_states))
     rates = draw(arrays(np.float64, (n, n), elements=st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
     kind = draw(st.sampled_from(["dense", "sparse", "triangular", "zero", "reducible"]))
     if kind == "sparse":
@@ -64,6 +66,16 @@ def generators(draw) -> Generator:
     np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=0))
     return Generator(rates)
+
+
+@st.composite
+def horizon_stacks(draw, g: Generator) -> list[float]:
+    """1 to 70 horizons for ``g``, picked with repeats from up to 12 distinct
+    ones: signed zeros, and horizons at which ``||q t||_1`` is 1e-6 to 1e4."""
+    norm = float(np.abs(g.q).sum(axis=0).max()) or 1.0
+    distinct = st.sampled_from([0.0, -0.0]) | st.floats(-6.0, 4.0).map(lambda e: 10.0**e / norm)
+    pool = draw(st.lists(distinct, min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=70))
 
 
 def regimes(g, z0, grid, rng):
@@ -244,6 +256,40 @@ class TestMatrixExp:
     def test_non_finite_time_or_exponent_rejected(self, t):
         with pytest.raises(NonFinite):
             matrix_exp(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), t)
+
+    @SETTINGS
+    @given(g=generators(max_states=5), data=st.data())
+    def test_stack_is_bit_identical_to_scalar_calls(self, g, data):
+        """A stack of 1 to 70 horizons, drawn with zeros and repeats from 1-norms
+        ``||q t||_1`` of 1e-6 to 1e4 (0 to 12 squarings), gives each horizon's
+        own kernel bit for bit."""
+        ts = data.draw(horizon_stacks(g))
+        stack = matrix_exp(g, np.array(ts))
+        assert stack.shape == (len(ts), g.n, g.n)
+        for t, p in zip(ts, stack):
+            assert np.array_equal(p, matrix_exp(g, t))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @SETTINGS
+    @given(
+        g=generators(max_states=5),
+        data=st.data(),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, -1e-9, -3.0]),
+    )
+    def test_stack_with_a_bad_horizon_raises_as_its_scalar_call(self, g, data, bad):
+        ts = data.draw(horizon_stacks(g))
+        ts.insert(data.draw(st.integers(0, len(ts))), bad)
+        with pytest.raises((NonFinite, TimeOrder)) as scalar:
+            matrix_exp(g, bad)
+        with pytest.raises(type(scalar.value)):
+            matrix_exp(g, np.array(ts))
+
+    def test_stack_shape_checked(self):
+        g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(DimensionError):
+            matrix_exp(g, np.array([]))
+        with pytest.raises(DimensionError):
+            matrix_exp(g, np.ones((2, 2)))
 
     def test_semigroup_property(self, rng):
         for _ in range(10):

@@ -83,3 +83,35 @@ def test_write_csv_is_the_per_cell_fmt_join(tmp_path_factory, prov, table):
 def test_write_csv_rejects_a_row_that_does_not_fit_the_header(tmp_path):
     with pytest.raises(LengthMismatch, match="row 1"):
         write_csv(tmp_path / "t.csv", {}, ["a", "b"], [[1, 2.0], [3]])
+
+
+@SETTINGS
+@given(prov=provenances, table=tables())
+def test_write_csv_writes_tuple_rows_as_list_rows(tmp_path_factory, prov, table):
+    header, rows = table
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "lists.csv", prov, header, rows)
+    write_csv(folder / "tuples.csv", prov, header, [tuple(row) for row in rows])
+    assert (folder / "tuples.csv").read_bytes() == (folder / "lists.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0.5, 1e-300], [1, -0.0, 62.24]],
+        [[0, None, 0.5], [1, 'a,"b"', 1.5], [2, True, 2.5]],
+    ],
+    ids=["no_mixed_column", "mixed_column"],
+)
+def test_write_csv_tuple_and_list_rows_give_the_same_bytes(tmp_path, rows):
+    header = ["a", "b", "c"]
+    write_csv(tmp_path / "lists.csv", {"seed": 1}, header, rows)
+    write_csv(tmp_path / "tuples.csv", {"seed": 1}, header, [tuple(row) for row in rows])
+    assert (tmp_path / "tuples.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+    with (tmp_path / "lists.csv").open(newline="") as fh:
+        assert fh.read() == csv_by_cell({"seed": 1}, header, rows)
+
+
+def test_write_csv_rejects_a_short_tuple_row(tmp_path):
+    with pytest.raises(LengthMismatch, match="row 1"):
+        write_csv(tmp_path / "t.csv", {}, ["a", "b"], [(1, 2.0), (3,)])
