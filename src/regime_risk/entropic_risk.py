@@ -40,8 +40,9 @@ engine (:func:`_simulate_grid`) steps many paths at once over a few grid
 times: a terminal claim is the one-step grid [s, T], a swap its settlement
 grid.  :func:`sample_paths` draws one path over thousands of grid times, as
 the ``simulate`` command does; it loops over scalars, which is several times
-faster than the engine on one path, and draws each jump target by bisecting
-a per-state CDF built once, the draw ``Generator.choice`` would make.
+faster than the engine on one path.  Both read one jump law, the exit rates
+and per-state target CDFs of :func:`_jump_table`, whose target for a uniform
+is the draw ``Generator.choice`` would make.
 
 Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
@@ -118,13 +119,6 @@ class RiskVector:
             raise NonFinite(f"non-finite risk entries: {risks!r}")
         risks.setflags(write=False)
         object.__setattr__(self, "risks", risks)
-
-    @classmethod
-    def _checked(cls, risks: np.ndarray) -> RiskVector:
-        """Wrap a 1-d, finite, read-only float array the caller has checked."""
-        rv = object.__new__(cls)
-        object.__setattr__(rv, "risks", risks)
-        return rv
 
     @property
     def n_states(self) -> int:
@@ -251,7 +245,7 @@ def spot_risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas)
     Returns one per-state vector per gamma of ``gammas``, in grid order;
     ``risks[i]`` is the risk given start state i.
     """
-    return [RiskVector._checked(row) for row in _risk_closed(ou, g, [[delta]], [q], gammas)[0, 0]]
+    return [RiskVector(row) for row in _risk_closed(ou, g, [[delta]], [q], gammas)[0, 0]]
 
 
 def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas) -> list[RiskVector]:
@@ -263,7 +257,7 @@ def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery,
     :func:`spot_risk_closed`.
     """
     scale = np.exp(-c.carry * q.horizon)
-    return [RiskVector._checked(row) for row in _risk_closed(ou, g, [[c.delta * scale]], [q], gammas)[0, 0]]
+    return [RiskVector(row) for row in _risk_closed(ou, g, [[c.delta * scale]], [q], gammas)[0, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +274,27 @@ def _state_rng(seed: int, state: int) -> np.random.Generator:
 
 
 def _jump_table(g: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exit rates and per-column cumulative jump-target probabilities.
+    """Exit rates and per-column jump-target CDFs: the one jump law of both samplers.
 
-    Every column is nondecreasing in [0, 1] and ends at exactly 1.0 (a
-    zero-rate state's column is all ones), so the target of a uniform u < 1
-    is the count of its column's entries that are <= u.
+    A column holds the off-diagonal rates of its state, normalized, then
+    cumulated and divided by the last entry, as ``Generator.choice(n, p=...)``
+    does; so it is nondecreasing in [0, 1] and ends at exactly 1.0, and the
+    target of a uniform u < 1, the count of its entries <= u, is the one
+    ``choice`` would draw.  A state with no positive target (a column leak
+    the generator check admits) gets rate 0 and, as a zero-rate state, an
+    all-ones column: it never leaves.
     """
     rates = g.exit_rates()
-    n = g.n
-    cum = np.ones((n, n))
-    for s in range(n):
-        col = np.maximum(g.q[:, s].copy(), 0.0)
-        col[s] = 0.0
-        tot = col.sum()
-        if tot > 0:
-            # clamped at 1, so that each column is nondecreasing in [0, 1]
-            cum[:, s] = np.minimum(np.cumsum(col / tot), 1.0)
-            # the sum can round to just below 1; a uniform past it must not
-            # fall through to state 0, so the last target's entry is exactly 1
-            cum[np.flatnonzero(col)[-1]:, s] = 1.0
+    cum = np.ones((g.n, g.n))
+    for s in range(g.n):
+        probs = np.maximum(g.q[:, s], 0.0)
+        probs[s] = 0.0
+        total = probs.sum()
+        if rates[s] > 0.0 and total > 0.0:
+            cdf = np.cumsum(probs / total)
+            cum[:, s] = cdf / cdf[-1]
+        else:
+            rates[s] = 0.0
     return rates, cum
 
 
@@ -484,7 +480,9 @@ def sample_paths(
 
     Draw order on the caller-owned ``rng``: every spot normal, then the
     chain's holding times and jump targets in time order, then every yield
-    normal.  A one-state chain draws nothing, so it gives a spot-only path.
+    normal.  The chain follows the Monte-Carlo engine's jump law
+    (:func:`_jump_table`).  A one-state chain draws nothing, so it gives a
+    spot-only path.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -499,11 +497,11 @@ def sample_paths(
     eps = rng.standard_normal(steps.size)
 
     # exact chain: exponential holding time at the exit rate, then a jump
-    # target drawn in proportion to the rates in the state's column
+    # target bisected from the state's column of the engine's jump table
     times, states = [0.0], [int(z0)]
     t, state = 0.0, int(z0)
-    rates = g.exit_rates().tolist()
-    cdfs = [_jump_cdf(g, s) if rate > 0.0 else None for s, rate in enumerate(rates)]
+    rates, cum = _jump_table(g)
+    rates, cdfs = rates.tolist(), cum.T.tolist()
     end, exponential, uniform = float(grid[-1]), rng.exponential, rng.random
     while rates[state] > 0.0:
         t += exponential(1.0 / rates[state])
@@ -523,19 +521,6 @@ def sample_paths(
     e2 = corr * eps + np.sqrt(1.0 - corr * corr) * rng.standard_normal(steps.size)
     y = _ar1_path(yield_spec.y0, [step_coefficients(yield_spec.historical_ou, dt) for dt in dts], which, e2)
     return x, z, y
-
-
-def _jump_cdf(g: Generator, state: int) -> list[float]:
-    """Jump-target CDF of ``state``: the off-diagonal rates of its column,
-    normalized, then cumulated and divided by the last entry as
-    ``Generator.choice(n, p=...)`` does, so that ``bisect_right`` on one
-    ``rng.random()`` draw picks the target ``choice`` would."""
-    probs = np.maximum(g.q[:, state], 0.0)
-    probs[state] = 0.0
-    probs /= probs.sum()
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return cdf.tolist()
 
 
 def _ar1_path(v0: float, coeffs: list, which: np.ndarray, eps: np.ndarray) -> np.ndarray:

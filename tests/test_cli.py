@@ -581,6 +581,14 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "NotStochastic" in err and "row 2" in err
 
+    def test_admitted_column_leak_runs(self, tmp_path, capsys):
+        """Row 0 short of 1 by 3e-12 passes the row check; every kernel of the
+        sweep then absorbs the leak its generator column was admitted with."""
+        cfg = json.loads(EXAMPLE_CONFIG.read_text())
+        cfg["chain"]["matrix"][0] = [0.5, 0.5 - 3e-12, 0.0, 0.0]
+        path = write_config(tmp_path, cfg)
+        assert run(["sweep", "--config", path, "--out", tmp_path / "out"]) == 0, capsys.readouterr().err
+
     def test_transition_requires_dt(self, tmp_path):
         cfg = base_config()
         cfg["chain"] = {"kind": "transition", "matrix": [[1.0, 0.0], [0.0, 1.0]]}

@@ -1,6 +1,7 @@
 """Closed-form risk vectors, the MC estimator, and their agreement."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -517,6 +518,37 @@ class TestRegimeKernel:
         moving = np.flatnonzero(rates > 0.0)
         below = np.where(moving > 0, cum[np.maximum(moving - 1, 0), moving], 0.0)
         assert np.array_equal(cum[moving, moving], below)
+
+
+class TestJumpLaw:
+    """Both samplers read one jump table: a state whose column has an exit rate
+    but no positive target (a leak the generator check admits) never leaves."""
+
+    NO_TARGET = validate_generator([[0.0, 0.0], [0.0, -1e-10]])
+
+    def test_state_without_target_reads_rate_zero(self):
+        rates, cum = entropic_risk._jump_table(self.NO_TARGET)
+        assert rates.tolist() == [0.0, 0.0]
+        assert np.all(cum == 1.0)
+
+    def test_sample_paths_never_leaves(self):
+        # at rate 1e-10 a jump before 1e11 years is all but certain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = entropic_risk.sample_paths(CRUDE, self.NO_TARGET, 1, [0.0, 1e11], np.random.default_rng(0))[1]
+        assert z.tolist() == [1, 1]
+
+    def test_advance_keeps_state_at_zero_holding_times(self):
+        class JumpNowRng:
+            def exponential(self, scale, size):
+                return np.zeros(size)
+
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        rates, cum = entropic_risk._jump_table(self.NO_TARGET)
+        states = entropic_risk._advance_regimes(rates, cum, np.full(5, 1), 1.0, JumpNowRng())
+        assert states.tolist() == [1] * 5
 
 
 @st.composite

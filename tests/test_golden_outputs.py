@@ -51,8 +51,21 @@ CALIBRATE = {"ou": {"csv": "prices.csv"}}
 # a ten-year daily path with a stochastic yield: a ``yield`` column and
 # hundreds of regime jumps on the shipped chain
 GS_SWAP_SIMULATE = {"claim": GS_SWAP, "grids": dict(SHIPPED["grids"], horizons_days=[2520.0])}
+# a dense chain started in state 1, in which every state has several jump
+# targets: the shipped chain has one per state, so only this chain reads the
+# jump table's normalized columns (column 1's cumsum ends 1 ulp below 1)
+MIXED_CHAIN = {
+    "kind": "generator",
+    "matrix": [[-2.0, 0.5, 0.3, 0.1], [1.2, -1.5, 0.6, 0.4], [0.5, 0.7, -1.6, 0.5], [0.3, 0.3, 0.7, -1.0]],
+    "z0": 1,
+}
+MIXED_RISK_MC = {"chain": MIXED_CHAIN, "claim": LINEAR}
+MIXED_SIMULATE = {"chain": MIXED_CHAIN, "grids": dict(SHIPPED["grids"], horizons_days=[2520.0])}
+# the shipped example with a state-varying loading, run from its own file
+REGIMES_CONFIG = EXAMPLE_CONFIG.with_name("crude_oil_regimes.json")
 
-# run id -> (command line without --config/--out, config sections replacing the shipped ones)
+# run id -> (command line without --config/--out, config sections replacing the
+# shipped ones, or the path of another config file)
 RUNS = {
     "risk": (["risk"], {}),
     "sweep": (["sweep"], {}),
@@ -68,6 +81,13 @@ RUNS = {
     "sweep_dense": (["sweep"], SWEEP_DENSE),
     "calibrate": (["calibrate"], CALIBRATE),
     "gs_swap_simulate": (["simulate"], GS_SWAP_SIMULATE),
+    "mixed_risk_mc": (["risk", "--mc", "--paths", "2000"], MIXED_RISK_MC),
+    "mixed_simulate": (["simulate"], MIXED_SIMULATE),
+    "regimes_risk": (["risk"], REGIMES_CONFIG),
+    "regimes_sweep": (["sweep"], REGIMES_CONFIG),
+    "regimes_yield_sweep": (["yield-sweep"], REGIMES_CONFIG),
+    "regimes_risk_mc": (["risk", "--mc", "--paths", "2000"], REGIMES_CONFIG),
+    "regimes_sweep_mc": (["sweep", "--mc", "--paths", "2000"], REGIMES_CONFIG),
 }
 
 GOLDEN = {
@@ -131,6 +151,37 @@ GOLDEN = {
         "paths.csv": "27693122983fa6c7b6c4aad6f316a22209d0cc7d3abf4bdcd2b980d42eefbe8b",
         "paths.json": "e0ed1ee6f69cec177eece0d321969bcdc2e27fa04c9e59397c3d032bf5a0c0ac",
     },
+    "mixed_risk_mc": {
+        "risk.csv": "3aa465ed15a7e0e5ddbb0ac6297f9788fb674a6bb06f4c2f7012a0238a9d810f",
+        "risk.json": "7e8f3d8fc73aa32efbffe9e645b6aaf21031a1d014af1d0451bdad0790840426",
+    },
+    "mixed_simulate": {
+        "paths.csv": "d64e6396bb81f2612afd0d9a4253e61ca0f64467d38099e2e25b574f7e45ebb7",
+        "paths.json": "92ec1bea1cbb072b68ea58b445c5b6000700a794d65c2986a5a6fb86536ad83a",
+    },
+    "regimes_risk": {
+        "risk.csv": "81192ded830e05f16f523966653fedfa830b447ea9e9384454b3674da49ffd34",
+        "risk.json": "29e82c4dd8876dc5647b400bcedec7a1bfc66040637228739d08d4988c196d17",
+    },
+    "regimes_sweep": {
+        "sweep.csv": "436c56389e364d2f66f7a39098a38529a7afdd1f70738510f8ba79675a53763f",
+        "sweep.json": "fd6829dd5b930facab2bac16d7b2222e038f805ee38494ca8e829714e8df2d3b",
+    },
+    "regimes_yield_sweep": {
+        "yield_sweep.csv": "6e3e0b84569b32332515f48f82a58f040c6379cc16926223737df95603705ce5",
+        "yield_sweep.json": "2ddb7165fc49885159e845ebb316dbd2696b35e61f19fc7e5e631f9f4cda78f0",
+        "yield_sweep_summary.csv": "525a5ae49bf57e56e27691758600d5cbe1cec847fdc8edf5a6e2958ebc4493db",
+        "yield_sweep_summary.json": "82a13da6cc5845dd19474fe07c0478bcd6d26e71eaec07b74a48426e0e9010f8",
+    },
+    "regimes_risk_mc": {
+        "risk.csv": "d49bc445aab25c52b28c628cccc24575d466c7ab2200c7bcce583ba3dc9ea796",
+        "risk.json": "e8471f028ea7367e29eb7bb438b3caa3746f2d03dbc45d42a019061137c1cc8a",
+    },
+    "regimes_sweep_mc": {
+        "sweep.csv": "8841dd1b2385b2ee1a5e38710b3e3a5524f1122518c498e124528fede60b1a3b",
+        "sweep.json": "645ecada2379c4c300ff9a3a2a2efc47b2c8663a3ddb8634a155c487a21be421",
+        "sweep_mc.csv": "1a97585c6c23276760109df68dbb53129a9f6943468ea33a2cc2f9a66ae4751d",
+    },
 }
 
 
@@ -138,7 +189,9 @@ def run_outputs(run_id: str, tmp: Path) -> dict[str, str]:
     """Run one command into ``tmp``/out and hash every file it writes."""
     args, sections = RUNS[run_id]
     config = EXAMPLE_CONFIG
-    if sections:
+    if isinstance(sections, Path):
+        config = sections
+    elif sections:
         cfg = json.loads(EXAMPLE_CONFIG.read_text())
         cfg.update(sections)
         config = tmp / "cfg.json"

@@ -42,6 +42,16 @@ DEFECTIVE_4X4 = np.array(
     ]
 )
 
+# The shipped daily matrix with row 0 short of 1 by 3e-12, which is inside the
+# row tolerance 1e-9 * dt: its generator's column 0 sums to -7.6e-10, a leak
+# the generator check admits.
+LEAKY_DAILY = [
+    [0.5, 0.5 - 3e-12, 0.0, 0.0],
+    [0.25, 0.75, 0.0, 0.0],
+    [0.0, 0.0, 0.25, 0.75],
+    [0.0, 0.0, 0.75, 0.25],
+]
+
 SPOT = OUParams(alpha=1.0, mu=0.0, sigma=1.0, x0=0.0)
 
 
@@ -192,6 +202,13 @@ class TestFromTransition:
             from_transition(DEFECTIVE_4X4, dt=1 / 252)
         assert "0.95" in str(err.value)
 
+    def test_daily_row_off_by_1e_8_is_not_stochastic(self):
+        """The row check is the generator's column-sum tolerance times dt, so a
+        daily row off by 1e-8 is named as a row, not as a generator column."""
+        p = [[0.75 + 1e-8, 0.25], [0.25, 0.75]]
+        with pytest.raises(NotStochastic, match="row 0"):
+            from_transition(p, dt=1 / 252)
+
     def test_raw_matrix_requires_dt(self):
         with pytest.raises(TypeError, match="dt"):
             from_transition(np.eye(2))
@@ -290,6 +307,25 @@ class TestMatrixExp:
             matrix_exp(g, np.array([]))
         with pytest.raises(DimensionError):
             matrix_exp(g, np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "g, t",
+        [
+            (from_transition(LEAKY_DAILY, dt=1 / 252), 150 / 252),
+            (from_transition(LEAKY_DAILY, dt=1 / 252), 504 / 252),
+            (validate_generator([[-1e-9, 0.0], [0.0, 0.0]]), 0.5),
+            (validate_generator([[-1e-9, 0.0], [0.0, 0.0]]), 5.0),
+        ],
+        ids=["daily_150d", "daily_504d", "absorbing_leak_0.5", "absorbing_leak_5"],
+    )
+    def test_admitted_column_leak_gives_kernels(self, g, t):
+        """A column leak the generator check admits moves each kernel column's
+        mass by at most t times the leak: the kernel is made, not refused."""
+        leak = np.abs(g.q.sum(axis=0)).max()
+        p = matrix_exp(g, t)
+        assert p.min() >= 0.0
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-10 + t * leak
+        assert np.abs(p - expm(g.q * t)).max() <= 1e-10
 
     def test_semigroup_property(self, rng):
         for _ in range(10):
