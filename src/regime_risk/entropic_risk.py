@@ -48,8 +48,14 @@ Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
 path-indexed layout — full-length draw rounds, never active-subset draws —
 so every path's inputs are a pure function of (seed, round, path index).
-The regime kernel's arithmetic runs only on the paths still moving; the
-draws of a round cover every path all the same.
+The regime kernel's arithmetic runs only on the paths still moving, which
+it compacts by index, in their original order; the draws of a round cover
+every path all the same.  Jump-table rows of only 0s and 1s do not depend on
+the uniform, and the kernel folds them into one base target per state.  The
+round layout (one exponential, then one uniform array per round) is a
+contract with ``bench/tracer.py`` and ``tests/test_tracing_contract.py``,
+which count rounds by those calls: a different draw method is a benchmark
+change, not a kernel change.
 """
 
 from __future__ import annotations
@@ -307,38 +313,59 @@ def _advance_regimes(
 ) -> np.ndarray:
     """Exact chain transition of every path over ``dt``.
 
-    Identical in law to per-path holding-time/jump simulation.  Draws come in
-    full-length rounds (one exponential and one uniform array over every
-    path per round), so the layout is path-indexed and
-    decomposition-independent; the arithmetic of a round runs only on the
-    paths still moving.  A path stops moving once its next holding time
-    outlasts its time left or it reaches a zero-rate state.
+    Identical in law to per-path holding-time/jump simulation.  Each round
+    draws one ``rng.exponential(1.0, n)`` array, then one ``rng.random(n)``
+    array, over every path, so the layout is path-indexed and
+    decomposition-independent.  This round layout is a contract with
+    ``bench/tracer.py``, which counts rounds by these calls, and with
+    ``tests/test_tracing_contract.py``, which pins their counts: drawing
+    another way is a benchmark change, not a kernel change.
+
+    The arithmetic of a round runs only on the paths still moving, held as
+    an index array in the paths' original order and compacted by index.  A
+    path stops moving once its next holding time outlasts its time left or
+    it reaches a zero-rate state (tested only when the chain has one).  Each
+    moving path carries the exit rate of its state from the jump that put it
+    there.  The target of a jump is the count of the source column's entries
+    <= u (see :func:`_jump_table`).  A row each of whose entries is 0
+    (always counted, as u >= 0) or 1 (never counted, as u < 1) does not
+    depend on u: such rows are folded into a base count per state, and u is
+    compared only against the other rows.
     """
     states = states.copy()
     if dt <= 0.0:
         return states
     n = states.size
-    idx = np.flatnonzero(rates[states] > 0)
-    src = states[idx]
+    rows = jump_cum[:-1]  # the last row is 1.0 > u and never counts
+    fixed = ((rows == 0.0) | (rows == 1.0)).all(axis=1)
+    base = (rows[fixed] == 0.0).sum(axis=0).astype(states.dtype)
+    fractional = rows[~fixed]
+    has_zero_rate = bool((rates <= 0).any())
+    idx = np.flatnonzero(rates.take(states) > 0)
+    src = states.take(idx)
+    rate = rates.take(src)
     t_left = np.full(idx.size, dt)
     while idx.size:
         e = rng.exponential(1.0, n)
         u = rng.random(n)
-        hold = e[idx] / rates[src]
+        hold = e.take(idx) / rate
         jump = hold < t_left
+        t_left -= hold
         if not jump.all():
-            idx, src, hold, t_left = idx[jump], src[jump], hold[jump], t_left[jump]
-        t_left = t_left - hold
-        # the target is the count of the source column's entries <= u (see
-        # _jump_table); the last entry is 1.0 > u and never counts
-        u = u[idx]
-        dest = np.zeros(idx.size, dtype=states.dtype)
-        for row in jump_cum[:-1]:
-            dest += row[src] <= u
-        states[idx] = src = dest
-        moving = rates[dest] > 0
-        if not moving.all():
-            idx, src, t_left = idx[moving], src[moving], t_left[moving]
+            keep = np.flatnonzero(jump)
+            idx, src, t_left = idx.take(keep), src.take(keep), t_left.take(keep)
+        u = u.take(idx)
+        dest = base.take(src)
+        for row in fractional:
+            dest += row.take(src) <= u
+        states[idx] = dest
+        rate = rates.take(dest)
+        if has_zero_rate:
+            moving = rate > 0
+            if not moving.all():
+                keep = np.flatnonzero(moving)
+                idx, dest, rate, t_left = idx.take(keep), dest.take(keep), rate.take(keep), t_left.take(keep)
+        src = dest
     return states
 
 

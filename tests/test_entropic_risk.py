@@ -520,6 +520,72 @@ class TestRegimeKernel:
         assert np.array_equal(cum[moving, moving], below)
 
 
+def fixed_rows(cum):
+    """Which rows of a jump table, the last one aside, hold only 0s and 1s."""
+    rows = cum[:-1]
+    return ((rows == 0.0) | (rows == 1.0)).all(axis=1)
+
+
+# every state leaves at 2 per year, as in the benchmark's swap part
+DENSE = np.array([
+    [0.0, 0.5, 0.9, 0.7],
+    [0.6, 0.0, 0.4, 0.8],
+    [0.9, 0.7, 0.0, 0.5],
+    [0.5, 0.8, 0.7, 0.0],
+])
+DENSE = DENSE * (2.0 / DENSE.sum(axis=0))
+np.fill_diagonal(DENSE, -2.0)
+
+# row 0 of its jump table holds only 0s and 1s, rows 1 to 3 do not; state 4
+# is a zero-rate state that state 3 reaches
+MIXED = np.array([
+    [-4.0, 3.0, 0.0, 0.0, 0.0],
+    [2.0, -3.0, 0.0, 0.0, 0.0],
+    [2.0, 0.0, -4.0, 1.0, 0.0],
+    [0.0, 0.0, 4.0, -2.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+])
+
+
+class TestRegimeKernelAtScale:
+    """``_advance_regimes`` against the round loop on 1e4 Philox paths, where
+    the paths still moving are large random mixes of kept and dropped ones."""
+
+    N = 10_000
+
+    def assert_matches(self, g, start, dts, seed):
+        rates, cum = entropic_risk._jump_table(g)
+        rng, oracle = entropic_risk._state_rng(seed, start), entropic_risk._state_rng(seed, start)
+        got = want = np.full(self.N, start)
+        for dt in dts:
+            got = entropic_risk._advance_regimes(rates, cum, got, dt, rng)
+            want = advance_by_rounds(rates, cum, want, dt, oracle)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert rng.random() == oracle.random()
+        return got
+
+    @pytest.mark.parametrize("days", [50, 150])
+    @pytest.mark.parametrize("start", range(4))
+    def test_shipped_chain(self, start, days):
+        g = load_config(EXAMPLE_CONFIG).chain
+        assert fixed_rows(entropic_risk._jump_table(g)[1]).all()
+        self.assert_matches(g, start, [days / 252.0], seed=2)
+
+    @pytest.mark.parametrize("start", range(4))
+    def test_dense_chain_over_eight_settlements(self, start):
+        g = validate_generator(DENSE)
+        assert not fixed_rows(entropic_risk._jump_table(g)[1]).any()
+        self.assert_matches(g, start, [1.0] * 8, seed=3)
+
+    @pytest.mark.parametrize("start", range(5))
+    def test_chain_mixing_fixed_and_fractional_rows(self, start):
+        g = validate_generator(MIXED)
+        assert fixed_rows(entropic_risk._jump_table(g)[1]).tolist() == [True, False, False, False]
+        # some paths come to rest in state 4 partway through a round
+        assert (self.assert_matches(g, start, [0.5, 1.0], seed=4) == 4).any()
+
+
 class TestJumpLaw:
     """Both samplers read one jump table: a state whose column has an exit rate
     but no positive target (a leak the generator check admits) never leaves."""

@@ -78,3 +78,30 @@ def test_traced_risk_mc_records_every_layer(tmp_path, claim, normal_rounds, jump
     counts = payload["trace"]["counts"]
     assert counts["rng.exponential.calls"] == jump_rounds
     assert counts["rng.exponential.elems"] == counts["rng.random.elems"] == jump_rounds * 2000
+
+
+# ``sweep --mc`` simulates the starting regime once per horizon, each from the
+# start of the same (seed, z0) stream: 28 rounds at 50 days and 59 at 150 at
+# 2000 paths.  A change that shares one pass between the horizons moves these
+# counts on purpose.
+def test_traced_sweep_mc_simulates_each_horizon(tmp_path):
+    args = ["sweep", "--config", str(EXAMPLE_CONFIG), "--mc", "--paths", "2000"]
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "bench" / "child.py"), "cli", str(result), "1",
+         *args, "--out", str(tmp_path / "traced")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(result.read_text())
+    assert payload["rc"] == 0, payload.get("error")
+
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    for name in ("sweep.csv", "sweep_mc.csv"):
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    spans = Counter(span[0] for span in payload["trace"]["spans"])
+    assert spans["entropic_risk.mc"] == 2
+    assert spans["entropic_risk.sim"] == 2
+    assert payload["trace"]["counts"]["rng.exponential.calls"] == 87
