@@ -11,6 +11,7 @@ from .entropic_risk import (
     MCEstimate,
     RiskQuery,
     RiskVector,
+    claim_risk_closed,
     claim_risk_mc,
     entropic_mc,
     future_risk_closed,
@@ -90,6 +91,7 @@ __all__ = [
     "entropic_mc",
     "spot_risk_closed",
     "future_risk_closed",
+    "claim_risk_closed",
     "claim_risk_mc",
     "sample_paths",
     # errors

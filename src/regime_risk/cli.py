@@ -16,6 +16,7 @@ its typed values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -30,12 +31,12 @@ from .config import (
 )
 from .entropic_risk import (
     RiskQuery,
-    _risk_closed,
+    claim_risk_closed,
     claim_risk_mc,
-    future_risk_closed,
     sample_paths,
-    spot_risk_closed,
 )
+# unused here; kept because bench/tracer.py wraps both names on this module
+from .entropic_risk import future_risk_closed, spot_risk_closed  # noqa: F401
 from .errors import ConfigError, RiskModelError
 from .instruments import FutureClaim, GibsonSchwartzParams, SwapClaim
 from .ou_model import calibrate, conditional_law, load_price_csv
@@ -101,22 +102,13 @@ def _configured_gs_yield(cfg: RunConfig) -> GibsonSchwartzParams | None:
     return spec if isinstance(spec, GibsonSchwartzParams) else None
 
 
-def _closed_form(cfg: RunConfig, claim, q: RiskQuery, gammas: list[float]):
-    """Closed-form risk vectors at ``q``'s horizon, one per gamma, from one ``expm``."""
-    if isinstance(claim, FutureClaim):
-        return future_risk_closed(cfg.ou, cfg.chain, claim, q, gammas=gammas)
-    return spot_risk_closed(cfg.ou, cfg.chain, claim.delta, q, gammas=gammas)
-
-
 def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float | None:
     """For a single-regime chain the closed form must reduce to
     d m - d^2 v / (2 gamma); printed alongside as an independent check."""
     if cfg.chain.n != 1:
         return None
     law = conditional_law(cfg.ou, q.x_s, q.s, q.T)
-    d = float(claim.delta[0])
-    if isinstance(claim, FutureClaim):
-        d *= float(np.exp(-claim.carry * q.horizon))
+    d = float(claim.loading(q.horizon)[0])
     return d * law.mean - d * d * law.variance / (2.0 * gamma)
 
 
@@ -138,15 +130,17 @@ def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
         ests = claim_risk_mc(
             cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, gammas=cfg.gammas
         )
-    vectors = None if is_swap else _closed_form(cfg, claim, q, cfg.gammas)
+    if is_swap:
+        closed = [[None] * cfg.chain.n] * len(cfg.gammas)
+    else:
+        closed = claim_risk_closed(cfg.ou, cfg.chain, [claim], [q], gammas=cfg.gammas)[0, 0].tolist()
     for j, gamma in enumerate(cfg.gammas):
-        closed = [None] * cfg.chain.n if is_swap else vectors[j].risks.tolist()
         oracle = _scalar_oracle(cfg, claim, q, gamma) if not is_swap else None
         for state in range(cfg.chain.n):
-            row: list = [gamma, state, closed[state], oracle if state == 0 else None]
+            row: list = [gamma, state, closed[j][state], oracle if state == 0 else None]
             if ests is not None:
                 e = ests[state][j]
-                z = e.z_score(closed[state]) if closed[state] is not None else None
+                z = e.z_score(closed[j][state]) if closed[j][state] is not None else None
                 row += [e.value, e.std_error, z]
             else:
                 row += [None, None, None]
@@ -173,13 +167,9 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool) -> int:
     cfg.require("chain", "ou", "claim", "gammas", "horizons")
     if isinstance(cfg.claim, SwapClaim):
         raise ConfigError("sweep supports linear and future claims (swaps fix their own schedule)")
-    # one closed-form pass over every horizon, each with its own (for a
-    # future, carry-scaled) loading; cells[i, j] is horizon i, gamma j
+    # one closed-form pass over every horizon; cells[i, j] is horizon i, gamma j
     queries = [RiskQuery(s=0.0, T=horizon_years(hd), x_s=cfg.ou.x0) for hd in cfg.horizons_days]
-    deltas = np.broadcast_to(cfg.claim.delta, (len(queries), 1, cfg.chain.n))
-    if isinstance(cfg.claim, FutureClaim):
-        deltas = deltas * np.exp(-cfg.claim.carry * np.array([q.horizon for q in queries]))[:, None, None]
-    cells = _risk_closed(cfg.ou, cfg.chain, deltas, queries, cfg.gammas)[:, 0, :, cfg.z0]
+    cells = claim_risk_closed(cfg.ou, cfg.chain, [cfg.claim], queries, gammas=cfg.gammas)[:, 0, :, cfg.z0]
     mc_rows: list[list] = []
     if use_mc:
         for i, (hd, q) in enumerate(zip(cfg.horizons_days, queries)):
@@ -239,13 +229,11 @@ def cmd_yield_sweep(cfg: RunConfig) -> int:
         raise ConfigError("yield-sweep requires a future claim")
     T = horizon_years(cfg.horizons_days[0])
     times = [k * T / cfg.n_times for k in range(cfg.n_times)]
-    carries = cfg.claim.r + np.asarray(cfg.yields)
-    # one closed-form pass at the first gamma: every time's law and expm are
-    # shared by each yield's carry-scaled loading; risks[i, k] is time i, yield k
+    # one closed-form pass at the first gamma, one future per yield: every
+    # time's law and expm are shared by all of them; risks[i, k] is time i, yield k
     queries = [RiskQuery(s=t, T=T, x_s=cfg.ou.x0) for t in times]
-    horizons = np.array([q.horizon for q in queries])
-    deltas = cfg.claim.delta * np.exp(-carries * horizons[:, None])[..., None]
-    risks = _risk_closed(cfg.ou, cfg.chain, deltas, queries, cfg.gammas[:1])[:, :, 0, cfg.z0]
+    claims = [dataclasses.replace(cfg.claim, y=y) for y in cfg.yields]
+    risks = claim_risk_closed(cfg.ou, cfg.chain, claims, queries, gammas=cfg.gammas[:1])[:, :, 0, cfg.z0]
     rows = [[t, y, risk] for y, col in zip(cfg.yields, risks.T.tolist()) for t, risk in zip(times, col)]
     summary = [[t, max(row) - min(row)] for t, row in zip(times, risks.tolist())]
 

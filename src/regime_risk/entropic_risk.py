@@ -25,15 +25,13 @@ Simulate once, reduce many: a payoff sample and ``expm(Q h)`` do not depend
 on gamma, so both routes take gamma only as a ``gammas=`` grid and reduce
 each (horizon, starting state) sample, or each horizon's law and kernel, at
 every gamma, one result entry per gamma.
-Nor do the law and kernel depend on the loading: the shared closed-form
-pipeline takes a stack of queries, each with its own stack of loadings, and
-makes one law per query and one stacked ``expm`` over every query's horizon.
-``sweep`` passes one query per horizon with that horizon's carry-scaled
-loading, and ``yield-sweep`` one query per evaluation time with every
-yield's carry-scaled loading.  The
-pipeline is one array pass over the (query, loading, gamma, state) block,
-with the arithmetic of a single evaluation per element, so its results are
-bit-identical to evaluating each (query, loading, gamma) triple on its own.
+Nor do the law and kernel depend on the loading: :func:`claim_risk_closed`
+takes a list of queries and a list of claims, reads each claim's loading at
+every query's horizon (a future's folds in its carry discount), and makes one
+law per query and one stacked ``expm`` over every query's horizon.  It is one
+array pass over the (query, claim, gamma, state) block, with the arithmetic
+of a single evaluation per element, so its results are bit-identical to
+evaluating each (query, claim, gamma) triple on its own.
 
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over a few grid
@@ -200,25 +198,34 @@ def _gamma_grid(gammas) -> list[float]:
     return grid
 
 
-def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndarray:
-    """Shared closed-form pipeline: the (query, loading, gamma, state) risk block.
+def _check_states(claim, g: Generator) -> None:
+    if getattr(claim, "n_states", g.n) != g.n:
+        raise DimensionError(f"claim loading has {claim.n_states} states, chain has {g.n}")
 
-    ``deltas`` is a (Q, k, n) stack, k loadings for each of the Q ``queries``.
-    Each query has its own law and its own kernel, and shares them with all
-    its loadings and every gamma of the grid; the kernels come from one
-    ``matrix_exp`` call on the stack of horizons, in query order.  The
-    block's shape is (Q, k, len(gammas), n).  The whole block is one
-    array pass, with the arithmetic of a single (query, loading, gamma)
-    evaluation per element, and one finiteness check covers every vector.
-    The block is read-only.
-    """
+
+def claim_risk_closed(ou: OUParams, g: Generator, claims, queries, *, gammas) -> np.ndarray:
+    """Closed-form entropic risk of each claim at each query: the read-only
+    ``block[q, c, j, i]`` is claim c's risk at query q, gamma j, start state i.
+
+    A claim pays X_T times ``claim.loading`` at the query horizon, read at
+    the terminal regime; a claim with no loading (a swap) has no closed form.
+    Each query's law and kernel serve every claim and gamma; the kernels come
+    from one ``matrix_exp`` call on the stack of horizons, in query order.
+    The block is one array pass with the arithmetic of a single (query,
+    claim, gamma) evaluation per element, and one finiteness check."""
     grid = _gamma_grid(gammas)
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape[2:] != (g.n,):
-        raise DimensionError(f"delta must have shape ({g.n},), got {deltas.shape[2:]}")
+    if not claims:
+        raise DimensionError("claims must be nonempty")
+    for claim in claims:
+        if not hasattr(claim, "loading"):
+            raise TypeError(f"unsupported claim type {type(claim).__name__}")
+        _check_states(claim, g)
+    horizons = [q.horizon for q in queries]
+    # deltas[q, c] is claim c's loading at query q's horizon
+    deltas = np.stack([claim.loading(horizons) for claim in claims], axis=1)
     laws = [conditional_law(ou, q.x_s, q.s, q.T) for q in queries]
     # P[q, j, i] = P(Z_T = j | Z_s = i) at query q's horizon, one stacked call
-    P = matrix_exp(g, [q.horizon for q in queries])
+    P = matrix_exp(g, horizons)
     mean = np.array([law.mean for law in laws])[:, None, None]
     variance = np.array([law.variance for law in laws])[:, None, None]
     # mix phi over the terminal law per start state.  The shift is the max of
@@ -246,24 +253,16 @@ def _risk_closed(ou: OUParams, g: Generator, deltas, queries, gammas) -> np.ndar
 
 
 def spot_risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas) -> list[RiskVector]:
-    """Closed-form entropic risk of the linear spot claim X_T delta[Z_T].
-
-    Returns one per-state vector per gamma of ``gammas``, in grid order;
-    ``risks[i]`` is the risk given start state i.
-    """
-    return [RiskVector(row) for row in _risk_closed(ou, g, [[delta]], [q], gammas)[0, 0]]
+    """Closed-form entropic risk of the linear spot claim X_T delta[Z_T]:
+    one per-state vector per gamma of ``gammas``, in grid order."""
+    block = claim_risk_closed(ou, g, [LinearSpotClaim(delta)], [q], gammas=gammas)
+    return [RiskVector(row) for row in block[0, 0]]
 
 
 def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas) -> list[RiskVector]:
-    """Closed-form entropic risk of a future: the spot pipeline applied to
-    the carry-discounted loading delta * e^{-(r+y)(T-s)}.
-
-    The future matures at the query horizon T; the carry discount and the
-    regime propagation use the same T.  Returns one vector per gamma, as
-    :func:`spot_risk_closed`.
-    """
-    scale = np.exp(-c.carry * q.horizon)
-    return [RiskVector(row) for row in _risk_closed(ou, g, [[c.delta * scale]], [q], gammas)[0, 0]]
+    """Closed-form entropic risk of a future maturing at the query horizon T:
+    one per-state vector per gamma of ``gammas``, in grid order."""
+    return [RiskVector(row) for row in claim_risk_closed(ou, g, [c], [q], gammas=gammas)[0, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +441,7 @@ def _blockwise(claim, q, X, Z, Y) -> np.ndarray:
     """
     if isinstance(claim, SwapClaim):
         return np.atleast_1d(swap_value(X[1:], Z[1:], claim, None if Y is None else Y[1:]))
-    scale = float(np.exp(-claim.carry * q.horizon)) if isinstance(claim, FutureClaim) else 1.0
+    scale = claim.discount(q.horizon) if isinstance(claim, FutureClaim) else 1.0
     return scale * X[-1] * claim.delta[Z[-1]]
 
 
@@ -473,10 +472,7 @@ def claim_risk_mc(
     """
     if n_paths < 2:
         raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
-    if getattr(claim, "n_states", g.n) != g.n:
-        raise DimensionError(
-            f"claim loading has {claim.n_states} states, chain has {g.n}"
-        )
+    _check_states(claim, g)
     states = range(g.n) if states is None else list(states)
     for state in states:
         if not 0 <= state < g.n:

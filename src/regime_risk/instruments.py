@@ -48,6 +48,10 @@ class LinearSpotClaim:
     def n_states(self) -> int:
         return self.delta.size
 
+    def loading(self, h) -> np.ndarray:
+        """The loading at horizon ``h``: ``delta``, one row per horizon of an array ``h``."""
+        return np.broadcast_to(self.delta, np.shape(h) + self.delta.shape)
+
 
 @dataclass(frozen=True)
 class FutureClaim:
@@ -71,6 +75,14 @@ class FutureClaim:
     @property
     def carry(self) -> float:
         return self.r + self.y
+
+    def discount(self, h):
+        """The carry discount e^{-(r+y) h} at horizon ``h`` (a number or an array)."""
+        return np.exp(-self.carry * np.asarray(h, dtype=float))
+
+    def loading(self, h) -> np.ndarray:
+        """The loading ``delta * discount(h)``, one row per horizon of an array ``h``."""
+        return self.delta * self.discount(h)[..., None]
 
 
 @dataclass(frozen=True)

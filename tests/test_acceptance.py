@@ -36,6 +36,13 @@ def _report(name: str) -> None:
 
 
 class TestOracleEquivalence:
+    """False-alarm rate 9.48%: with an exactly normal z a 3-se check fails with
+    p = 0.0027, an instance (two checks) with 1 - (1 - p)^2 = 0.0054, and
+    more than 2 of 200 instances fail with probability
+    ``binom.sf(2, 200, 1 - (1 - 0.0027)**2)`` = 0.0948 (``scipy.stats``).
+    At the regime kernel of this release, with the MC seeds moved by 0, 1e5,
+    ..., 5e5, it failed at 4 of those 6 offsets."""
+
     def test_closed_forms_match_mc_oracle(self):
         """200 randomized instances, both closed-form pipelines vs 10^5-path MC."""
         rng = np.random.default_rng(7_2025)
@@ -273,7 +280,12 @@ class TestDeterminism:
 
 class TestExampleConfigCrossCheck:
     def test_shipped_config_mc_z_scores(self, tmp_path):
-        """Closed vs MC on the shipped example config, all cells within 3 se."""
+        """Closed vs MC on the shipped example config, all cells within 3 se.
+
+        False-alarm rate 4.23%: 16 independent 3-se checks, each failing with
+        p = 0.0027 for an exactly normal z, all pass with probability
+        (1 - p)^16, so 1 - (1 - 0.0027)**16 = 0.0423 (``scipy.stats``).  The
+        same check fails at 13 of the MC seeds 0-31."""
         assert main(["risk", "--config", str(EXAMPLE_CONFIG), "--mc", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "risk.json").read_text())
         cols = payload["data"]["columns"]

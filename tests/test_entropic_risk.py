@@ -14,6 +14,7 @@ from regime_risk.entropic_risk import (
     MCEstimate,
     RiskQuery,
     RiskVector,
+    claim_risk_closed,
     claim_risk_mc,
     entropic_mc,
     future_risk_closed,
@@ -251,7 +252,7 @@ class TestSpotRiskClosed:
 
 
 def closed_by_loop(ou, g, deltas, q, gammas) -> list:
-    """Reference for ``_risk_closed``: one (loading, gamma) pair at a time,
+    """Reference for :func:`claim_risk_closed`: one (loading, gamma) pair at a time,
     each vector through ``RiskVector``'s own checks."""
     law = conditional_law(ou, q.x_s, q.s, q.T)
     P = matrix_exp(g, q.horizon)
@@ -325,20 +326,20 @@ class TestClosedFormGammaGrid:
     def test_stack_is_bit_identical_to_one_loading_calls(self, expm_calls, case, gammas):
         q = RiskQuery(s=0.1, T=0.6, x_s=62.24)
         if case == "carry_scaled":
-            # the stack yield-sweep builds: one carry-scaled loading per yield
+            # the claims yield-sweep builds: one future per yield
             g = TWO_STATE
             claims = [FutureClaim(delta=[0.75, 1.25], r=0.03, y=y) for y in self.YIELDS]
-            stack = claims[0].delta * np.exp(-(0.03 + np.asarray(self.YIELDS)) * q.horizon)[:, None]
             singles = [future_risk_closed(CRUDE, g, c, q, gammas=gammas) for c in claims]
         else:
             if case == "spot":
                 g, stack = TWO_STATE, [[0.75, 1.25], [-0.3, 2.0], [1.0, 1.0]]
             else:
                 g, stack = reducible_chain(), [[0.5, 0.6, -40.0, -42.0], [-40.0, -42.0, 0.5, 0.6]]
+            claims = [LinearSpotClaim(d) for d in stack]
             singles = [spot_risk_closed(CRUDE, g, d, q, gammas=gammas) for d in stack]
         expm_calls.clear()
-        block = entropic_risk._risk_closed(CRUDE, g, [stack], [q], gammas)
-        assert len(expm_calls) == 1
+        block = claim_risk_closed(CRUDE, g, claims, [q], gammas=gammas)
+        assert expm_calls == [q.horizon]
         assert block.shape == (1, len(singles), len(gammas), g.n)
         for got, want in zip(block[0], singles):
             for risks, single in zip(got, want):
@@ -352,8 +353,10 @@ class TestClosedFormGammaGrid:
     @pytest.mark.parametrize("reducible", [False, True], ids=["irreducible", "reducible"])
     def test_block_is_bit_identical_to_the_per_pair_loop(self, expm_calls, gamma_type, reducible):
         """A stack of queries with random (s, T, x_s), horizons drawn from
-        three lengths, gives each query's block of the per-pair loop, with one
-        ``expm`` per query in query order."""
+        three lengths, and a list of random linear and future claims (negative
+        yields included) gives each query's block of the per-pair loop on
+        each claim's carry-discounted loading, and each claim's own
+        ``future_risk_closed``, with one ``expm`` per query in query order."""
         rng = np.random.default_rng(8100 + reducible)
         for _ in range(20):
             g = random_chain(rng, reducible)
@@ -363,15 +366,80 @@ class TestClosedFormGammaGrid:
             queries = [
                 RiskQuery(s=float(a), T=float(b), x_s=float(rng.uniform(30, 70))) for a, b in zip(s, T)
             ]
-            deltas = rng.uniform(-3.0, 3.0, (n_q, k, g.n)) * 10 ** rng.uniform(-1, 1.3)
+            claims = []
+            for _ in range(k):
+                delta = rng.uniform(-3.0, 3.0, g.n) * 10 ** rng.uniform(-1, 1.3)
+                if rng.random() < 0.5:
+                    claims.append(LinearSpotClaim(delta))
+                else:
+                    r, y = rng.uniform(-0.05, 0.15), rng.uniform(-0.4, 0.4)
+                    claims.append(FutureClaim(delta, r=float(r), y=float(y)))
             draws = 10 ** rng.uniform(-1.5, 1.5, int(rng.integers(1, 9)))
             gammas = [gamma_type(gm) for gm in [*draws, *self.POW_NOT_PRODUCT]]
             expm_calls.clear()
-            block = entropic_risk._risk_closed(CRUDE, g, deltas, queries, gammas)
+            block = claim_risk_closed(CRUDE, g, claims, queries, gammas=gammas)
             assert expm_calls == [q.horizon for q in queries]
             assert not block.flags.writeable
-            want = [closed_block(CRUDE, g, d, q, gammas) for d, q in zip(deltas, queries)]
+            want = []
+            for q in queries:
+                # each loading as a future pays it: delta e^{-(r+y)(T-s)}
+                loadings = [
+                    c.delta * np.exp(-(c.r + c.y) * q.horizon) if isinstance(c, FutureClaim) else c.delta
+                    for c in claims
+                ]
+                want.append(closed_block(CRUDE, g, loadings, q, gammas))
             assert np.array_equal(block, np.array(want))
+            for i, q in enumerate(queries):
+                for j, c in enumerate(claims):
+                    if isinstance(c, FutureClaim):
+                        single = future_risk_closed(CRUDE, g, c, q, gammas=gammas)
+                        assert np.array_equal(block[i, j], [rv.risks for rv in single])
+
+    @SETTINGS
+    @given(
+        hs=arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 40.0)),
+        r=st.floats(-0.5, 0.5),
+        y=st.floats(-1.0, 1.0),
+        delta=arrays(np.float64, st.integers(1, 5), elements=st.floats(-50.0, 50.0)),
+    )
+    def test_future_loading_rows_are_one_horizon_calls(self, hs, r, y, delta):
+        c = FutureClaim(delta, r=r, y=y)
+        stack = c.loading(hs)
+        assert stack.shape == (hs.size, delta.size)
+        for h, row in zip(hs, stack):
+            assert np.array_equal(row, c.loading(h))
+            assert np.array_equal(row, c.delta * c.discount(float(h)))
+        assert np.array_equal(LinearSpotClaim(delta).loading(hs), np.broadcast_to(delta, stack.shape))
+
+    def test_swap_has_no_closed_form(self, expm_calls):
+        swap = SwapClaim(rates=[0.05, 0.05], delta=[1.0, 1.0], yield_spec=ConstantYield(r=0.03, y=0.05))
+        q = RiskQuery(s=0.0, T=2.0, x_s=60.0)
+        with pytest.raises(TypeError, match="SwapClaim"):
+            claim_risk_closed(CRUDE, TWO_STATE, [LinearSpotClaim([1.0, 1.0]), swap], [q], gammas=[1.0])
+        assert expm_calls == []
+
+    def test_both_routes_check_the_state_count_alike(self, expm_calls):
+        q = RiskQuery(s=0.0, T=0.5, x_s=60.0)
+        claim = FutureClaim([1.0, 2.0, 3.0], r=0.01, y=0.02)
+        message = "claim loading has 3 states, chain has 2"
+        with pytest.raises(DimensionError, match=message):
+            claim_risk_closed(CRUDE, TWO_STATE, [claim], [q], gammas=[1.0])
+        with pytest.raises(DimensionError, match=message):
+            claim_risk_mc(CRUDE, TWO_STATE, claim, q, 10, 0, gammas=[1.0])
+        with pytest.raises(DimensionError, match="claims must be nonempty"):
+            claim_risk_closed(CRUDE, TWO_STATE, [], [q], gammas=[1.0])
+        assert expm_calls == []
+
+    @pytest.mark.parametrize(
+        "delta, error",
+        [([np.inf, 1.0], NonFinite), ([np.nan, 1.0], NonFinite), ([[1.0, 1.0]], DimensionError)],
+        ids=["inf", "nan", "not_1d"],
+    )
+    def test_spot_loading_checked_before_matrix_exp(self, expm_calls, delta, error):
+        q = RiskQuery(s=0.0, T=0.5, x_s=60.0)
+        with pytest.raises(error):
+            spot_risk_closed(CRUDE, TWO_STATE, delta, q, gammas=[1.0])
+        assert expm_calls == []
 
     @pytest.mark.parametrize(
         "gammas, error",
