@@ -28,9 +28,9 @@ print("linear spot claim, 50-day horizon, gamma = 2.5")
 closed = spot_risk_closed(ou, gen, delta, query, gammas=[2.5])[0]
 estimates = claim_risk_mc(ou, gen, LinearSpotClaim(delta), query, n_paths=200_000, seed=3, gammas=[2.5])
 for i, (est,) in enumerate(estimates):
-    z = est.z_score(closed.risk_given_state(i))
+    z = est.z_score(closed[i])
     print(
-        f"  start regime {i}: closed {closed.risk_given_state(i):9.4f}   "
+        f"  start regime {i}: closed {closed[i]:9.4f}   "
         f"mc {est.value:9.4f} +/- {est.std_error:.4f}   z = {z:+.2f}"
     )
 
@@ -39,14 +39,14 @@ print("\nfuture claim with 10% total carry:")
 closed_f = future_risk_closed(ou, gen, future, query, gammas=[2.5])[0]
 estimates_f = claim_risk_mc(ou, gen, future, query, n_paths=200_000, seed=4, gammas=[2.5])
 for i, (est,) in enumerate(estimates_f):
-    z = est.z_score(closed_f.risk_given_state(i))
+    z = est.z_score(closed_f[i])
     print(
-        f"  start regime {i}: closed {closed_f.risk_given_state(i):9.4f}   "
+        f"  start regime {i}: closed {closed_f[i]:9.4f}   "
         f"mc {est.value:9.4f} +/- {est.std_error:.4f}   z = {z:+.2f}"
     )
 
 print("\nrisk aversion limits (start regime 0):")
 gammas = (0.5, 1.0, 5.0, 100.0, 1e6)
-for gamma, rv in zip(gammas, spot_risk_closed(ou, gen, delta, query, gammas=gammas)):
-    print(f"  gamma {gamma:>9.1f}: risk {rv.risk_given_state(0):9.4f}")
+for gamma, row in zip(gammas, spot_risk_closed(ou, gen, delta, query, gammas=gammas)):
+    print(f"  gamma {gamma:>9.1f}: risk {row[0]:9.4f}")
 print("  (small gamma punishes the downside; large gamma tends to the expectation)")

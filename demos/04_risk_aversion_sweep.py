@@ -26,7 +26,7 @@ horizons_days = [50.0, 150.0]
 cells = np.empty((2, 4))
 for i, days in enumerate(horizons_days):
     q = RiskQuery(s=0.0, T=days / 252, x_s=ou.x0)
-    cells[i] = [rv.risk_given_state(0) for rv in spot_risk_closed(ou, gen, delta, q, gammas=gammas)]
+    cells[i] = spot_risk_closed(ou, gen, delta, q, gammas=gammas)[:, 0]
 
 header = "".join(f"  gamma={g:<6g}" for g in gammas)
 print(f"{'':14s}{header}")

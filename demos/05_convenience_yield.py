@@ -32,7 +32,7 @@ for t in times:
     row = []
     for y in yields:
         claim = FutureClaim(delta=[0.75, 0.75], r=0.0, y=y)
-        row.append(future_risk_closed(ou, gen, claim, q, gammas=[2.5])[0].risk_given_state(0))
+        row.append(future_risk_closed(ou, gen, claim, q, gammas=[2.5])[0, 0])
     spread = max(row) - min(row)
     print(f"  {t * 252:7.1f} " + "".join(f"  {v:8.4f}" for v in row) + f"  {spread:7.4f}")
 print("\nthe spread column contracts toward zero as t approaches delivery.")

@@ -10,7 +10,6 @@ and by deterministic Monte Carlo for everything, including swaps.
 from .entropic_risk import (
     MCEstimate,
     RiskQuery,
-    RiskVector,
     claim_risk_closed,
     claim_risk_mc,
     entropic_mc,
@@ -86,7 +85,6 @@ __all__ = [
     "swap_value",
     # risk
     "RiskQuery",
-    "RiskVector",
     "MCEstimate",
     "entropic_mc",
     "spot_risk_closed",

@@ -110,31 +110,6 @@ class RiskQuery:
 
 
 @dataclass(frozen=True)
-class RiskVector:
-    """Per-state closed-form result: ``risks[i]`` is the risk given starting state i."""
-
-    risks: np.ndarray
-
-    def __post_init__(self) -> None:
-        risks = np.array(self.risks, dtype=float)
-        if risks.ndim != 1:
-            raise DimensionError(f"risks must be 1-d, got shape {risks.shape}")
-        if not np.all(np.isfinite(risks)):
-            raise NonFinite(f"non-finite risk entries: {risks!r}")
-        risks.setflags(write=False)
-        object.__setattr__(self, "risks", risks)
-
-    @property
-    def n_states(self) -> int:
-        return self.risks.size
-
-    def risk_given_state(self, i: int) -> float:
-        if not 0 <= i < self.n_states:
-            raise StateOutOfRange(f"state {i} outside [0, {self.n_states})")
-        return float(self.risks[i])
-
-
-@dataclass(frozen=True)
 class MCEstimate:
     """Monte-Carlo estimate with a delta-method standard error."""
 
@@ -252,17 +227,18 @@ def claim_risk_closed(ou: OUParams, g: Generator, claims, queries, *, gammas) ->
     return risks
 
 
-def spot_risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas) -> list[RiskVector]:
-    """Closed-form entropic risk of the linear spot claim X_T delta[Z_T]:
-    one per-state vector per gamma of ``gammas``, in grid order."""
-    block = claim_risk_closed(ou, g, [LinearSpotClaim(delta)], [q], gammas=gammas)
-    return [RiskVector(row) for row in block[0, 0]]
+def spot_risk_closed(ou: OUParams, g: Generator, delta, q: RiskQuery, *, gammas) -> np.ndarray:
+    """Closed-form entropic risk of the linear spot claim X_T delta[Z_T]: the
+    read-only ``(gamma, state)`` rows of :func:`claim_risk_closed`, one row
+    per gamma of ``gammas``, in grid order."""
+    return claim_risk_closed(ou, g, [LinearSpotClaim(delta)], [q], gammas=gammas)[0, 0]
 
 
-def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas) -> list[RiskVector]:
+def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery, *, gammas) -> np.ndarray:
     """Closed-form entropic risk of a future maturing at the query horizon T:
-    one per-state vector per gamma of ``gammas``, in grid order."""
-    return [RiskVector(row) for row in claim_risk_closed(ou, g, [c], [q], gammas=gammas)[0, 0]]
+    the read-only ``(gamma, state)`` rows of :func:`claim_risk_closed`, one
+    row per gamma of ``gammas``, in grid order."""
+    return claim_risk_closed(ou, g, [c], [q], gammas=gammas)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +246,20 @@ def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery,
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _state_index(state, n: int, name: str = "state") -> int:
+    """``state`` checked as an index of an n-state chain: an integer in [0, n)."""
+    if not (_is_int(state) and 0 <= state < n):
+        raise StateOutOfRange(f"{name}={state!r} is not a state index in [0, {n})")
+    return int(state)
+
+
 def _state_rng(seed: int, state: int) -> np.random.Generator:
     """Counter-based stream for one starting state: Philox keyed by (seed, state)."""
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, state], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -472,11 +458,13 @@ def claim_risk_mc(
     """
     if n_paths < 2:
         raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
+    if not (_is_int(seed) and 0 <= seed < 1 << 64):
+        # the Philox key holds the seed in one 64-bit word
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     _check_states(claim, g)
-    states = range(g.n) if states is None else list(states)
-    for state in states:
-        if not 0 <= state < g.n:
-            raise StateOutOfRange(f"state {state} outside [0, {g.n})")
+    states = range(g.n) if states is None else [_state_index(state, g.n) for state in states]
+    if not states:
+        raise DimensionError("states must be nonempty")
     grid = _gamma_grid(gammas)
     out = []
     for state in states:
@@ -515,14 +503,13 @@ def sample_paths(
     steps = np.diff(grid)
     if grid[0] != 0.0 or not np.all(steps > 0):
         raise TimeOrder("grid must start at 0 and be strictly increasing")
-    if not 0 <= z0 < g.n:
-        raise StateOutOfRange(f"z0={z0} outside [0, {g.n})")
+    z0 = _state_index(z0, g.n, "z0")
     eps = rng.standard_normal(steps.size)
 
     # exact chain: exponential holding time at the exit rate, then a jump
     # target bisected from the state's column of the engine's jump table
-    times, states = [0.0], [int(z0)]
-    t, state = 0.0, int(z0)
+    times, states = [0.0], [z0]
+    t, state = 0.0, z0
     rates, cum = _jump_table(g)
     rates, cdfs = rates.tolist(), cum.T.tolist()
     end, exponential, uniform = float(grid[-1]), rng.exponential, rng.random

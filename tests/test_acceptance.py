@@ -52,7 +52,7 @@ class TestOracleEquivalence:
             g, ou, delta, gamma, s, T = draw_mc_instance(rng)
             q = RiskQuery(s=s, T=T, x_s=float(rng.uniform(30, 70)))
             state = int(rng.integers(0, g.n))
-            rv_spot = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
+            row_spot = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
             # each stream is keyed by (seed, state): simulate the one state read
             est_spot = claim_risk_mc(
                 ou, g, LinearSpotClaim(delta), q, 100_000, seed=5000 + k, gammas=[gamma], states=[state]
@@ -62,11 +62,11 @@ class TestOracleEquivalence:
                 r=float(rng.uniform(0.0, 0.1)),
                 y=float(rng.uniform(-0.05, 0.15)),
             )
-            rv_fut = future_risk_closed(ou, g, fc, q, gammas=[gamma])[0]
+            row_fut = future_risk_closed(ou, g, fc, q, gammas=[gamma])[0]
             est_fut = claim_risk_mc(ou, g, fc, q, 100_000, seed=6000 + k, gammas=[gamma], states=[state])[0][0]
             ok = (
-                abs(est_spot.z_score(rv_spot.risk_given_state(state))) <= 3.0
-                and abs(est_fut.z_score(rv_fut.risk_given_state(state))) <= 3.0
+                abs(est_spot.z_score(row_spot[state])) <= 3.0
+                and abs(est_fut.z_score(row_fut[state])) <= 3.0
             )
             failures += not ok
         elapsed = time.time() - t0
@@ -93,7 +93,7 @@ class TestScalarReduction:
             q = RiskQuery(s=s, T=s + float(rng.uniform(0.05, 1.0)), x_s=float(rng.uniform(30, 70)))
             law = conditional_law(ou, q.x_s, q.s, q.T)
             oracle = d * law.mean - d * d * law.variance / (2.0 * gamma)
-            got = spot_risk_closed(ou, g, [d], q, gammas=[gamma])[0].risk_given_state(0)
+            got = spot_risk_closed(ou, g, [d], q, gammas=[gamma])[0, 0]
             assert abs(got - oracle) < 1e-10
         _report("scalar reduction (100-point grid, 1e-10)")
 
@@ -121,8 +121,8 @@ class TestCarryScalingIdentity:
                 r=float(rng.uniform(0, 0.1)),
                 y=float(rng.uniform(-0.05, 0.15)),
             )
-            lhs = future_risk_closed(ou, g, c, q, gammas=[gamma])[0].risks
-            rhs = spot_risk_closed(ou, g, delta * np.exp(-c.carry * (T - s)), q, gammas=[gamma])[0].risks
+            lhs = future_risk_closed(ou, g, c, q, gammas=[gamma])[0]
+            rhs = spot_risk_closed(ou, g, delta * np.exp(-c.carry * (T - s)), q, gammas=[gamma])[0]
             np.testing.assert_allclose(lhs, rhs, atol=1e-12, rtol=0)
         _report("carry-rescaling identity (100 instances, 1e-12)")
 
@@ -193,7 +193,7 @@ class TestTablePropertiesSubstitute:
             s = float(rng.uniform(0, 0.2))
             T = s + float(rng.uniform(0.05, 0.5))
             q = RiskQuery(s=s, T=T, x_s=ou.x0)
-            risks = np.array([spot_risk_closed(ou, g, delta, q, gammas=[gm])[0].risks for gm in gammas])
+            risks = np.array([spot_risk_closed(ou, g, delta, q, gammas=[gm])[0] for gm in gammas])
             assert np.all(np.diff(risks, axis=0) >= -1e-9)
         _report("gamma-monotonicity of the implemented closed form")
 
@@ -213,7 +213,7 @@ class TestTablePropertiesSubstitute:
             q = RiskQuery(s=0.0, T=float(rng.uniform(0.05, 0.5)), x_s=ou.x0)
             law = conditional_law(ou, q.x_s, q.s, q.T)
             expectation = law.mean * (matrix_exp(g, q.T).T @ delta)
-            risks = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0].risks
+            risks = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
             assert np.all(risks <= expectation + 1e-8)
         _report("jensen upper bound (risk <= conditional expectation + 1e-8)")
 

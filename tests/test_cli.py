@@ -295,7 +295,7 @@ class TestYieldSweepCommand:
         for t, y, risk in payload["data"]["rows"]:
             assert y == 0.0
             q = RiskQuery(s=t, T=T, x_s=62.24)
-            expected = spot_risk_closed(ou, g, [0.75, 0.9], q, gammas=[1.0])[0].risk_given_state(0)
+            expected = spot_risk_closed(ou, g, [0.75, 0.9], q, gammas=[1.0])[0, 0]
             assert risk == pytest.approx(expected, abs=1e-12)
 
     def test_configured_yield_levels_present(self, tmp_path):

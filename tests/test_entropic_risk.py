@@ -1,4 +1,4 @@
-"""Closed-form risk vectors, the MC estimator, and their agreement."""
+"""Closed-form risks, the MC estimator, and their agreement."""
 
 import dataclasses
 import warnings
@@ -13,7 +13,6 @@ from scipy.stats import chi2, poisson
 from regime_risk.entropic_risk import (
     MCEstimate,
     RiskQuery,
-    RiskVector,
     claim_risk_closed,
     claim_risk_mc,
     entropic_mc,
@@ -110,7 +109,7 @@ class TestEntropicMC:
         assert est.value < psi.mean()
 
 
-class TestRiskQueryAndVector:
+class TestRiskQuery:
     @pytest.mark.parametrize(
         "gamma, error",
         [(0.0, NonPositiveGamma), (-1.0, NonPositiveGamma), (np.nan, NonFinite), (np.inf, NonFinite)],
@@ -143,18 +142,8 @@ class TestRiskQueryAndVector:
         phi = np.exp(-delta * law.mean / gamma + delta**2 * law.variance / (2 * gamma**2))
         log_mixture = gamma * np.log(matrix_exp(TWO_STATE, q.horizon).T @ phi)
         np.testing.assert_allclose(
-            spot_risk_closed(CRUDE, TWO_STATE, delta, q, gammas=[gamma])[0].risks, -log_mixture, rtol=1e-12
+            spot_risk_closed(CRUDE, TWO_STATE, delta, q, gammas=[gamma])[0], -log_mixture, rtol=1e-12
         )
-
-        rv = RiskVector(risks=np.array([-1.5, 2.0]))
-        np.testing.assert_array_equal(rv.risks, [-1.5, 2.0])
-        assert rv.risk_given_state(1) == 2.0
-        with pytest.raises(StateOutOfRange):
-            rv.risk_given_state(2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            RiskVector(risks=np.array([np.inf]))
 
 
 Q_HALF_YEAR = RiskQuery(s=0.0, T=0.5, x_s=60.0)
@@ -168,8 +157,8 @@ Q_HALF_YEAR = RiskQuery(s=0.0, T=0.5, x_s=60.0)
         (lambda: MCEstimate(value=1.0, std_error=-0.5, n_paths=10), BadDistribution),
         (lambda: spot_risk_closed(CRUDE, TWO_STATE, [1.0, 1.0], Q_HALF_YEAR, gammas=[]), DimensionError),
         (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 1, 0, gammas=[1.0]), EmptySamples),
-        (lambda: entropic_risk._state_rng(-1, 0), ConfigError),
-        (lambda: entropic_risk._state_rng(1 << 64, 0), ConfigError),
+        (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 2, -1, gammas=[1.0]), ConfigError),
+        (lambda: claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), Q_HALF_YEAR, 2, 1 << 64, gammas=[1.0]), ConfigError),
         (lambda: ConditionalLaw(mean=np.nan, variance=1.0), NonFinite),
         (lambda: ConditionalLaw(0.0, np.nan), NonFinite),
         (lambda: conditional_law(CRUDE, np.nan, 0.0, 1.0), NonFinite),
@@ -192,8 +181,8 @@ class TestSpotRiskClosed:
                 q = RiskQuery(s=0.1, T=0.6, x_s=58.0)
                 law = conditional_law(CRUDE, q.x_s, q.s, q.T)
                 expected = d * law.mean - d * d * law.variance / (2 * gamma)
-                rv = spot_risk_closed(CRUDE, g, [d], q, gammas=[gamma])[0]
-                assert rv.risk_given_state(0) == pytest.approx(expected, abs=1e-10)
+                row = spot_risk_closed(CRUDE, g, [d], q, gammas=[gamma])[0]
+                assert row[0] == pytest.approx(expected, abs=1e-10)
 
     def test_zero_vol_reduces_to_finite_regime_sum(self):
         ou = OUParams(alpha=2.0, mu=45.0, sigma=0.0, x0=50.0)
@@ -202,15 +191,15 @@ class TestSpotRiskClosed:
         g = Generator(random_generator_matrix(np.random.default_rng(1), 3))
         m = conditional_law(ou, q.x_s, q.s, q.T).mean
         P = matrix_exp(g, q.T)
-        rv = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
+        row = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
         for i in range(3):
             mix = sum(P[j, i] * np.exp(-delta[j] * m / gamma) for j in range(3))
-            assert rv.risk_given_state(i) == pytest.approx(-gamma * np.log(mix), abs=1e-10)
+            assert row[i] == pytest.approx(-gamma * np.log(mix), abs=1e-10)
 
     def test_zero_loading_gives_zero_risk(self):
         q = RiskQuery(s=0.0, T=1.0, x_s=50.0)
-        rv = spot_risk_closed(CRUDE, TWO_STATE, [0.0, 0.0], q, gammas=[1.0])[0]
-        np.testing.assert_allclose(rv.risks, 0.0, atol=1e-12)
+        row = spot_risk_closed(CRUDE, TWO_STATE, [0.0, 0.0], q, gammas=[1.0])[0]
+        np.testing.assert_allclose(row, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("chain", ["two_state", "shipped"])
     def test_zero_and_constant_loadings_are_exact(self, chain):
@@ -221,10 +210,10 @@ class TestSpotRiskClosed:
         gammas = [1.0, 2.5, 5.0, 10.0]
         for T in np.random.default_rng(8).uniform(1.0 / 252.0, 2.0, size=250):
             q = RiskQuery(s=0.0, T=float(T), x_s=62.24)
-            for rv in spot_risk_closed(CRUDE, g, np.zeros(g.n), q, gammas=gammas):
-                assert np.all(rv.risks == 0.0)
-            for rv in spot_risk_closed(CRUDE, g, np.full(g.n, 0.75), q, gammas=gammas):
-                assert np.all(rv.risks == rv.risks[0])
+            for row in spot_risk_closed(CRUDE, g, np.zeros(g.n), q, gammas=gammas):
+                assert np.all(row == 0.0)
+            for row in spot_risk_closed(CRUDE, g, np.full(g.n, 0.75), q, gammas=gammas):
+                assert np.all(row == row[0])
 
     def test_wrong_delta_length(self):
         q = RiskQuery(s=0.0, T=1.0, x_s=50.0)
@@ -234,8 +223,8 @@ class TestSpotRiskClosed:
     def test_extreme_exponents_stay_finite(self):
         # |log phi| far beyond 30: the max-shift path must hold
         q = RiskQuery(s=0.0, T=1.0, x_s=62.24)
-        rv = spot_risk_closed(CRUDE, TWO_STATE, [2.0, -2.0], q, gammas=[0.05])[0]
-        assert np.all(np.isfinite(rv.risks))
+        row = spot_risk_closed(CRUDE, TWO_STATE, [2.0, -2.0], q, gammas=[0.05])[0]
+        assert np.all(np.isfinite(row))
 
     def test_reducible_chain_with_extreme_loadings(self):
         # block-diagonal chain: the giant log-moment lives in the block the
@@ -243,37 +232,31 @@ class TestSpotRiskClosed:
         g = reducible_chain()
         delta = np.array([0.5, 0.6, -40.0, -42.0])
         q = RiskQuery(s=0.0, T=0.5, x_s=62.24)
-        rv = spot_risk_closed(CRUDE, g, delta, q, gammas=[0.05])[0]
-        assert np.all(np.isfinite(rv.risks))
+        row = spot_risk_closed(CRUDE, g, delta, q, gammas=[0.05])[0]
+        assert np.all(np.isfinite(row))
         # the benign block must match its own standalone 2-state computation
         g_small = Generator(g.q[:2, :2])
-        rv_small = spot_risk_closed(CRUDE, g_small, delta[:2], q, gammas=[0.05])[0]
-        np.testing.assert_allclose(rv.risks[:2], rv_small.risks, rtol=1e-12)
+        row_small = spot_risk_closed(CRUDE, g_small, delta[:2], q, gammas=[0.05])[0]
+        np.testing.assert_allclose(row[:2], row_small, rtol=1e-12)
 
 
-def closed_by_loop(ou, g, deltas, q, gammas) -> list:
-    """Reference for :func:`claim_risk_closed`: one (loading, gamma) pair at a time,
-    each vector through ``RiskVector``'s own checks."""
+def closed_by_loop(ou, g, deltas, q, gammas) -> np.ndarray:
+    """Reference for :func:`claim_risk_closed`: one (loading, gamma) pair at a
+    time, stacked as a (loading, gamma, state) array."""
     law = conditional_law(ou, q.x_s, q.s, q.T)
     P = matrix_exp(g, q.horizon)
     out = []
     for delta in np.asarray(deltas, dtype=float):
-        vectors = []
+        rows = []
         for gamma in gammas:
             logphi = -delta * law.mean / gamma + delta**2 * law.variance / (2.0 * gamma**2)
             masked = np.where(P > 0.0, logphi[:, None], -np.inf)
             shift = masked.max(axis=0)
             weights = np.exp(masked - shift)
             mixed = np.einsum("ji,ji->i", P, weights) / np.einsum("ji,ji->i", P, np.ones_like(weights))
-            vectors.append(RiskVector(risks=-gamma * (shift + np.log(mixed))))
-        out.append(vectors)
-    return out
-
-
-def closed_block(ou, g, deltas, q, gammas) -> np.ndarray:
-    """:func:`closed_by_loop` as a (loading, gamma, state) array."""
-    vectors = closed_by_loop(ou, g, deltas, q, gammas)
-    return np.array([[rv.risks for rv in v] for v in vectors])
+            rows.append(-gamma * (shift + np.log(mixed)))
+        out.append(rows)
+    return np.array(out)
 
 
 def random_chain(rng, reducible: bool) -> Generator:
@@ -315,9 +298,25 @@ class TestClosedFormGammaGrid:
         grid = closed(CRUDE, g, loading, q, gammas=self.GAMMAS)
         assert len(expm_calls) == 1
         assert len(grid) == len(self.GAMMAS)
-        for gamma, rv in zip(self.GAMMAS, grid):
+        for gamma, row in zip(self.GAMMAS, grid):
             single = closed(CRUDE, g, loading, q, gammas=[gamma])[0]
-            assert np.array_equal(rv.risks, single.risks)
+            assert np.array_equal(row, single)
+
+    @pytest.mark.parametrize("route", ["spot", "future"])
+    def test_wrappers_return_the_blocks_rows(self, route):
+        """Each wrapper returns the read-only (gamma, state) rows of its
+        one-claim, one-query block."""
+        q = RiskQuery(s=0.1, T=0.6, x_s=62.24)
+        if route == "spot":
+            got = spot_risk_closed(CRUDE, TWO_STATE, [0.75, 1.25], q, gammas=self.GAMMAS)
+            claim = LinearSpotClaim([0.75, 1.25])
+        else:
+            claim = FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05)
+            got = future_risk_closed(CRUDE, TWO_STATE, claim, q, gammas=self.GAMMAS)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (len(self.GAMMAS), TWO_STATE.n)
+        assert not got.flags.writeable
+        assert np.array_equal(got, claim_risk_closed(CRUDE, TWO_STATE, [claim], [q], gammas=self.GAMMAS)[0, 0])
 
     YIELDS = [-0.05, 0.0, 0.08, 0.2]
 
@@ -343,7 +342,7 @@ class TestClosedFormGammaGrid:
         assert block.shape == (1, len(singles), len(gammas), g.n)
         for got, want in zip(block[0], singles):
             for risks, single in zip(got, want):
-                assert np.array_equal(risks, single.risks)
+                assert np.array_equal(risks, single)
 
     # gammas whose Python square (libm pow) is not x * x, numpy's square, on
     # glibc: a block that squared gamma with numpy would differ in the last bit
@@ -387,13 +386,13 @@ class TestClosedFormGammaGrid:
                     c.delta * np.exp(-(c.r + c.y) * q.horizon) if isinstance(c, FutureClaim) else c.delta
                     for c in claims
                 ]
-                want.append(closed_block(CRUDE, g, loadings, q, gammas))
+                want.append(closed_by_loop(CRUDE, g, loadings, q, gammas))
             assert np.array_equal(block, np.array(want))
             for i, q in enumerate(queries):
                 for j, c in enumerate(claims):
                     if isinstance(c, FutureClaim):
                         single = future_risk_closed(CRUDE, g, c, q, gammas=gammas)
-                        assert np.array_equal(block[i, j], [rv.risks for rv in single])
+                        assert np.array_equal(block[i, j], single)
 
     @SETTINGS
     @given(
@@ -763,9 +762,9 @@ class TestFutureRiskClosed:
     def test_zero_carry_equals_spot_risk(self):
         q = RiskQuery(s=0.0, T=0.5, x_s=60.0)
         c = FutureClaim(delta=[0.7, 1.3], r=0.04, y=-0.04)
-        rv_f = future_risk_closed(CRUDE, TWO_STATE, c, q, gammas=[2.0])[0]
-        rv_s = spot_risk_closed(CRUDE, TWO_STATE, c.delta, q, gammas=[2.0])[0]
-        np.testing.assert_array_equal(rv_f.risks, rv_s.risks)
+        row_f = future_risk_closed(CRUDE, TWO_STATE, c, q, gammas=[2.0])[0]
+        row_s = spot_risk_closed(CRUDE, TWO_STATE, c.delta, q, gammas=[2.0])[0]
+        np.testing.assert_array_equal(row_f, row_s)
 
     def test_scaling_identity_against_spot_pipeline(self, rng):
         for _ in range(25):
@@ -787,8 +786,8 @@ class TestFutureRiskClosed:
                 y=rng.uniform(-0.05, 0.15),
             )
             scaled = c.delta * np.exp(-(c.r + c.y) * (T - s))
-            lhs = future_risk_closed(ou, g, c, q, gammas=[gamma])[0].risks
-            rhs = spot_risk_closed(ou, g, scaled, q, gammas=[gamma])[0].risks
+            lhs = future_risk_closed(ou, g, c, q, gammas=[gamma])[0]
+            rhs = spot_risk_closed(ou, g, scaled, q, gammas=[gamma])[0]
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -798,17 +797,17 @@ class TestClaimRiskMC:
 
     def test_linear_matches_closed_form(self):
         delta = np.array([0.75, 1.25])
-        rv = spot_risk_closed(CRUDE, TWO_STATE, delta, self.Q, gammas=self.GAMMAS)[0]
+        row = spot_risk_closed(CRUDE, TWO_STATE, delta, self.Q, gammas=self.GAMMAS)[0]
         ests = claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim(delta), self.Q, 60_000, seed=17, gammas=self.GAMMAS)
         for i, (est,) in enumerate(ests):
-            assert abs(est.z_score(rv.risk_given_state(i))) < 3.0
+            assert abs(est.z_score(row[i])) < 3.0
 
     def test_future_matches_closed_form(self):
         c = FutureClaim(delta=[0.75, 1.25], r=0.03, y=0.05)
-        rv = future_risk_closed(CRUDE, TWO_STATE, c, self.Q, gammas=self.GAMMAS)[0]
+        row = future_risk_closed(CRUDE, TWO_STATE, c, self.Q, gammas=self.GAMMAS)[0]
         ests = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 60_000, seed=23, gammas=self.GAMMAS)
         for i, (est,) in enumerate(ests):
-            assert abs(est.z_score(rv.risk_given_state(i))) < 3.0
+            assert abs(est.z_score(row[i])) < 3.0
 
     def test_degenerate_instance_is_exact(self):
         ou = OUParams(alpha=1.0, mu=50.0, sigma=0.0, x0=55.0)
@@ -880,11 +879,12 @@ class TestClaimRiskMC:
         claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 500, seed=3, gammas=[1.0, 2.0], states=[1])
         assert calls == [1]
 
-    def test_state_and_gamma_grid_checked_before_simulating(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("simulated before the arguments were checked")
+    @staticmethod
+    def never(*args):
+        raise AssertionError("simulated before the arguments were checked")
 
-        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", never)
+    def test_state_and_gamma_grid_checked_before_simulating(self, monkeypatch):
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
         c = LinearSpotClaim([1.0, 1.0])
         for states in ([2], [0, -1]):
             with pytest.raises(StateOutOfRange):
@@ -899,6 +899,31 @@ class TestClaimRiskMC:
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[0.0])
         with pytest.raises(ValueError):
             claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 100, seed=0, gammas=[])
+
+    @pytest.mark.parametrize("states", [[1.5], [True], [np.True_], [0, 1.0]], ids=["float", "bool", "np_bool", "float_one"])
+    def test_non_integer_state_rejected_before_simulating(self, monkeypatch, states):
+        """A state is an index: a float or bool is not truncated to one."""
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
+        with pytest.raises(StateOutOfRange):
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 100, seed=0, gammas=self.GAMMAS, states=states)
+
+    @pytest.mark.parametrize("seed", [3.7, 3.0, True, "3"], ids=["float", "integral_float", "bool", "str"])
+    def test_bad_seed_rejected_before_simulating(self, monkeypatch, seed):
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
+        with pytest.raises(ConfigError):
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 100, seed=seed, gammas=self.GAMMAS)
+
+    def test_empty_state_list_rejected_before_simulating(self, monkeypatch):
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
+        with pytest.raises(DimensionError, match="states must be nonempty"):
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 100, seed=0, gammas=self.GAMMAS, states=[])
+
+    def test_numpy_integer_state_and_seed_are_integers(self):
+        c = LinearSpotClaim([0.75, 1.25])
+        want = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 200, seed=3, gammas=self.GAMMAS, states=[1])
+        state, seed = np.random.default_rng(0).integers(1, 2), np.uint64(3)
+        got = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 200, seed=seed, gammas=self.GAMMAS, states=[state])
+        assert got == want
 
     def test_swap_query_constraints(self):
         c = SwapClaim(rates=[0.05, 0.05], delta=[1.0, 1.0], yield_spec=ConstantYield(r=0.02, y=0.04))
@@ -1040,7 +1065,7 @@ class TestRiskProperties:
     @given(closed_instances())
     def test_non_decreasing_in_gamma_on_grids(self, instance):
         g, ou, delta, q, gammas = instance
-        risks = np.array([rv.risks for rv in spot_risk_closed(ou, g, delta, q, gammas=gammas)])
+        risks = spot_risk_closed(ou, g, delta, q, gammas=gammas)
         assert np.all(np.diff(risks, axis=0) >= -1e-12 * self._scale(ou, delta, q))
 
     @SETTINGS
@@ -1048,8 +1073,8 @@ class TestRiskProperties:
     def test_at_most_the_conditional_mean_on_grids(self, instance):
         g, ou, delta, q, gammas = instance
         mean = expected_payoff_closed(ou, g, delta, q)
-        for rv in spot_risk_closed(ou, g, delta, q, gammas=gammas):
-            assert np.all(rv.risks <= mean + 1e-12 * self._scale(ou, delta, q))
+        for row in spot_risk_closed(ou, g, delta, q, gammas=gammas):
+            assert np.all(row <= mean + 1e-12 * self._scale(ou, delta, q))
 
     @SETTINGS
     @given(closed_instances(), st.data())
@@ -1058,8 +1083,8 @@ class TestRiskProperties:
         perm = np.array(data.draw(st.permutations(range(g.n))))
         permuted = Generator(g.q[np.ix_(perm, perm)])
         got = spot_risk_closed(ou, permuted, delta[perm], q, gammas=gammas)
-        for rv, ref in zip(got, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
-            np.testing.assert_allclose(rv.risks, ref.risks[perm], rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
+        for row, ref in zip(got, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
+            np.testing.assert_allclose(row, ref[perm], rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
 
     @SETTINGS
     @given(closed_instances(), st.floats(-2.0, 2.0), st.floats(-20.0, 20.0))
@@ -1072,8 +1097,8 @@ class TestRiskProperties:
         step = d * np.exp(-ou.alpha * q.horizon) * shift
         scale = max(self._scale(ou, delta, q), self._scale(ou, delta, moved))
         base = spot_risk_closed(ou, g, delta, q, gammas=gammas)
-        for rv, ref in zip(spot_risk_closed(ou, g, delta, moved, gammas=gammas), base):
-            np.testing.assert_allclose(rv.risks - ref.risks, step, rtol=0, atol=1e-12 * scale)
+        for row, ref in zip(spot_risk_closed(ou, g, delta, moved, gammas=gammas), base):
+            np.testing.assert_allclose(row - ref, step, rtol=0, atol=1e-12 * scale)
 
     @SETTINGS
     @given(closed_instances())
@@ -1084,9 +1109,9 @@ class TestRiskProperties:
         law = conditional_law(ou, q.x_s, q.s, q.T)
         reachable = matrix_exp(g, q.horizon) > 0.0
         tol = 1e-12 * self._scale(ou, delta, q)
-        for gamma, rv in zip(gammas, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
+        for gamma, row in zip(gammas, spot_risk_closed(ou, g, delta, q, gammas=gammas)):
             ce = delta * law.mean - delta**2 * law.variance / (2.0 * gamma)
-            for i, risk in enumerate(rv.risks):
+            for i, risk in enumerate(row):
                 assert ce[reachable[:, i]].min() - tol <= risk <= ce[reachable[:, i]].max() + tol
 
     @SETTINGS
@@ -1102,8 +1127,8 @@ class TestRiskProperties:
         full = spot_risk_closed(ou, g, delta, q, gammas=gammas)
         for block in map(list, blocks):
             alone = Generator(g.q[np.ix_(block, block)])
-            for rv, ref in zip(full, spot_risk_closed(ou, alone, delta[block], q, gammas=gammas)):
-                np.testing.assert_allclose(rv.risks[block], ref.risks, rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
+            for row, ref in zip(full, spot_risk_closed(ou, alone, delta[block], q, gammas=gammas)):
+                np.testing.assert_allclose(row[block], ref, rtol=1e-12, atol=1e-12 * self._scale(ou, delta, q))
 
     def _random_instance(self, rng):
         n = int(rng.integers(1, 5))
@@ -1124,14 +1149,14 @@ class TestRiskProperties:
         for _ in range(15):
             g, ou, delta, s, T = self._random_instance(rng)
             q = RiskQuery(s=s, T=T, x_s=ou.x0)
-            risks = np.array([spot_risk_closed(ou, g, delta, q, gammas=[gm])[0].risks for gm in gammas])
+            risks = np.array([spot_risk_closed(ou, g, delta, q, gammas=[gm])[0] for gm in gammas])
             assert np.all(np.diff(risks, axis=0) >= -1e-9)
 
     def test_jensen_upper_bound(self, rng):
         for _ in range(15):
             g, ou, delta, s, T = self._random_instance(rng)
             gamma, q = float(rng.choice([0.5, 1.0, 5.0])), RiskQuery(s=s, T=T, x_s=ou.x0)
-            risks = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0].risks
+            risks = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
             bound = expected_payoff_closed(ou, g, delta, q)
             assert np.all(risks <= bound + 1e-8)
 
@@ -1139,7 +1164,7 @@ class TestRiskProperties:
         for _ in range(10):
             g, ou, delta, s, T = self._random_instance(rng)
             q = RiskQuery(s=s, T=T, x_s=ou.x0)
-            risks = spot_risk_closed(ou, g, delta, q, gammas=[1e6])[0].risks
+            risks = spot_risk_closed(ou, g, delta, q, gammas=[1e6])[0]
             expect = expected_payoff_closed(ou, g, delta, q)
             scale = np.maximum(np.abs(expect), 1.0)
             assert np.all(np.abs(risks - expect) / scale < 1e-3)
@@ -1149,11 +1174,11 @@ class TestRiskProperties:
         for k in range(20):
             g, ou, delta, gamma, s, T = draw_mc_instance(rng)
             q = RiskQuery(s=s, T=T, x_s=ou.x0)
-            rv = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
+            row = spot_risk_closed(ou, g, delta, q, gammas=[gamma])[0]
             state = int(rng.integers(0, g.n))
             est = claim_risk_mc(
                 ou, g, LinearSpotClaim(delta), q, 20_000, seed=1000 + k, gammas=[gamma], states=[state]
             )[0][0]
             total += 1
-            hits += abs(est.z_score(rv.risk_given_state(state))) <= 3.0
+            hits += abs(est.z_score(row[state])) <= 3.0
         assert hits >= total - 1

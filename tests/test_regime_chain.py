@@ -407,10 +407,24 @@ class TestSamplePath:
             np.testing.assert_array_equal(z, regimes_by_choice(g, z0, grid, oracle))
             assert ours.bit_generator.state == oracle.bit_generator.state
 
-    def test_state_out_of_range(self, rng):
+    @pytest.mark.parametrize("z0", [2, -1, 1.5, 1.0, True, np.True_], ids=["two", "negative", "float", "integral_float", "bool", "np_bool"])
+    def test_state_out_of_range(self, z0):
+        """z0 is an index in [0, n): a float or bool is not truncated to one,
+        and nothing is drawn before it is checked."""
         g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         with pytest.raises(StateOutOfRange):
-            sample_paths(SPOT, g, 2, [0.0, 1.0], rng)
+            sample_paths(SPOT, g, z0, [0.0, 1.0], rng)
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_start_state(self):
+        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        grid = np.linspace(0.0, 5.0, 50)
+        want = sample_paths(SPOT, g, 1, grid, np.random.default_rng(4))
+        got = sample_paths(SPOT, g, np.int64(1), grid, np.random.default_rng(4))
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
 
     def test_occupation_of_symmetric_chain(self):
         # time-average occupation of each state tends to the 50/50 stationary law
