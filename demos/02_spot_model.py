@@ -8,12 +8,12 @@ errors.
 import numpy as np
 
 from regime_risk import (
+    Generator,
     OUParams,
     PriceSeries,
     calibrate,
     conditional_law,
     sample_paths,
-    validate_generator,
 )
 
 truth = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
@@ -28,7 +28,7 @@ print(f"  stationary std {np.sqrt(truth.stationary_variance):.4f}")
 n_days = 2016
 grid = np.arange(n_days + 1) / 252
 rng = np.random.default_rng(11)
-prices, _, _ = sample_paths(truth, validate_generator([[0.0]]), 0, grid, rng)
+prices, _, _ = sample_paths(truth, Generator([[0.0]]), 0, grid, rng)
 print(f"\nsimulated {n_days} daily steps: min {prices.min():.2f}, max {prices.max():.2f}")
 
 days = np.datetime64("2016-01-04") + np.arange(n_days + 1).astype("timedelta64[D]")

@@ -10,17 +10,17 @@ import numpy as np
 
 from regime_risk import (
     FutureClaim,
+    Generator,
     LinearSpotClaim,
     OUParams,
     RiskQuery,
     claim_risk_mc,
     future_risk_closed,
     spot_risk_closed,
-    validate_generator,
 )
 
 ou = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
-gen = validate_generator([[-2.0, 1.0], [2.0, -1.0]])  # slow regime 1, fast regime 0
+gen = Generator([[-2.0, 1.0], [2.0, -1.0]])  # slow regime 1, fast regime 0
 delta = np.array([0.75, 1.10])  # price haircut in downturn, premium in recovery
 query = RiskQuery(s=0.0, T=50 / 252, x_s=ou.x0)
 

@@ -10,16 +10,16 @@ import numpy as np
 
 from regime_risk import (
     FutureClaim,
+    Generator,
     GibsonSchwartzParams,
     OUParams,
     RiskQuery,
     future_risk_closed,
     sample_paths,
-    validate_generator,
 )
 
 ou = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
-gen = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
+gen = Generator([[-0.8, 0.5], [0.8, -0.5]])
 T = 150 / 252
 yields = [0.0, 0.04, 0.08]
 times = [k * T / 10 for k in range(10)]

@@ -10,17 +10,17 @@ import numpy as np
 
 from regime_risk import (
     ConstantYield,
+    Generator,
     GibsonSchwartzParams,
     OUParams,
     RiskQuery,
     SwapClaim,
     claim_risk_mc,
     swap_value,
-    validate_generator,
 )
 
 ou = OUParams(alpha=2.0, mu=50.0, sigma=8.0, x0=55.0)
-gen = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
+gen = Generator([[-0.8, 0.5], [0.8, -0.5]])
 
 
 def swap_risk(ou, gen, swap, gamma, n_paths, seed, z0=0):
@@ -42,7 +42,7 @@ for z0 in (0, 1):
 # One deterministic settlement by hand: sigma = 0 and a frozen chain make
 # the swap value a constant, and the entropic risk must equal it exactly.
 frozen_ou = OUParams(alpha=2.0, mu=50.0, sigma=0.0, x0=55.0)
-frozen_gen = validate_generator(np.zeros((1, 1)))
+frozen_gen = Generator(np.zeros((1, 1)))
 tiny = SwapClaim(rates=[0.05, 0.05], delta=[1.0], yield_spec=ConstantYield(r=0.02, y=0.06))
 est = swap_risk(frozen_ou, frozen_gen, tiny, gamma=5.0, n_paths=100, seed=0)
 x1 = 55.0 * np.exp(-2.0) + 50.0 * (1 - np.exp(-2.0))

@@ -55,7 +55,6 @@ from .regime_chain import (
     distribution_at,
     from_transition,
     matrix_exp,
-    validate_generator,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "__version__",
     # chain
     "Generator",
-    "validate_generator",
     "from_transition",
     "matrix_exp",
     "distribution_at",

@@ -27,7 +27,7 @@ from .instruments import (
     SwapClaim,
 )
 from .ou_model import DEFAULT_DT, OUParams, TRADING_DAYS_PER_YEAR
-from .regime_chain import Generator, from_transition, validate_generator
+from .regime_chain import Generator, from_transition
 
 
 def horizon_years(days: float) -> float:
@@ -136,7 +136,7 @@ def _parse_chain(section: dict) -> tuple[Generator, int]:
     matrix = np.asarray(_number(section["matrix"], "chain.matrix", depth=2))
     z0 = _number(section.get("z0", 0), "chain.z0", integer=True)
     if kind == "generator":
-        gen = validate_generator(matrix)
+        gen = Generator(matrix)
     elif kind == "transition":
         if "dt" not in section:
             raise ConfigError("chain.kind 'transition' requires chain.dt (years)")

@@ -191,6 +191,8 @@ def claim_risk_closed(ou: OUParams, g: Generator, claims, queries, *, gammas) ->
     grid = _gamma_grid(gammas)
     if not claims:
         raise DimensionError("claims must be nonempty")
+    if not queries:
+        raise DimensionError("queries must be nonempty")
     for claim in claims:
         if not hasattr(claim, "loading"):
             raise TypeError(f"unsupported claim type {type(claim).__name__}")
@@ -278,7 +280,7 @@ def _jump_table(g: Generator) -> tuple[np.ndarray, np.ndarray]:
     rates = g.exit_rates()
     cum = np.ones((g.n, g.n))
     for s in range(g.n):
-        probs = np.maximum(g.q[:, s], 0.0)
+        probs = g.q[:, s].copy()
         probs[s] = 0.0
         total = probs.sum()
         if rates[s] > 0.0 and total > 0.0:
@@ -456,6 +458,8 @@ def claim_risk_mc(
     is keyed by (seed, state) alone, so an estimate does not depend on which
     other states or gammas are requested.
     """
+    if not _is_int(n_paths):
+        raise ConfigError(f"n_paths must be an integer, got {n_paths!r}")
     if n_paths < 2:
         raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
     if not (_is_int(seed) and 0 <= seed < 1 << 64):

@@ -174,7 +174,8 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
         W = sum_t e^{-rates[t-1]} X_t (e^{Y_t delta[Z_t] (t - T)} - 1)
 
     ``x_path`` and ``z_path`` hold the values at the settlement times 1..T
-    (shape (T,) for one path, or (T, m) for m paths, returning a vector).
+    (shape (T,) for one path, or (T, m) for m paths, returning a vector);
+    ``z_path`` holds integer state indices, and a bool or float one raises.
     ``y_path`` supplies the scalar yield at the settlements when the claim
     uses a Gibson-Schwartz spec; it must be omitted for a constant spec.
     """
@@ -185,6 +186,8 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
         raise LengthMismatch(
             f"spot/state series must have {T} settlement values, got {x.shape} / {z.shape}"
         )
+    if not np.issubdtype(z.dtype, np.integer):
+        raise StateOutOfRange(f"state path must hold integer indices, got dtype {z.dtype}")
     bad = (z < 0) | (z >= c.n_states)
     if bad.any():
         raise StateOutOfRange(f"state index outside [0, {c.n_states}): {z[bad][:1]!r}")

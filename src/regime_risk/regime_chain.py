@@ -1,5 +1,8 @@
 """Finite-state continuous-time Markov chain: validation and exponentials.
 
+A chain is built one way, ``Generator(q)``, which checks the raw matrix once
+and clamps the rounding dust that check admits only after its sign checks.
+
 The transition kernel ``expm(q t)`` is computed in numpy by scaling and
 squaring with the degree-13 Padé approximant (Higham 2005).  Paths of the
 chain are sampled together with the spot by the two samplers in
@@ -66,8 +69,13 @@ _THETA13 = 5.371920351148152
 class Generator:
     """Validated rate matrix of an n-state chain, column convention.
 
-    Construct through :func:`validate_generator` or :func:`from_transition`;
-    the constructor itself re-checks the invariants.
+    Checks the raw ``q`` once: its signs first, then it clamps the dust they
+    admit (off-diagonal entries in [-1e-12, 0), diagonal ones in (0, 1e-12])
+    to zero, so -0.2 or -inf raises and is never zeroed, and then the column
+    sums of the clamped matrix, which is stored read-only and rebuilds to the
+    same bits.  Raises :class:`DimensionError` if ``q`` is not square,
+    :class:`NonFinite` on a NaN or infinite entry and :class:`NotAGenerator`
+    on a sign or column sum out of tolerance, naming the entry.
     """
 
     q: np.ndarray
@@ -88,6 +96,7 @@ class Generator:
 
 
 def _check_generator(q: np.ndarray) -> None:
+    """Check a raw rate matrix, clamping its sign dust in place (see Generator)."""
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionError(f"generator must be a square matrix, got shape {q.shape}")
     if q.shape[0] < 1:
@@ -95,14 +104,17 @@ def _check_generator(q: np.ndarray) -> None:
     if not np.isfinite(q).all():
         i, j = np.argwhere(~np.isfinite(q))[0]
         raise NonFinite(f"generator entry ({i},{j})={q[i, j]!r} is not finite")
-    off = q[~np.eye(q.shape[0], dtype=bool)]
+    mask = ~np.eye(q.shape[0], dtype=bool)
+    off = q[mask]
     if off.size and off.min() < -_SIGN_TOL:
-        i, j = _worst_offdiag(q)
+        i, j = np.unravel_index(int(np.argmin(np.where(mask, q, np.inf))), q.shape)
         raise NotAGenerator(f"off-diagonal entry ({i},{j})={q[i, j]!r} is negative")
     diag = np.diag(q)
-    if diag.size and diag.max() > _SIGN_TOL:
+    if diag.max() > _SIGN_TOL:
         i = int(np.argmax(diag))
         raise NotAGenerator(f"diagonal entry ({i},{i})={q[i, i]!r} is positive")
+    q[mask & (q < 0)] = 0.0
+    np.fill_diagonal(q, np.minimum(diag, 0.0))
     colsums = q.sum(axis=0)
     if np.any(np.abs(colsums) > _COLSUM_TOL):
         j = int(np.argmax(np.abs(colsums)))
@@ -110,36 +122,6 @@ def _check_generator(q: np.ndarray) -> None:
             f"column {j} sums to {colsums[j]!r}, expected 0 within {_COLSUM_TOL} "
             "(column convention: rates out of state j live in column j)"
         )
-
-
-def _worst_offdiag(q: np.ndarray) -> tuple[int, int]:
-    mask = ~np.eye(q.shape[0], dtype=bool)
-    masked = np.where(mask, q, np.inf)
-    return np.unravel_index(int(np.argmin(masked)), q.shape)  # type: ignore[return-value]
-
-
-def validate_generator(q: np.ndarray) -> Generator:
-    """Validate a raw square matrix as a column-convention generator.
-
-    Off-diagonal entries in [-1e-12, 0) and positive diagonal entries up to
-    1e-12 are clamped to zero (floating-point dust from upstream arithmetic);
-    anything worse raises.
-
-    Raises
-    ------
-    DimensionError
-        If ``q`` is not square.
-    NonFinite
-        If an entry is NaN or infinite.
-    NotAGenerator
-        On sign violations or nonzero column sums, naming the offending entry.
-    """
-    q = np.array(q, dtype=float)
-    _check_generator(q)
-    mask = ~np.eye(q.shape[0], dtype=bool)
-    q[mask & (q < 0)] = 0.0
-    np.fill_diagonal(q, np.minimum(np.diag(q), 0.0))
-    return Generator(q)
 
 
 def from_transition(p, dt: float) -> Generator:
@@ -170,8 +152,7 @@ def from_transition(p, dt: float) -> Generator:
     if np.any(off > _COLSUM_TOL * step):
         i = int(np.argmax(off))
         raise NotStochastic(f"row {i} sums to {sums[i]!r}, expected 1 within {_COLSUM_TOL * step:.3g}")
-    q = (mat - np.eye(mat.shape[0])).T / step
-    return validate_generator(q)
+    return Generator((mat - np.eye(mat.shape[0])).T / step)
 
 
 def matrix_exp(g: Generator, t) -> np.ndarray:

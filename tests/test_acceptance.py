@@ -26,7 +26,7 @@ from regime_risk.ou_model import (
     calibrate,
     conditional_law,
 )
-from regime_risk.regime_chain import Generator, matrix_exp, validate_generator
+from regime_risk.regime_chain import Generator, matrix_exp
 
 from conftest import EXAMPLE_CONFIG, draw_mc_instance, random_generator_matrix
 
@@ -78,7 +78,7 @@ class TestOracleEquivalence:
 class TestScalarReduction:
     def test_single_regime_closed_form_is_gaussian_certainty_equivalent(self):
         """N=1: closed form equals d*m - d^2 v / (2 gamma) to 1e-10."""
-        g = validate_generator([[0.0]])
+        g = Generator([[0.0]])
         rng = np.random.default_rng(42)
         for _ in range(100):
             ou = OUParams(
@@ -142,7 +142,7 @@ class TestMarkovLayer:
                 np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-9)
                 assert p.min() >= 0.0
         for a, t in [(0.5, 0.25), (1.3, 1.0), (2.0, 4.0)]:
-            g2 = validate_generator([[-a, a], [a, -a]])
+            g2 = Generator([[-a, a], [a, -a]])
             same = (1 + np.exp(-2 * a * t)) / 2
             cross = (1 - np.exp(-2 * a * t)) / 2
             np.testing.assert_allclose(
@@ -157,7 +157,7 @@ class TestCalibrationRoundTrip:
         truth = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
         grid = np.arange(10_001) / 252.0
         days = np.datetime64("2000-01-03") + np.arange(10_001).astype("timedelta64[D]")
-        one_state = validate_generator([[0.0]])  # spot-only paths: the chain draws nothing
+        one_state = Generator([[0.0]])  # spot-only paths: the chain draws nothing
         hits = 0
         for seed in range(100):
             x = sample_paths(truth, one_state, 0, grid, np.random.default_rng(seed))[0]

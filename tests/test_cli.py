@@ -13,7 +13,7 @@ from regime_risk.cli import main
 from regime_risk.entropic_risk import RiskQuery, sample_paths, spot_risk_closed
 from regime_risk.instruments import GibsonSchwartzParams, step_correlation
 from regime_risk.ou_model import OUParams, TRADING_DAYS_PER_YEAR, step_coefficients
-from regime_risk.regime_chain import validate_generator
+from regime_risk.regime_chain import Generator
 
 from conftest import EXAMPLE_CONFIG
 
@@ -91,7 +91,7 @@ def gs_swap(**yield_overrides) -> dict:
 def synthetic_csv(tmp_path: Path, n=6000, seed=77) -> Path:
     p = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
     rng = np.random.default_rng(seed)
-    one_state = validate_generator([[0.0]])  # spot-only path: the chain draws nothing
+    one_state = Generator([[0.0]])  # spot-only path: the chain draws nothing
     x = sample_paths(p, one_state, 0, np.arange(n + 1) / TRADING_DAYS_PER_YEAR, rng)[0]
     days = np.datetime64("2012-01-03") + np.arange(n + 1).astype("timedelta64[D]")
     f = tmp_path / "prices.csv"
@@ -290,7 +290,7 @@ class TestYieldSweepCommand:
         assert run(["yield-sweep", "--config", path]) == 0
         payload = json.loads((tmp_path / "out" / "yield_sweep.json").read_text())
         ou = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
-        g = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
+        g = Generator([[-0.8, 0.5], [0.8, -0.5]])
         T = 50.0 / TRADING_DAYS_PER_YEAR
         for t, y, risk in payload["data"]["rows"]:
             assert y == 0.0

@@ -40,12 +40,12 @@ from regime_risk.instruments import (
     SwapClaim,
 )
 from regime_risk.ou_model import ConditionalLaw, OUParams, conditional_law
-from regime_risk.regime_chain import Generator, distribution_at, matrix_exp, validate_generator
+from regime_risk.regime_chain import Generator, distribution_at, matrix_exp
 
 from conftest import EXAMPLE_CONFIG, SETTINGS, draw_mc_instance, random_generator_matrix
 
 CRUDE = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
-TWO_STATE = validate_generator([[-0.8, 0.5], [0.8, -0.5]])
+TWO_STATE = Generator([[-0.8, 0.5], [0.8, -0.5]])
 
 
 def swap_risk_mc(ou, g, c, gamma, n_paths, seed, z0=0):
@@ -175,7 +175,7 @@ def test_out_of_range_arguments_raise_typed_errors(call, error):
 
 class TestSpotRiskClosed:
     def test_single_regime_reduces_to_gaussian_certainty_equivalent(self):
-        g = validate_generator([[0.0]])
+        g = Generator([[0.0]])
         for gamma in (0.5, 1.0, 5.0, 20.0):
             for d in (-1.5, 0.3, 2.0):
                 q = RiskQuery(s=0.1, T=0.6, x_s=58.0)
@@ -429,6 +429,11 @@ class TestClosedFormGammaGrid:
             claim_risk_closed(CRUDE, TWO_STATE, [], [q], gammas=[1.0])
         assert expm_calls == []
 
+    def test_empty_query_list_rejected_at_entry(self, expm_calls):
+        with pytest.raises(DimensionError, match="queries must be nonempty"):
+            claim_risk_closed(CRUDE, TWO_STATE, [LinearSpotClaim([1.0, 1.0])], [], gammas=[1.0])
+        assert expm_calls == []
+
     @pytest.mark.parametrize(
         "delta, error",
         [([np.inf, 1.0], NonFinite), ([np.nan, 1.0], NonFinite), ([[1.0, 1.0]], DimensionError)],
@@ -641,13 +646,13 @@ class TestRegimeKernelAtScale:
 
     @pytest.mark.parametrize("start", range(4))
     def test_dense_chain_over_eight_settlements(self, start):
-        g = validate_generator(DENSE)
+        g = Generator(DENSE)
         assert not fixed_rows(entropic_risk._jump_table(g)[1]).any()
         self.assert_matches(g, start, [1.0] * 8, seed=3)
 
     @pytest.mark.parametrize("start", range(5))
     def test_chain_mixing_fixed_and_fractional_rows(self, start):
-        g = validate_generator(MIXED)
+        g = Generator(MIXED)
         assert fixed_rows(entropic_risk._jump_table(g)[1]).tolist() == [True, False, False, False]
         # some paths come to rest in state 4 partway through a round
         assert (self.assert_matches(g, start, [0.5, 1.0], seed=4) == 4).any()
@@ -657,7 +662,7 @@ class TestJumpLaw:
     """Both samplers read one jump table: a state whose column has an exit rate
     but no positive target (a leak the generator check admits) never leaves."""
 
-    NO_TARGET = validate_generator([[0.0, 0.0], [0.0, -1e-10]])
+    NO_TARGET = Generator([[0.0, 0.0], [0.0, -1e-10]])
 
     def test_state_without_target_reads_rate_zero(self):
         rates, cum = entropic_risk._jump_table(self.NO_TARGET)
@@ -811,7 +816,7 @@ class TestClaimRiskMC:
 
     def test_degenerate_instance_is_exact(self):
         ou = OUParams(alpha=1.0, mu=50.0, sigma=0.0, x0=55.0)
-        frozen = validate_generator(np.zeros((2, 2)))
+        frozen = Generator(np.zeros((2, 2)))
         delta = np.array([0.8, 1.1])
         ests = claim_risk_mc(ou, frozen, LinearSpotClaim(delta), self.Q, 1000, seed=1, gammas=self.GAMMAS)
         m = conditional_law(ou, self.Q.x_s, self.Q.s, self.Q.T).mean
@@ -913,6 +918,17 @@ class TestClaimRiskMC:
         with pytest.raises(ConfigError):
             claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 100, seed=seed, gammas=self.GAMMAS)
 
+    @pytest.mark.parametrize(
+        "n_paths", [1000.0, np.float64(1000.0), 1000.7, True, "1000"],
+        ids=["integral_float", "np_float", "float", "bool", "str"],
+    )
+    def test_non_integer_path_count_rejected_before_simulating(self, monkeypatch, n_paths):
+        """A path count is an integer: a float is not truncated to one, nor is
+        a bool read as 1."""
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
+        with pytest.raises(ConfigError, match="n_paths must be an integer"):
+            claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, n_paths, seed=0, gammas=self.GAMMAS)
+
     def test_empty_state_list_rejected_before_simulating(self, monkeypatch):
         monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
         with pytest.raises(DimensionError, match="states must be nonempty"):
@@ -922,7 +938,7 @@ class TestClaimRiskMC:
         c = LinearSpotClaim([0.75, 1.25])
         want = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 200, seed=3, gammas=self.GAMMAS, states=[1])
         state, seed = np.random.default_rng(0).integers(1, 2), np.uint64(3)
-        got = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 200, seed=seed, gammas=self.GAMMAS, states=[state])
+        got = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, np.int32(200), seed=seed, gammas=self.GAMMAS, states=[state])
         assert got == want
 
     def test_swap_query_constraints(self):
@@ -949,7 +965,7 @@ class TestSwapRiskMC:
     def test_deterministic_two_period_hand_value(self):
         # sigma = 0 and a frozen chain: W is a constant, risk equals it exactly
         ou = OUParams(alpha=1.0, mu=50.0, sigma=0.0, x0=70.0)
-        frozen = validate_generator(np.zeros((1, 1)))
+        frozen = Generator(np.zeros((1, 1)))
         c = SwapClaim(rates=[0.05, 0.06], delta=[1.0], yield_spec=ConstantYield(r=0.04, y=0.06))
         x1 = 70.0 * np.exp(-1.0) + 50.0 * (1 - np.exp(-1.0))
         w = np.exp(-0.05) * x1 * (np.exp(-0.1) - 1.0)
@@ -970,7 +986,7 @@ class TestSwapRiskMC:
         # jointly Gaussian spot values: risk = E[W] - Var(W) / (2 gamma),
         # with the OU covariance Cov(X_s, X_t) = e^{-alpha (t-s)} Var(X_s)
         ou = OUParams(alpha=2.0, mu=50.0, sigma=8.0, x0=55.0)
-        frozen = validate_generator(np.zeros((1, 1)))
+        frozen = Generator(np.zeros((1, 1)))
         rates = np.array([0.05, 0.05, 0.05])
         carry = 0.08
         c = SwapClaim(rates=rates, delta=[1.0], yield_spec=ConstantYield(r=0.02, y=0.06))
@@ -994,7 +1010,7 @@ class TestSwapRiskMC:
         # a lognormal moment of the Gaussian yield, and at huge gamma the
         # entropic risk converges to E[W] computed from those moments
         ou = OUParams(alpha=2.0, mu=50.0, sigma=0.0, x0=55.0)
-        frozen = validate_generator(np.zeros((1, 1)))
+        frozen = Generator(np.zeros((1, 1)))
         gs = GibsonSchwartzParams(
             kappa=1.5, y_bar=0.08, sigma_y=0.15, rho=0.0, lambda_y=0.02, y0=0.05
         )

@@ -15,10 +15,10 @@ from regime_risk.instruments import (
     swap_value,
 )
 from regime_risk.ou_model import OUParams
-from regime_risk.regime_chain import validate_generator
+from regime_risk.regime_chain import Generator
 
 SPOT = OUParams(alpha=1.0, mu=0.0, sigma=1.0, x0=0.0)
-ONE_STATE = validate_generator([[0.0]])  # draws nothing
+ONE_STATE = Generator([[0.0]])  # draws nothing
 
 
 def terminal_payoff(claim, x: float, z: int, s: float = 0.0, T: float = 1.0) -> float:
@@ -29,7 +29,7 @@ def terminal_payoff(claim, x: float, z: int, s: float = 0.0, T: float = 1.0) -> 
     gamma = 1 is the payoff itself.
     """
     ou = OUParams(alpha=1000.0, mu=x, sigma=0.0, x0=x)
-    frozen = validate_generator(np.zeros((claim.n_states, claim.n_states)))
+    frozen = Generator(np.zeros((claim.n_states, claim.n_states)))
     q = RiskQuery(s=s, T=T, x_s=x)
     return claim_risk_mc(ou, frozen, claim, q, 2, seed=0, gammas=[1.0], states=[z])[0][0].value
 
@@ -138,6 +138,14 @@ class TestSwapValue:
             swap_value([50.0], [0], c)
         with pytest.raises(LengthMismatch):
             swap_value([50.0, 51.0], [0], c)
+
+    @pytest.mark.parametrize("z", [[True, False], [1.0, 0.0]], ids=["bool", "float"])
+    def test_state_path_must_hold_integers(self, z):
+        """A bool path would index delta as a mask, and a float one fail in numpy."""
+        c = SwapClaim(rates=[0.01, 0.02], delta=[1.0, 1.1], yield_spec=ConstantYield(0.01, 0.05))
+        with pytest.raises(StateOutOfRange, match="integer"):
+            swap_value([50.0, 51.0], z, c)
+        assert swap_value([50.0, 51.0], [1, 0], c) != swap_value([50.0, 51.0], [0, 0], c)
 
     def test_gibson_schwartz_requires_yield_path(self):
         gs = GibsonSchwartzParams(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.04)

@@ -14,10 +14,10 @@ from regime_risk.ou_model import (
     conditional_law,
     load_price_csv,
 )
-from regime_risk.regime_chain import validate_generator
+from regime_risk.regime_chain import Generator
 
 CRUDE = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
-ONE_STATE = validate_generator([[0.0]])  # draws nothing: spot-only paths
+ONE_STATE = Generator([[0.0]])  # draws nothing: spot-only paths
 
 
 def simulate_path(p, grid, rng):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 from scipy.stats import chisquare
 
+from regime_risk import regime_chain
 from regime_risk.entropic_risk import sample_paths
 from regime_risk.errors import (
     BadDistribution,
@@ -27,7 +28,6 @@ from regime_risk.regime_chain import (
     distribution_at,
     from_transition,
     matrix_exp,
-    validate_generator,
 )
 
 from conftest import SETTINGS, random_generator_matrix
@@ -114,38 +114,38 @@ def regimes_by_choice(g, z0, grid, rng):
     return np.array(states)[np.searchsorted(times, grid, side="right") - 1]
 
 
-class TestValidateGenerator:
+class TestGenerator:
     def test_zero_1x1_is_valid(self):
-        g = validate_generator([[0.0]])
+        g = Generator([[0.0]])
         assert g.n == 1
         assert g.q[0, 0] == 0.0
 
     def test_symmetric_two_state(self):
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         assert g.n == 2
         np.testing.assert_allclose(g.q.sum(axis=0), 0.0, atol=1e-15)
 
     def test_row_stochastic_matrix_is_not_a_generator(self):
         with pytest.raises(NotAGenerator):
-            validate_generator(DEFECTIVE_4X4)
+            Generator(DEFECTIVE_4X4)
 
     def test_non_square_raises_dimension_error(self):
         with pytest.raises(DimensionError):
-            validate_generator(np.zeros((2, 3)))
+            Generator(np.zeros((2, 3)))
 
     def test_negative_offdiagonal_rejected_with_entry(self):
         q = np.array([[-1.0, -0.2], [1.0, 0.2]])
         with pytest.raises(NotAGenerator, match=r"\(0,1\)"):
-            validate_generator(q)
+            Generator(q)
 
     def test_positive_diagonal_rejected(self):
         with pytest.raises(NotAGenerator):
-            validate_generator([[0.5, -0.5], [-0.5, 0.5]])
+            Generator([[0.5, -0.5], [-0.5, 0.5]])
 
     def test_bad_column_sum_names_column(self):
         q = np.array([[-0.5, 0.5], [0.5, -0.4]])
         with pytest.raises(NotAGenerator, match="column 1"):
-            validate_generator(q)
+            Generator(q)
 
     def test_tiny_negative_dust_is_clamped(self):
         q = np.array([[-0.5, 0.5], [0.5, -0.5]])
@@ -153,19 +153,55 @@ class TestValidateGenerator:
         q[1, 1] = -0.5 + 1e-13
         q[1, 0] = -1e-13
         q[0, 0] = 1e-13
-        g = validate_generator(q)
+        g = Generator(q)
         assert g.q[1, 0] == 0.0
         assert g.q[0, 0] <= 0.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(NonFinite, match=r"\(1,0\)"):
-            validate_generator([[-0.5, 0.5], [bad, -0.5]])
+            Generator([[-0.5, 0.5], [bad, -0.5]])
 
     def test_immutable(self):
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         with pytest.raises(ValueError):
             g.q[0, 0] = 1.0
+
+    def test_column_sums_are_read_after_the_clamp(self):
+        """Column 0 sums to 1e-9 - 5e-13 as given, inside the tolerance, but to
+        1e-9 + 5e-13 once its -1e-12 dust is clamped: the stored matrix is
+        the one checked, so it raises."""
+        q = np.array([[-0.5, 0.5, 0.0], [0.5 + 1e-9 + 5e-13, -0.5, 0.0], [-1e-12, 0.0, 0.0]])
+        assert abs(q.sum(axis=0)[0]) <= 1e-9
+        with pytest.raises(NotAGenerator, match="column 0"):
+            Generator(q)
+
+    @SETTINGS
+    @given(g=generators(max_states=4), data=st.data())
+    def test_dust_rule_holds_on_every_route(self, g, data):
+        """With +-1e-13 dust on every entry, ``Generator(q)`` stores no
+        negative off-diagonal and no positive diagonal, rebuilding it from
+        its own matrix changes no bit, and ``from_transition`` stores the
+        bits ``Generator`` does for the same rate matrix."""
+        n = g.n
+        dust = data.draw(arrays(np.float64, (n, n), elements=st.sampled_from([-1e-13, 0.0, 1e-13])))
+        q = g.q + dust
+        stored = Generator(q).q
+        assert not (stored[~np.eye(n, dtype=bool)] < 0).any()
+        assert not (np.diag(stored) > 0).any()
+        assert Generator(stored).q.tobytes() == stored.tobytes()
+        dt = 0.5 / max(float(np.abs(q).sum(axis=0).max()), 1.0)
+        p = np.eye(n) + dt * q.T
+        assert from_transition(p, dt).q.tobytes() == Generator((p - np.eye(n)).T / dt).q.tobytes()
+
+    def test_every_route_checks_once(self, monkeypatch):
+        calls = []
+        check = regime_chain._check_generator
+        monkeypatch.setattr(regime_chain, "_check_generator", lambda q: calls.append(1) or check(q))
+        Generator([[-0.5, 0.5], [0.5, -0.5]])
+        assert len(calls) == 1
+        from_transition([[0.9, 0.1], [0.2, 0.8]], dt=1 / 252)
+        assert len(calls) == 2
 
 
 class TestTransitionMatrix:
@@ -220,13 +256,13 @@ class TestMatrixExp:
         np.testing.assert_array_equal(matrix_exp(g, 0.0), np.eye(3))
 
     def test_negative_t_rejected(self):
-        g = validate_generator([[0.0]])
+        g = Generator([[0.0]])
         with pytest.raises(ValueError):
             matrix_exp(g, -0.1)
 
     @pytest.mark.parametrize("a,t", [(0.5, 0.3), (2.0, 1.7), (0.1, 10.0)])
     def test_symmetric_two_state_analytic(self, a, t):
-        g = validate_generator([[-a, a], [a, -a]])
+        g = Generator([[-a, a], [a, -a]])
         same = (1 + np.exp(-2 * a * t)) / 2
         cross = (1 - np.exp(-2 * a * t)) / 2
         np.testing.assert_allclose(
@@ -266,13 +302,13 @@ class TestMatrixExp:
     @SETTINGS
     @given(q=st.floats(-1e-12, 0.0), t=st.floats(0.0, 50.0))
     def test_one_state_is_exact(self, q, t):
-        assert matrix_exp(validate_generator([[q]]), t)[0, 0] == np.exp(q * t)
+        assert matrix_exp(Generator([[q]]), t)[0, 0] == np.exp(q * t)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("t", [math.inf, math.nan, 1e308])
     def test_non_finite_time_or_exponent_rejected(self, t):
         with pytest.raises(NonFinite):
-            matrix_exp(validate_generator([[-1.0, 1.0], [1.0, -1.0]]), t)
+            matrix_exp(Generator([[-1.0, 1.0], [1.0, -1.0]]), t)
 
     @SETTINGS
     @given(g=generators(max_states=5), data=st.data())
@@ -302,7 +338,7 @@ class TestMatrixExp:
             matrix_exp(g, np.array(ts))
 
     def test_stack_shape_checked(self):
-        g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        g = Generator([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(DimensionError):
             matrix_exp(g, np.array([]))
         with pytest.raises(DimensionError):
@@ -313,8 +349,8 @@ class TestMatrixExp:
         [
             (from_transition(LEAKY_DAILY, dt=1 / 252), 150 / 252),
             (from_transition(LEAKY_DAILY, dt=1 / 252), 504 / 252),
-            (validate_generator([[-1e-9, 0.0], [0.0, 0.0]]), 0.5),
-            (validate_generator([[-1e-9, 0.0], [0.0, 0.0]]), 5.0),
+            (Generator([[-1e-9, 0.0], [0.0, 0.0]]), 0.5),
+            (Generator([[-1e-9, 0.0], [0.0, 0.0]]), 5.0),
         ],
         ids=["daily_150d", "daily_504d", "absorbing_leak_0.5", "absorbing_leak_5"],
     )
@@ -343,7 +379,7 @@ class TestDistributionAt:
         np.testing.assert_allclose(distribution_at(g, p0, 0.0), p0, atol=1e-15)
 
     def test_symmetric_two_state_stationary_limit(self):
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         p = distribution_at(g, np.array([1.0, 0.0]), 50.0)
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-10)
 
@@ -356,7 +392,7 @@ class TestDistributionAt:
             np.testing.assert_allclose(distribution_at(g, e_i, t), full[:, i], atol=1e-12)
 
     def test_bad_distribution(self):
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         with pytest.raises(BadDistribution):
             distribution_at(g, np.array([0.7, 0.7]), 1.0)
         with pytest.raises(BadDistribution):
@@ -375,12 +411,12 @@ class TestDistributionAt:
 
 class TestSamplePath:
     def test_zero_generator_never_leaves(self, rng):
-        g = validate_generator(np.zeros((3, 3)))
+        g = Generator(np.zeros((3, 3)))
         z = regimes(g, 2, np.linspace(0.0, 10.0, 101), rng)
         np.testing.assert_array_equal(z, np.full(101, 2))
 
     def test_deterministic_given_seed(self):
-        g = validate_generator([[-1.0, 2.0], [1.0, -2.0]])
+        g = Generator([[-1.0, 2.0], [1.0, -2.0]])
         grid = np.linspace(0.0, 5.0, 501)
         x1, z1, _ = sample_paths(SPOT, g, 0, grid, np.random.default_rng(42))
         x2, z2, _ = sample_paths(SPOT, g, 0, grid, np.random.default_rng(42))
@@ -399,7 +435,7 @@ class TestSamplePath:
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     @pytest.mark.parametrize("seed", [0, 3, 41, 2**40 + 7])
     def test_jump_targets_match_rng_choice_draw_for_draw(self, chain, seed):
-        g = validate_generator(self.CHAINS[chain])
+        g = Generator(self.CHAINS[chain])
         grid = np.arange(1261) / 252.0
         for z0 in range(g.n):
             ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -411,7 +447,7 @@ class TestSamplePath:
     def test_state_out_of_range(self, z0):
         """z0 is an index in [0, n): a float or bool is not truncated to one,
         and nothing is drawn before it is checked."""
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(StateOutOfRange):
@@ -419,7 +455,7 @@ class TestSamplePath:
         assert rng.bit_generator.state == before
 
     def test_numpy_integer_start_state(self):
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         grid = np.linspace(0.0, 5.0, 50)
         want = sample_paths(SPOT, g, 1, grid, np.random.default_rng(4))
         got = sample_paths(SPOT, g, np.int64(1), grid, np.random.default_rng(4))
@@ -428,7 +464,7 @@ class TestSamplePath:
 
     def test_occupation_of_symmetric_chain(self):
         # time-average occupation of each state tends to the 50/50 stationary law
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         rng = np.random.default_rng(7)
         horizon = 4000.0
         z = regimes(g, 0, np.linspace(0.0, horizon, 40_001), rng)
@@ -444,7 +480,7 @@ class TestSamplePath:
         up = np.arange(n - 1)
         q[up + 1, up] = a
         q[up, up] = -a
-        g = validate_generator(q)
+        g = Generator(q)
         rng = np.random.default_rng(11)
         counts = [regimes(g, 0, [0.0, horizon], rng)[-1] for _ in range(n_paths)]
         mean = np.mean(counts)
@@ -460,7 +496,7 @@ class TestSamplePath:
                 [0.5, 0.5, -0.9],
             ]
         )
-        g = validate_generator(q)
+        g = Generator(q)
         t = 0.8
         rng = np.random.default_rng(3)
         n = 10_000
@@ -473,7 +509,7 @@ class TestSamplePath:
     def test_times_strictly_increasing(self):
         # a cyclic chain 0 -> 1 -> 2 -> 0: read on a fine grid, the regimes
         # start at z0 and change only to the next state of the cycle
-        g = validate_generator([[-3.0, 0.0, 3.0], [3.0, -3.0, 0.0], [0.0, 3.0, -3.0]])
+        g = Generator([[-3.0, 0.0, 3.0], [3.0, -3.0, 0.0], [0.0, 3.0, -3.0]])
         z = regimes(g, 0, np.linspace(0.0, 10.0, 100_001), np.random.default_rng(0))
         changes = np.flatnonzero(np.diff(z))
         assert z[0] == 0 and changes.size > 10
@@ -482,6 +518,6 @@ class TestSamplePath:
 
 class TestStatePath:
     def test_rejects_unsorted_times(self, rng):
-        g = validate_generator([[-0.5, 0.5], [0.5, -0.5]])
+        g = Generator([[-0.5, 0.5], [0.5, -0.5]])
         with pytest.raises(ValueError):
             sample_paths(SPOT, g, 0, [0.0, 0.5, 0.4], rng)
