@@ -3,7 +3,7 @@
 A swap settles the gap between futures and spot each period; there is no
 closed form for its entropic risk, so the estimate comes from joint
 (spot, regime, yield) paths over the settlement dates.  Estimates are
-bit-identical for a fixed seed at any worker count.
+bit-identical for a fixed seed.
 """
 
 import numpy as np

@@ -46,14 +46,17 @@ Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
 path-indexed layout — full-length draw rounds, never active-subset draws —
 so every path's inputs are a pure function of (seed, round, path index).
-The regime kernel's arithmetic runs only on the paths still moving, which
-it compacts by index, in their original order; the draws of a round cover
-every path all the same.  Jump-table rows of only 0s and 1s do not depend on
-the uniform, and the kernel folds them into one base target per state.  The
-round layout (one exponential, then one uniform array per round) is a
-contract with ``bench/tracer.py`` and ``tests/test_tracing_contract.py``,
-which count rounds by those calls: a different draw method is a benchmark
-change, not a kernel change.
+A stream draws every grid step's normals first, in step order (the spot's,
+then the yield's), then the regime kernel's jump rounds, one pass over the
+whole grid: round j holds every path's j-th jump, whatever grid step it
+falls in.  The regime kernel's arithmetic runs only on the paths still
+moving, which it compacts by index, in their original order; the draws of a
+round cover every path all the same.  Jump-table rows of only 0s and 1s do
+not depend on the uniform, and the kernel folds them into one base target
+per state.  The round layout (one exponential, then one uniform array per
+round) is a contract with ``bench/tracer.py`` and
+``tests/test_tracing_contract.py``, which count rounds by those calls: a
+different draw method is a benchmark change, not a kernel change.
 """
 
 from __future__ import annotations
@@ -187,7 +190,9 @@ def claim_risk_closed(ou: OUParams, g: Generator, claims, queries, *, gammas) ->
     Each query's law and kernel serve every claim and gamma; the kernels come
     from one ``matrix_exp`` call on the stack of horizons, in query order.
     The block is one array pass with the arithmetic of a single (query,
-    claim, gamma) evaluation per element, and one finiteness check."""
+    claim, gamma) evaluation per element, and one finiteness check.
+    ``claims`` and ``queries`` may be any iterables; each is read once."""
+    claims, queries = list(claims), list(queries)
     grid = _gamma_grid(gammas)
     if not claims:
         raise DimensionError("claims must be nonempty")
@@ -294,66 +299,128 @@ def _jump_table(g: Generator) -> tuple[np.ndarray, np.ndarray]:
 def _advance_regimes(
     rates: np.ndarray,
     jump_cum: np.ndarray,
-    states: np.ndarray,
-    dt: float,
+    Z: np.ndarray,
+    steps,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Exact chain transition of every path over ``dt``.
+) -> None:
+    """Exact chain paths over a grid, in one pass of draw rounds.
 
-    Identical in law to per-path holding-time/jump simulation.  Each round
-    draws one ``rng.exponential(1.0, n)`` array, then one ``rng.random(n)``
-    array, over every path, so the layout is path-indexed and
-    decomposition-independent.  This round layout is a contract with
-    ``bench/tracer.py``, which counts rounds by these calls, and with
-    ``tests/test_tracing_contract.py``, which pins their counts: drawing
-    another way is a benchmark change, not a kernel change.
+    ``Z[0]`` holds each path's start state; the kernel writes its state at
+    the end of step k (of length ``steps[k]``) into ``Z[k + 1]``.  Identical
+    in law to per-path holding-time/jump simulation.  Each round draws one
+    ``rng.exponential(1.0, n)`` array, then one ``rng.random(n)`` array, over
+    every path: round j holds every path's j-th jump, whatever step it falls
+    in, so a one-step grid draws what a per-step kernel would.  This round
+    layout is a contract with ``bench/tracer.py``, which counts rounds by
+    these calls, and with ``tests/test_tracing_contract.py``, which pins
+    their counts: drawing another way is a benchmark change, not a kernel
+    change.
+
+    A moving path carries its state, that state's exit rate, the time left
+    in its step and, on a grid of several steps, the flat index of its cell
+    of Z at the step's end, where its jumps write (so Z must be
+    C-contiguous).  A holding time at least as
+    long as the time left runs past the step's end (see
+    :func:`_run_past_step_ends`), so a jump exactly on a grid time shows
+    from the next one on, and one on the last grid time is not made.  A
+    path stops once it runs past the last grid time or reaches a zero-rate
+    state (tested only when the chain has one).  Beyond ``Z`` the kernel
+    keeps O(paths) state, no jump history.
 
     The arithmetic of a round runs only on the paths still moving, held as
-    an index array in the paths' original order and compacted by index.  A
-    path stops moving once its next holding time outlasts its time left or
-    it reaches a zero-rate state (tested only when the chain has one).  Each
-    moving path carries the exit rate of its state from the jump that put it
-    there.  The target of a jump is the count of the source column's entries
-    <= u (see :func:`_jump_table`).  A row each of whose entries is 0
-    (always counted, as u >= 0) or 1 (never counted, as u < 1) does not
-    depend on u: such rows are folded into a base count per state, and u is
-    compared only against the other rows.
+    an index array in the paths' original order and compacted by index.
+    The target of a jump is the count of the source column's entries <= u
+    (see :func:`_jump_table`).  A row each of whose entries is 0 (always
+    counted, as u >= 0) or 1 (never counted, as u < 1) does not depend on
+    u: such rows are folded into a base count per state, and u is compared
+    only against the other rows.
     """
-    states = states.copy()
-    if dt <= 0.0:
-        return states
-    n = states.size
+    steps = np.asarray(steps, dtype=float)
+    n_steps, n = steps.size, Z.shape[1]
+    if not Z.flags.c_contiguous:
+        raise DimensionError("Z must be C-contiguous: the kernel writes it through a flat view")
+    flat = Z.reshape(-1)  # Z[k, i] is flat[k * n + i]
+    # step k ends at ends[k] after the grid's start; the last step never does
+    ends = np.append(np.cumsum(steps), np.inf)
     rows = jump_cum[:-1]  # the last row is 1.0 > u and never counts
     fixed = ((rows == 0.0) | (rows == 1.0)).all(axis=1)
-    base = (rows[fixed] == 0.0).sum(axis=0).astype(states.dtype)
+    base = (rows[fixed] == 0.0).sum(axis=0).astype(Z.dtype)
     fractional = rows[~fixed]
     has_zero_rate = bool((rates <= 0).any())
-    idx = np.flatnonzero(rates.take(states) > 0)
-    src = states.take(idx)
+    Z[1:] = Z[0]
+    idx = np.flatnonzero(rates.take(Z[0]) > 0)
+    src = Z[0].take(idx)
     rate = rates.take(src)
-    t_left = np.full(idx.size, dt)
+    # the flat index of each path's cell of Z at its step's end, where its
+    # jumps write; on a one-step grid (every spot or future claim) all are in
+    # row 1, which is written by path index, and no cell is carried
+    cell = idx + n if n_steps > 1 else None
+    t_left = np.full(idx.size, steps[0])
     while idx.size:
         e = rng.exponential(1.0, n)
         u = rng.random(n)
         hold = e.take(idx) / rate
         jump = hold < t_left
         t_left -= hold
+        if cell is not None and not jump.all():
+            _run_past_step_ends(Z, ends, idx, src, jump, t_left, cell)
         if not jump.all():
             keep = np.flatnonzero(jump)
-            idx, src, t_left = idx.take(keep), src.take(keep), t_left.take(keep)
+            idx, src, t_left = (a.take(keep) for a in (idx, src, t_left))
+            cell = None if cell is None else cell.take(keep)
         u = u.take(idx)
         dest = base.take(src)
         for row in fractional:
             dest += row.take(src) <= u
-        states[idx] = dest
+        if cell is None:
+            Z[1][idx] = dest
+        else:
+            flat[cell] = dest
         rate = rates.take(dest)
         if has_zero_rate:
             moving = rate > 0
             if not moving.all():
                 keep = np.flatnonzero(moving)
-                idx, dest, rate, t_left = idx.take(keep), dest.take(keep), rate.take(keep), t_left.take(keep)
+                if cell is not None:
+                    stop = np.flatnonzero(~moving)
+                    _hold_states(Z, cell.take(stop) // n, n_steps, idx.take(stop), dest.take(stop))
+                    cell = cell.take(keep)
+                idx, dest, rate, t_left = (a.take(keep) for a in (idx, dest, rate, t_left))
         src = dest
-    return states
+
+
+def _run_past_step_ends(Z, ends, idx, src, jump, t_left, cell) -> None:
+    """The paths of ``~jump`` hold their state past their step's end to
+    ``reach``, the step's end less ``t_left`` (already less the holding
+    time): through every grid time up to the first one beyond reach.  Those
+    with a step left jump in it: ``jump``, ``t_left`` and ``cell`` are
+    updated in place."""
+    n_steps, n = ends.size - 1, Z.shape[1]
+    over = np.flatnonzero(~jump)
+    at = cell.take(over) // n - 1
+    on = np.flatnonzero(at < n_steps - 1)
+    if not on.size:
+        return
+    pos, at = over.take(on), at.take(on)
+    reach = ends.take(at) - t_left.take(pos)
+    nxt = at + 1
+    far = np.flatnonzero(reach >= ends.take(nxt))
+    if far.size:
+        nxt[far] = np.searchsorted(ends, reach.take(far), side="right")
+        moved, last = pos.take(far), np.minimum(nxt.take(far), n_steps)
+        _hold_states(Z, at.take(far) + 1, last, idx.take(moved), src.take(moved))
+    t_left[pos] = ends.take(nxt, mode="clip") - reach
+    cell[pos] += (nxt - at) * n
+    jump[pos] = nxt < n_steps
+
+
+def _hold_states(Z: np.ndarray, start: np.ndarray, stop, cols: np.ndarray, states: np.ndarray) -> None:
+    """Path ``cols[i]`` holds ``states[i]`` at the ends of steps ``start[i]``
+    to ``stop[i] - 1``: rows ``start[i] + 1`` to ``stop[i]`` of Z."""
+    count = stop - start
+    shift = np.cumsum(count) - count - start - 1
+    rows = np.arange(count.sum()) - np.repeat(shift, count)
+    Z[rows, np.repeat(cols, count)] = np.repeat(states, count)
 
 
 def _simulate_grid(
@@ -369,18 +436,19 @@ def _simulate_grid(
     """Exact joint paths of (X, Z[, Y]) started at (x_s, state[, gs.y0]) at grid[0].
 
     Returns arrays of shape (len(grid), n_paths), one row per grid time; Y is
-    None without a Gibson-Schwartz spec.  Draw layout per step: a spot normal
-    round, a yield normal round when ``gs`` is given (correlated with the
-    spot innovation at the exact per-step correlation), then the chain's jump
-    rounds.
+    None without a Gibson-Schwartz spec.  Draw layout: for each step in
+    order, a spot normal round, then a yield normal round when ``gs`` is
+    given (correlated with the spot innovation at the exact per-step
+    correlation); then one :func:`_advance_regimes` pass of jump rounds over
+    the whole grid.  A one-step grid (a spot or future claim) so draws its
+    normals, then its jump rounds, as a per-step layout would.
     """
-    rates, jump_cum = _jump_table(g)
     shape = (len(grid), n_paths)
     X = np.full(shape, x_s, dtype=float)
     Z = np.full(shape, state, dtype=np.int64)
     Y = None if gs is None else np.full(shape, gs.y0, dtype=float)
-    for k in range(len(grid) - 1):
-        dt = float(grid[k + 1] - grid[k])
+    steps = np.diff(grid)
+    for k, dt in enumerate(steps.tolist()):
         bx, cx, sdx = step_coefficients(ou, dt)
         e1 = rng.standard_normal(n_paths)
         X[k + 1] = bx * X[k] + cx + sdx * e1
@@ -389,7 +457,7 @@ def _simulate_grid(
             corr = step_correlation(ou, gs, dt)
             e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal(n_paths)
             Y[k + 1] = by * Y[k] + cy + sdy * e2
-        Z[k + 1] = _advance_regimes(rates, jump_cum, Z[k], dt, rng)
+    _advance_regimes(*_jump_table(g), Z, steps, rng)
     return X, Z, Y
 
 

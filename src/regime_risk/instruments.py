@@ -177,9 +177,11 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     (shape (T,) for one path, or (T, m) for m paths, returning a vector);
     ``z_path`` holds integer state indices, and a bool or float one raises.
     ``y_path`` supplies the scalar yield at the settlements when the claim
-    uses a Gibson-Schwartz spec; it must be omitted for a constant spec.
+    uses a Gibson-Schwartz spec; it must be omitted for a constant spec.  A
+    NaN or infinite spot or yield raises :class:`NonFinite`.
     """
     x = np.asarray(x_path, dtype=float)
+    require_finite(x_path=x)
     z = np.asarray(z_path)
     T = c.n_periods
     if x.shape[0] != T or z.shape != x.shape:
@@ -201,6 +203,7 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
         y = np.asarray(y_path, dtype=float)
         if y.shape != x.shape:
             raise LengthMismatch(f"y_path shape {y.shape} != spot shape {x.shape}")
+        require_finite(y_path=y)
     t = c.settlement_times
     shape = (T,) + (1,) * (x.ndim - 1)
     time_to_mat = (t - T).reshape(shape)

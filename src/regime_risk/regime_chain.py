@@ -73,15 +73,17 @@ class Generator:
     admit (off-diagonal entries in [-1e-12, 0), diagonal ones in (0, 1e-12])
     to zero, so -0.2 or -inf raises and is never zeroed, and then the column
     sums of the clamped matrix, which is stored read-only and rebuilds to the
-    same bits.  Raises :class:`DimensionError` if ``q`` is not square,
-    :class:`NonFinite` on a NaN or infinite entry and :class:`NotAGenerator`
-    on a sign or column sum out of tolerance, naming the entry.
+    same bits.  Raises :class:`NotAGenerator` if ``q`` does not hold real
+    numbers (a complex, string, bool or object matrix is never cast),
+    :class:`DimensionError` if it is not square, :class:`NonFinite` on a NaN
+    or infinite entry and :class:`NotAGenerator` on a sign or column sum out
+    of tolerance, naming the entry.
     """
 
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=float)
+        q = _real_matrix(self.q, "generator", NotAGenerator)
         _check_generator(q)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -93,6 +95,15 @@ class Generator:
     def exit_rates(self) -> np.ndarray:
         """Rate of leaving each state, ``-diag(q)``."""
         return -np.diag(self.q)
+
+
+def _real_matrix(m, name: str, error: type) -> np.ndarray:
+    """A float copy of ``m`` if it holds real numbers; a complex, string,
+    bool or object matrix raises ``error`` instead of being cast."""
+    raw = np.asarray(m)
+    if raw.dtype.kind not in "iuf":
+        raise error(f"{name} must hold real numbers, got dtype {raw.dtype}")
+    return raw.astype(float)
 
 
 def _check_generator(q: np.ndarray) -> None:
@@ -136,9 +147,10 @@ def from_transition(p, dt: float) -> Generator:
     Matrices are rejected with :class:`NotStochastic` (naming the row and its
     sum) when any row strays from 1 by more than ``1e-9 * dt``, the
     generator's column-sum tolerance before the division by dt — defective
-    inputs are surfaced, never renormalized silently.
+    inputs are surfaced, never renormalized silently.  A matrix that does not
+    hold real numbers raises :class:`NotStochastic` and is never cast.
     """
-    mat, step = np.asarray(p, dtype=float), float(dt)
+    mat, step = _real_matrix(p, "transition matrix", NotStochastic), float(dt)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"transition matrix must be square, got shape {mat.shape}")
     require_finite(dt=step)

@@ -429,6 +429,24 @@ class TestClosedFormGammaGrid:
             claim_risk_closed(CRUDE, TWO_STATE, [], [q], gammas=[1.0])
         assert expm_calls == []
 
+    def test_claims_and_queries_read_once_from_any_iterable(self):
+        """A generator of queries gave an empty (0, 1, 1, n) block, and a
+        generator of claims a bare numpy ValueError: each was read twice."""
+        claims = [LinearSpotClaim([1.0, 1.2]), FutureClaim([0.9, 1.1], r=0.01, y=0.03)]
+        queries = [RiskQuery(s=0.0, T=0.5, x_s=60.0), RiskQuery(s=0.1, T=1.0, x_s=55.0)]
+        want = claim_risk_closed(CRUDE, TWO_STATE, claims, queries, gammas=[1.0, 4.0])
+        assert want.shape == (2, 2, 2, 2)
+        got = claim_risk_closed(CRUDE, TWO_STATE, iter(claims), (q for q in queries), gammas=[1.0, 4.0])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("empty", ["claims", "queries"])
+    def test_empty_generator_rejected_at_entry(self, expm_calls, empty):
+        claims = iter([]) if empty == "claims" else [LinearSpotClaim([1.0, 1.0])]
+        queries = iter([]) if empty == "queries" else [RiskQuery(s=0.0, T=0.5, x_s=60.0)]
+        with pytest.raises(DimensionError, match=f"{empty} must be nonempty"):
+            claim_risk_closed(CRUDE, TWO_STATE, claims, queries, gammas=[1.0])
+        assert expm_calls == []
+
     def test_empty_query_list_rejected_at_entry(self, expm_calls):
         with pytest.raises(DimensionError, match="queries must be nonempty"):
             claim_risk_closed(CRUDE, TWO_STATE, [LinearSpotClaim([1.0, 1.0])], [], gammas=[1.0])
@@ -467,27 +485,57 @@ class TestClosedFormGammaGrid:
         assert expm_calls == []
 
 
-def advance_by_rounds(rates, jump_cum, states, dt, rng):
-    """Reference for ``_advance_regimes``: every path recomputed in every
-    round, jump targets by the first column entry above the uniform."""
+def advance_by_rounds(rates, jump_cum, states, steps, rng):
+    """Reference for ``_advance_regimes``: the ``(len(steps) + 1, n)`` grid
+    rows of paths started in ``states``, every path recomputed in every
+    round, grid times passed one at a time, jump targets by the first column
+    entry above the uniform.
+
+    A holding time at least as long as the time left in its step runs past
+    the step's end, to ``reach`` (the step's end time less the time left
+    after the holding time), and past every later step end at or before
+    reach; so a jump on a grid time shows from the next grid time on, and
+    one on the last grid time is not made."""
+    steps = np.asarray(steps, dtype=float)
+    n, n_steps = states.size, steps.size
+    ends = np.cumsum(steps)
+    last = n_steps - 1
     states = states.copy()
-    if dt <= 0.0:
-        return states
-    n = states.size
-    t_left = np.full(n, dt)
+    Z = np.repeat(states[None, :], n_steps + 1, axis=0)
+    k = np.zeros(n, dtype=int)
+    t_left = np.full(n, steps[0])
     active = rates[states] > 0
     while active.any():
         e = rng.exponential(1.0, n)
         u = rng.random(n)
         r = rates[states]
-        hold = np.where(r > 0, e / np.where(r > 0, r, 1.0), np.inf)
-        jump = active & (hold < t_left)
+        hold = np.where(active, e / np.where(active, r, 1.0), 0.0)
+        over = active & (hold >= t_left)
+        t_left = t_left - hold
+        reach = np.where(over, ends[np.minimum(k, last)] - t_left, 0.0)
+        past = over.copy()
+        while past.any():
+            Z[k[past] + 1, past] = states[past]
+            k[past] += 1
+            past &= (k < n_steps) & (ends[np.minimum(k, last)] <= reach)
+        t_left = np.where(over, ends[np.minimum(k, last)] - reach, t_left)
+        jump = active & (k < n_steps)
         if jump.any():
-            t_left[jump] -= hold[jump]
             cum_cols = jump_cum[:, states[jump]]
             states[jump] = (u[jump][None, :] < cum_cols).argmax(axis=0)
         active = jump & (rates[states] > 0)
-    return states
+    # rows after a path's last step end hold the state it rests in
+    later = np.arange(1, n_steps + 1)[:, None] > k[None, :]
+    Z[1:] = np.where(later, states[None, :], Z[1:])
+    return Z
+
+
+def advance(rates, jump_cum, states, steps, rng):
+    """``_advance_regimes`` on paths started in ``states``: their grid rows."""
+    Z = np.empty((len(steps) + 1, states.size), dtype=states.dtype)
+    Z[0] = states
+    entropic_risk._advance_regimes(rates, jump_cum, Z, steps, rng)
+    return Z
 
 
 @st.composite
@@ -496,7 +544,7 @@ def kernel_instances(draw):
     off-diagonal rates of 0, 1e-3 to 1e3, or tenths (whose normalized column
     sums can round below 1); absorbing columns and two blocks that cannot
     reach each other half of the time each; start states anywhere, zero-rate
-    ones included; dt of 0 or 1e-4 to 1."""
+    ones included; a grid of 1 to 4 steps, each of 0 or 1e-4 to 1."""
     n = draw(st.integers(1, 8))
     rate = st.one_of(
         st.just(0.0),
@@ -512,8 +560,8 @@ def kernel_instances(draw):
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=0))
     states = draw(arrays(np.int64, draw(st.integers(1, 40)), elements=st.integers(0, n - 1)))
-    dt = draw(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
-    return Generator(q), states, dt
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), min_size=1, max_size=4))
+    return Generator(q), states, steps
 
 
 class FixedUniformRng:
@@ -550,15 +598,43 @@ class TestRegimeKernel:
                 return np.full(size, np.nextafter(1.0, 0.0))
 
         rates, cum = entropic_risk._jump_table(Generator(q))
-        states = entropic_risk._advance_regimes(rates, cum, np.full(5, 3), 1.0, JumpNowRng())
-        assert states.tolist() == [2] * 5
+        Z = advance(rates, cum, np.full(5, 3), [1.0], JumpNowRng())
+        assert Z[1].tolist() == [2] * 5
+
+    @pytest.mark.parametrize(
+        "holds, want",
+        [([1.0, 9.0], [0, 0, 1, 1]), ([2.0, 9.0], [0, 0, 0, 1]), ([3.0], [0, 0, 0, 0])],
+        ids=["first_time", "second_time", "last_time"],
+    )
+    def test_jump_on_a_grid_time_shows_from_the_next(self, holds, want):
+        """Holding times that end exactly on a grid time: the state there is
+        the one held up to it, and a jump on the last grid time is not made."""
+
+        class ScriptedRng:
+            """Round j's holding times all equal ``holds[j]``; uniforms 0.5."""
+
+            def __init__(self):
+                self.holds = list(holds)
+
+            def exponential(self, scale, size):
+                return np.full(size, self.holds.pop(0))
+
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        rates, cum = entropic_risk._jump_table(Generator([[-1.0, 1.0], [1.0, -1.0]]))
+        for kernel in (advance, advance_by_rounds):
+            rng = ScriptedRng()
+            Z = kernel(rates, cum, np.zeros(3, dtype=np.int64), [1.0, 1.0, 1.0], rng)
+            assert Z.T.tolist() == [want] * 3
+            assert rng.holds == []
 
     @SETTINGS
     @given(kernel_instances(), st.integers(0, 2**64 - 1), st.sampled_from(["philox", "u=0", "u=1-"]))
     def test_matches_the_round_loop(self, instance, seed, draws):
-        """Same regimes and the same draws consumed as the loop over every
+        """Same grid rows and the same draws consumed as the loop over every
         path, on Philox streams and on uniforms at both ends of [0, 1)."""
-        g, states, dt = instance
+        g, states, steps = instance
         rates, cum = entropic_risk._jump_table(g)
 
         def make_rng():
@@ -567,10 +643,9 @@ class TestRegimeKernel:
             return FixedUniformRng(seed, 0.0 if draws == "u=0" else np.nextafter(1.0, 0.0))
 
         rng, oracle = make_rng(), make_rng()
-        start = states.copy()
-        got = entropic_risk._advance_regimes(rates, cum, states, dt, rng)
-        want = advance_by_rounds(rates, cum, states, dt, oracle)
-        assert np.array_equal(states, start)
+        got = advance(rates, cum, states, steps, rng)
+        want = advance_by_rounds(rates, cum, states, steps, oracle)
+        assert np.array_equal(got[0], states)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert rng.random() == oracle.random()
@@ -625,17 +700,15 @@ class TestRegimeKernelAtScale:
 
     N = 10_000
 
-    def assert_matches(self, g, start, dts, seed):
+    def assert_matches(self, g, start, steps, seed):
         rates, cum = entropic_risk._jump_table(g)
         rng, oracle = entropic_risk._state_rng(seed, start), entropic_risk._state_rng(seed, start)
-        got = want = np.full(self.N, start)
-        for dt in dts:
-            got = entropic_risk._advance_regimes(rates, cum, got, dt, rng)
-            want = advance_by_rounds(rates, cum, want, dt, oracle)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        got = advance(rates, cum, np.full(self.N, start), steps, rng)
+        want = advance_by_rounds(rates, cum, np.full(self.N, start), steps, oracle)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
         assert rng.random() == oracle.random()
-        return got
+        return got[-1]
 
     @pytest.mark.parametrize("days", [50, 150])
     @pytest.mark.parametrize("start", range(4))
@@ -646,6 +719,8 @@ class TestRegimeKernelAtScale:
 
     @pytest.mark.parametrize("start", range(4))
     def test_dense_chain_over_eight_settlements(self, start):
+        """One pass over a swap-like grid, on which about one holding time
+        in seven runs past a settlement and some run past several."""
         g = Generator(DENSE)
         assert not fixed_rows(entropic_risk._jump_table(g)[1]).any()
         self.assert_matches(g, start, [1.0] * 8, seed=3)
@@ -685,8 +760,8 @@ class TestJumpLaw:
                 return np.full(size, 0.5)
 
         rates, cum = entropic_risk._jump_table(self.NO_TARGET)
-        states = entropic_risk._advance_regimes(rates, cum, np.full(5, 1), 1.0, JumpNowRng())
-        assert states.tolist() == [1] * 5
+        Z = advance(rates, cum, np.full(5, 1), [1.0, 1.0], JumpNowRng())
+        assert Z.tolist() == [[1] * 5] * 3
 
 
 @st.composite

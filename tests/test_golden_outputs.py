@@ -119,8 +119,8 @@ GOLDEN = {
         "sweep_mc.csv": "78e1d5f92cc1461afce9f5f76d2e192e92ca4366fdfd677b0591adae3cbed38a",
     },
     "gs_swap_risk_mc": {
-        "risk.csv": "602e53c48541a2a2b799b9039d26e558f5e7f7fabb2424171e0cbdf60f861616",
-        "risk.json": "feeef402515df5a90def471608aa0d47f3690349e4e1a3f9661d239e57249155",
+        "risk.csv": "c1a007569f47f47621a9a6dfb626f345b29c9d2711cba6e0e9be94df0e57614f",
+        "risk.json": "fe160341a6797f184a9108b124993af30494bd0ae16fb8258b187c68521e12a3",
     },
     "linear_risk": {
         "risk.csv": "c163b5a44c80a95b3c902c04993a9b32c70fa28eebf8583601dfdd24c5b8e2ae",

@@ -147,6 +147,19 @@ class TestSwapValue:
             swap_value([50.0, 51.0], z, c)
         assert swap_value([50.0, 51.0], [1, 0], c) != swap_value([50.0, 51.0], [0, 0], c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_spot_or_yield_path_raises(self, bad):
+        """A NaN or infinite path value is surfaced, not summed into the value."""
+        c = SwapClaim(rates=[0.05, 0.05], delta=[1.0], yield_spec=ConstantYield(r=0.02, y=0.06))
+        with pytest.raises(NonFinite, match="x_path"):
+            swap_value([bad, 51.0], [0, 0], c)
+        with pytest.raises(NonFinite, match="x_path"):
+            swap_value(np.array([[50.0, bad], [51.0, 52.0]]), np.zeros((2, 2), dtype=int), c)
+        gs = GibsonSchwartzParams(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.04)
+        c = SwapClaim(rates=[0.05, 0.05], delta=[1.0], yield_spec=gs)
+        with pytest.raises(NonFinite, match="y_path"):
+            swap_value([50.0, 51.0], [0, 0], c, [0.05, bad])
+
     def test_gibson_schwartz_requires_yield_path(self):
         gs = GibsonSchwartzParams(kappa=1.0, y_bar=0.05, sigma_y=0.1, rho=0.0, lambda_y=0.0, y0=0.04)
         c = SwapClaim(rates=[0.05, 0.05], delta=[1.0], yield_spec=gs)

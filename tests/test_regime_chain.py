@@ -2,6 +2,7 @@
 single-path sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,32 @@ class TestGenerator:
         with pytest.raises(DimensionError):
             Generator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "q, dtype",
+        [
+            (np.array([[-0.5 + 0.3j, 0.5], [0.5, -0.5]]), "complex"),
+            ([[-0.5 + 0.3j, 0.5], [0.5, -0.5]], "complex"),
+            ([[-0.5 + 0j, 0.5], [0.5, -0.5]], "complex"),
+            ([["-1", "1"], ["1", "-1"]], "<U2"),
+            ([[False, False], [False, False]], "bool"),
+            ([[None, 0.5], [0.5, -0.5]], "object"),
+        ],
+        ids=["complex_array", "complex_list", "zero_imaginary", "strings", "bool", "none"],
+    )
+    def test_matrix_of_non_reals_rejected_before_casting(self, q, dtype):
+        """Never cast: a complex matrix lost its imaginary part (with only a
+        ComplexWarning), a list of complex numbers failed with a bare
+        TypeError, and a matrix of numeric strings was parsed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAGenerator, match=f"real numbers, got dtype {dtype}"):
+                Generator(q)
+
+    def test_integer_matrix_accepted_as_float(self):
+        g = Generator(np.array([[-1, 1], [1, -1]], dtype=np.int32))
+        assert g.q.dtype == np.float64
+        assert g.q.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+
     def test_negative_offdiagonal_rejected_with_entry(self):
         q = np.array([[-1.0, -0.2], [1.0, 0.2]])
         with pytest.raises(NotAGenerator, match=r"\(0,1\)"):
@@ -232,6 +259,22 @@ class TestFromTransition:
         g = from_transition([[0.75, 0.25], [0.25, 0.75]], dt=1.0)
         np.testing.assert_allclose(g.q, [[-0.25, 0.25], [0.25, -0.25]], atol=1e-15)
         np.testing.assert_allclose(g.q.sum(axis=0), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "p, dtype",
+        [
+            (np.array([[0.9 + 0.5j, 0.1], [0.1, 0.9]]), "complex"),
+            ([["0.9", "0.1"], ["0.1", "0.9"]], "<U3"),
+        ],
+        ids=["complex", "strings"],
+    )
+    def test_matrix_of_non_reals_rejected_before_casting(self, p, dtype):
+        """A complex matrix lost its imaginary part (with only a
+        ComplexWarning), and a matrix of numeric strings was parsed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotStochastic, match=f"real numbers, got dtype {dtype}"):
+                from_transition(p, dt=1.0)
 
     def test_defective_matrix_reports_row_and_sum(self):
         with pytest.raises(NotStochastic, match="row 2") as err:
