@@ -62,7 +62,6 @@ different draw method is a benchmark change, not a kernel change.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +77,7 @@ from .errors import (
     NonPositiveGamma,
     StateOutOfRange,
     TimeOrder,
+    real_array,
     require_finite,
 )
 from .instruments import (
@@ -101,9 +101,7 @@ class RiskQuery:
     x_s: float
 
     def __post_init__(self) -> None:
-        for name in ("s", "T", "x_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFinite(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(s=self.s, T=self.T, x_s=self.x_s)
         if not 0 <= self.s < self.T:
             raise TimeOrder(f"need 0 <= s < T, got s={self.s}, T={self.T}")
 
@@ -114,7 +112,7 @@ class RiskQuery:
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte-Carlo estimate with a delta-method standard error."""
+    """Monte-Carlo estimate with a delta-method standard error over n_paths >= 1 samples."""
 
     value: float
     std_error: float
@@ -122,6 +120,10 @@ class MCEstimate:
 
     def __post_init__(self) -> None:
         require_finite(value=self.value, std_error=self.std_error)
+        if not _is_int(self.n_paths):
+            raise ConfigError(f"n_paths must be an integer, got {self.n_paths!r}")
+        if self.n_paths < 1:
+            raise EmptySamples(f"need n_paths >= 1, got {self.n_paths}")
         if self.std_error < 0:
             raise BadDistribution(f"std_error must be nonnegative, got {self.std_error}")
 
@@ -133,13 +135,6 @@ class MCEstimate:
         return float(diff / self.std_error)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not math.isfinite(gamma):
-        raise NonFinite(f"gamma must be finite, got {gamma}")
-    if gamma <= 0:
-        raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
-
-
 def entropic_mc(samples, gamma: float) -> MCEstimate:
     """Entropic risk of empirical payoff samples.
 
@@ -148,12 +143,10 @@ def entropic_mc(samples, gamma: float) -> MCEstimate:
     from the delta method on the mean of exp(-psi/gamma) and is invariant
     under the shift.
     """
-    _check_gamma(gamma)
-    psi = np.asarray(samples, dtype=float).ravel()
+    _gamma_grid([gamma])
+    psi = real_array(samples, "samples").ravel()
     if psi.size == 0:
         raise EmptySamples("no payoff samples")
-    if not np.isfinite(psi).all():
-        raise NonFinite("non-finite payoff samples")
     logw = -psi / gamma
     shift = logw.max()
     w = np.exp(logw - shift)
@@ -172,7 +165,9 @@ def _gamma_grid(gammas) -> list[float]:
     if not grid:
         raise DimensionError("gammas must be nonempty")
     for gamma in grid:
-        _check_gamma(gamma)
+        require_finite(gamma=gamma)
+        if gamma <= 0:
+            raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
     return grid
 
 
@@ -567,11 +562,9 @@ def sample_paths(
     (:func:`_jump_table`).  A one-state chain draws nothing, so it gives a
     spot-only path.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = real_array(grid, "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise DimensionError(f"grid must be a nonempty 1-d array, got shape {grid.shape}")
-    if not np.isfinite(grid).all():
-        raise NonFinite("grid times must be finite")
     steps = np.diff(grid)
     if grid[0] != 0.0 or not np.all(steps > 0):
         raise TimeOrder("grid must start at 0 and be strictly increasing")

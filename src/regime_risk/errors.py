@@ -4,6 +4,7 @@ Everything derives from :class:`RiskModelError`, which is itself a
 ``ValueError``, so callers can catch broadly or precisely.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ class NonPositiveGamma(RiskModelError):
 
 
 class NonFinite(RiskModelError):
-    """A numeric input is NaN or infinite."""
+    """A numeric input is NaN, infinite or not a real number (a bool, string or complex)."""
 
 
 class ConfigError(RiskModelError):
@@ -78,9 +79,28 @@ def read_text(path: Path) -> str:
         raise ConfigError(f"cannot read {path} as UTF-8 text: {exc}") from exc
 
 
+def real_array(value, name: str, error: type[RiskModelError] = NonFinite) -> np.ndarray:
+    """``value``, a number or an array of numbers, as a float array (a float64
+    array is not copied): the one rule for what the library takes as a number.
+    A dtype other than int, uint or float (a bool, string, complex or object
+    value) raises ``error``, never cast; a NaN or an infinity raises
+    :class:`NonFinite` naming the first bad entry, as ``(i,j)`` in a matrix."""
+    raw = np.asarray(value)
+    if raw.dtype.kind not in "iuf":
+        raise error(f"{name} must hold real numbers, got dtype {raw.dtype}")
+    out = raw.astype(float, copy=False)
+    if not np.isfinite(out).all():
+        at = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
+        where = f" entry ({','.join(map(str, at))})" if at else ""
+        raise NonFinite(f"{name}{where} must be finite, got {float(out[at])!r}")
+    return out
+
+
 def require_finite(**values) -> None:
-    """Raise :class:`NonFinite` naming the first value that is, or holds, a NaN
-    or an infinity; a value is a number or an array of numbers."""
+    """Check each keyword value as :func:`real_array` does; a Python int or
+    float (never a bool) by ``math.isfinite``, without building an array."""
     for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise NonFinite(f"{name} must be finite, got {value}")
+        if type(value) is bool or not isinstance(value, (int, float)):
+            real_array(value, name)
+        elif not math.isfinite(value):
+            raise NonFinite(f"{name} must be finite, got {value!r}")

@@ -2,9 +2,9 @@
 
 Claims pay off a regime-loaded multiple of the spot: the loading vector
 ``delta`` has one entry per chain state.  Yields are annualized rates.
-Every field is checked once, at construction: NaN and infinite values raise
-:class:`NonFinite`.  Paths of the yield are sampled together with the spot
-by the two samplers in :mod:`regime_risk.entropic_risk`.
+Every field is checked once, at construction: a NaN, an infinity or a value
+that is not a real number raises :class:`NonFinite`.  Paths of the yield are
+sampled together with the spot by the two samplers in :mod:`regime_risk.entropic_risk`.
 """
 
 from __future__ import annotations
@@ -17,20 +17,18 @@ from .errors import (
     BadDistribution,
     DimensionError,
     LengthMismatch,
-    NonFinite,
     NotMeanReverting,
     StateOutOfRange,
+    real_array,
     require_finite,
 )
 from .ou_model import OUParams, step_coefficients
 
 
-def _freeze_vec(v) -> np.ndarray:
-    a = np.array(v, dtype=float)
+def _freeze_vec(v, name: str) -> np.ndarray:
+    a = real_array(v, name).copy()
     if a.ndim != 1 or a.size == 0:
-        raise DimensionError(f"expected a nonempty 1-d vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite(f"vector entries must be finite, got {a!r}")
+        raise DimensionError(f"{name} must be a nonempty 1-d vector, got shape {a.shape}")
     a.setflags(write=False)
     return a
 
@@ -42,7 +40,7 @@ class LinearSpotClaim:
     delta: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _freeze_vec(self.delta))
+        object.__setattr__(self, "delta", _freeze_vec(self.delta, "delta"))
 
     @property
     def n_states(self) -> int:
@@ -65,7 +63,7 @@ class FutureClaim:
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _freeze_vec(self.delta))
+        object.__setattr__(self, "delta", _freeze_vec(self.delta, "delta"))
         require_finite(r=self.r, y=self.y)
 
     @property
@@ -78,7 +76,7 @@ class FutureClaim:
 
     def discount(self, h):
         """The carry discount e^{-(r+y) h} at horizon ``h`` (a number or an array)."""
-        return np.exp(-self.carry * np.asarray(h, dtype=float))
+        return np.exp(-self.carry * real_array(h, "h"))
 
     def loading(self, h) -> np.ndarray:
         """The loading ``delta * discount(h)``, one row per horizon of an array ``h``."""
@@ -150,8 +148,8 @@ class SwapClaim:
     yield_spec: ConstantYield | GibsonSchwartzParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", _freeze_vec(self.rates))
-        object.__setattr__(self, "delta", _freeze_vec(self.delta))
+        object.__setattr__(self, "rates", _freeze_vec(self.rates, "rates"))
+        object.__setattr__(self, "delta", _freeze_vec(self.delta, "delta"))
         if not isinstance(self.yield_spec, (ConstantYield, GibsonSchwartzParams)):
             raise TypeError(f"unsupported yield spec {type(self.yield_spec).__name__}")
 
@@ -180,8 +178,7 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     uses a Gibson-Schwartz spec; it must be omitted for a constant spec.  A
     NaN or infinite spot or yield raises :class:`NonFinite`.
     """
-    x = np.asarray(x_path, dtype=float)
-    require_finite(x_path=x)
+    x = real_array(x_path, "x_path")
     z = np.asarray(z_path)
     T = c.n_periods
     if x.shape[0] != T or z.shape != x.shape:
@@ -200,10 +197,9 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     else:
         if y_path is None:
             raise LengthMismatch("y_path is required for a Gibson-Schwartz yield spec")
-        y = np.asarray(y_path, dtype=float)
+        y = real_array(y_path, "y_path")
         if y.shape != x.shape:
             raise LengthMismatch(f"y_path shape {y.shape} != spot shape {x.shape}")
-        require_finite(y_path=y)
     t = c.settlement_times
     shape = (T,) + (1,) * (x.ndim - 1)
     time_to_mat = (t - T).reshape(shape)

@@ -30,6 +30,7 @@ from .errors import (
     TimeOrder,
     TooFewPoints,
     read_text,
+    real_array,
     require_finite,
 )
 
@@ -81,7 +82,8 @@ class PriceSeries:
     """Historical spot observations on consecutive opening days.
 
     ``dt`` is the year fraction between consecutive rows (1/252 for daily
-    data); calendar gaps are ignored — absent days are simply absent.
+    data); calendar gaps are ignored — absent days are simply absent.  A NaN
+    or infinite price or ``dt`` raises :class:`NonFinite`.
     """
 
     timestamps: np.ndarray
@@ -90,7 +92,8 @@ class PriceSeries:
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps)
-        px = np.asarray(self.prices, dtype=float)
+        px = real_array(self.prices, "prices")
+        require_finite(dt=self.dt)
         if ts.shape != px.shape or ts.ndim != 1:
             raise LengthMismatch("timestamps and prices must be equal-length 1-d arrays")
         if px.size < 3:
@@ -137,6 +140,7 @@ def step_coefficients(p: OUParams, dt: float) -> tuple[float, float, float]:
 
 def conditional_law(p: OUParams, x_s: float, s: float, t: float) -> ConditionalLaw:
     """Law of X_t given X_s = x_s, 0 <= s <= t."""
+    require_finite(x_s=x_s, s=s, t=t)
     if t < s:
         raise TimeOrder(f"t={t} earlier than s={s}")
     b, c, sd = step_coefficients(p, t - s)

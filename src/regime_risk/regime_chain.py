@@ -40,7 +40,7 @@ from .errors import (
     NotAGenerator,
     NotStochastic,
     TimeOrder,
-    require_finite,
+    real_array,
 )
 
 _COLSUM_TOL = 1e-9      # generator column sums must vanish within this
@@ -83,7 +83,7 @@ class Generator:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = _real_matrix(self.q, "generator", NotAGenerator)
+        q = real_array(self.q, "generator", NotAGenerator).copy()
         _check_generator(q)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -97,24 +97,12 @@ class Generator:
         return -np.diag(self.q)
 
 
-def _real_matrix(m, name: str, error: type) -> np.ndarray:
-    """A float copy of ``m`` if it holds real numbers; a complex, string,
-    bool or object matrix raises ``error`` instead of being cast."""
-    raw = np.asarray(m)
-    if raw.dtype.kind not in "iuf":
-        raise error(f"{name} must hold real numbers, got dtype {raw.dtype}")
-    return raw.astype(float)
-
-
 def _check_generator(q: np.ndarray) -> None:
     """Check a raw rate matrix, clamping its sign dust in place (see Generator)."""
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionError(f"generator must be a square matrix, got shape {q.shape}")
     if q.shape[0] < 1:
         raise DimensionError("generator needs at least one state")
-    if not np.isfinite(q).all():
-        i, j = np.argwhere(~np.isfinite(q))[0]
-        raise NonFinite(f"generator entry ({i},{j})={q[i, j]!r} is not finite")
     mask = ~np.eye(q.shape[0], dtype=bool)
     off = q[mask]
     if off.size and off.min() < -_SIGN_TOL:
@@ -148,12 +136,12 @@ def from_transition(p, dt: float) -> Generator:
     sum) when any row strays from 1 by more than ``1e-9 * dt``, the
     generator's column-sum tolerance before the division by dt — defective
     inputs are surfaced, never renormalized silently.  A matrix that does not
-    hold real numbers raises :class:`NotStochastic` and is never cast.
+    hold real numbers raises :class:`NotStochastic` and is never cast; a NaN
+    or infinite entry raises :class:`NonFinite` naming its own ``(i,j)``.
     """
-    mat, step = _real_matrix(p, "transition matrix", NotStochastic), float(dt)
+    mat, step = real_array(p, "transition matrix", NotStochastic), float(real_array(dt, "dt"))
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"transition matrix must be square, got shape {mat.shape}")
-    require_finite(dt=step)
     if step <= 0:
         raise TimeOrder(f"dt must be positive, got {step}")
     if np.any(mat < -_SIGN_TOL) or np.any(mat > 1 + _SIGN_TOL):
@@ -181,10 +169,9 @@ def matrix_exp(g: Generator, t) -> np.ndarray:
     :class:`NonFinite`, a negative t :class:`TimeOrder`, and an empty stack
     :class:`DimensionError`.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = real_array(t, "t")
     if ts.ndim > 1:
         raise DimensionError(f"t must be a number or a 1-d array, got shape {ts.shape}")
-    require_finite(t=ts)
     if (ts < 0).any():
         raise TimeOrder(f"t must be nonnegative, got {ts[ts < 0][0]}")
     stack = np.atleast_1d(ts)
@@ -248,10 +235,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
     """Law of the chain at time t from initial law ``p0``: ``expm(q t) @ p0``."""
-    p0 = np.asarray(p0, dtype=float)
+    p0 = real_array(p0, "p0")
     if p0.shape != (g.n,):
         raise DimensionError(f"p0 must have shape ({g.n},), got {p0.shape}")
-    require_finite(p0=p0)
     if np.any(p0 < -_SIGN_TOL):
         raise BadDistribution(f"p0 has negative mass: {p0!r}")
     if abs(p0.sum() - 1.0) > _COLSUM_TOL:

@@ -164,9 +164,15 @@ Q_HALF_YEAR = RiskQuery(s=0.0, T=0.5, x_s=60.0)
         (lambda: conditional_law(CRUDE, np.nan, 0.0, 1.0), NonFinite),
         (lambda: MCEstimate(value=np.nan, std_error=0.5, n_paths=10), NonFinite),
         (lambda: MCEstimate(value=1.0, std_error=np.nan, n_paths=10), NonFinite),
+        # an MCEstimate's n_paths is checked as claim_risk_mc's is
+        (lambda: MCEstimate(value=1.0, std_error=0.5, n_paths=-3), EmptySamples),
+        (lambda: MCEstimate(value=1.0, std_error=0.5, n_paths=0), EmptySamples),
+        (lambda: MCEstimate(value=1.0, std_error=0.5, n_paths=2.5), ConfigError),
+        (lambda: MCEstimate(value=1.0, std_error=0.5, n_paths=True), ConfigError),
     ],
     ids=["negative_time", "negative_variance", "negative_std_error", "empty_gammas", "one_path", "negative_seed",
-         "seed_past_64_bits", "nan_mean", "nan_variance", "nan_spot", "nan_mc_value", "nan_std_error"],
+         "seed_past_64_bits", "nan_mean", "nan_variance", "nan_spot", "nan_mc_value", "nan_std_error",
+         "mc_negative_paths", "mc_zero_paths", "mc_fractional_paths", "mc_bool_paths"],
 )
 def test_out_of_range_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):

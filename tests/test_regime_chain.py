@@ -288,6 +288,13 @@ class TestFromTransition:
         with pytest.raises(NotStochastic, match="row 0"):
             from_transition(p, dt=1 / 252)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_named_in_the_transition_matrix(self, bad):
+        """The entry is named by its own (row, column), not by its place in
+        the derived generator, which is transposed."""
+        with pytest.raises(NonFinite, match=r"transition matrix entry \(0,1\)"):
+            from_transition([[0.5, bad], [0.5, 0.5]], 1 / 252)
+
     def test_raw_matrix_requires_dt(self):
         with pytest.raises(TypeError, match="dt"):
             from_transition(np.eye(2))
@@ -515,6 +522,9 @@ class TestSamplePath:
         assert abs(occ0 - 0.5) < 0.05
 
     def test_jump_count_mean_matches_exit_rate(self):
+        """False-alarm rate about 6.3e-5: the mean of 2000 Poisson counts is
+        more than 4 se off with 2 Phi(-4) = 6.3e-5 (normal approximation,
+        ``scipy.stats``)."""
         # exponential clock: every state leaves at rate a, so the jump count
         # over the horizon is Poisson(a * horizon); on a chain that only
         # counts up, the terminal state is the jump count
@@ -531,6 +541,7 @@ class TestSamplePath:
         assert abs(mean - a * horizon) < 4 * se
 
     def test_empirical_law_matches_distribution_at(self):
+        """False-alarm rate 1%, the level of its chi-square test."""
         # chi-squared goodness of fit at 10^4 paths, significance 0.01
         q = np.array(
             [
