@@ -79,15 +79,36 @@ def read_text(path: Path) -> str:
         raise ConfigError(f"cannot read {path} as UTF-8 text: {exc}") from exc
 
 
+def _holds_bool(seq) -> bool:
+    """Whether a list or tuple, at any depth of nesting, holds a bool (or a
+    bool array)."""
+    kinds = set(map(type, seq))
+    if not kinds.isdisjoint((bool, np.bool_)):
+        return True
+    nested = (list, tuple, np.ndarray)
+    return not kinds.isdisjoint(nested) and any(
+        v.dtype.kind == "b" if isinstance(v, np.ndarray) else _holds_bool(v)
+        for v in seq
+        if isinstance(v, nested)
+    )
+
+
 def real_array(value, name: str, error: type[RiskModelError] = NonFinite) -> np.ndarray:
     """``value``, a number or an array of numbers, as a float array (a float64
     array is not copied): the one rule for what the library takes as a number.
     A dtype other than int, uint or float (a bool, string, complex or object
-    value) raises ``error``, never cast; a NaN or an infinity raises
-    :class:`NonFinite` naming the first bad entry, as ``(i,j)`` in a matrix."""
-    raw = np.asarray(value)
+    value), or a bool anywhere in a list or tuple of numbers, raises
+    ``error``, never cast; a ragged nested list raises :class:`DimensionError`;
+    a NaN or an infinity raises :class:`NonFinite` naming the first bad entry,
+    as ``(i,j)`` in a matrix."""
+    try:
+        raw = np.asarray(value)
+    except ValueError as exc:
+        raise DimensionError(f"{name} must be a rectangular array of numbers: {exc}") from exc
     if raw.dtype.kind not in "iuf":
         raise error(f"{name} must hold real numbers, got dtype {raw.dtype}")
+    if isinstance(value, (list, tuple)) and _holds_bool(value):
+        raise error(f"{name} must hold real numbers, got a bool entry")
     out = raw.astype(float, copy=False)
     if not np.isfinite(out).all():
         at = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
@@ -98,9 +119,15 @@ def real_array(value, name: str, error: type[RiskModelError] = NonFinite) -> np.
 
 def require_finite(**values) -> None:
     """Check each keyword value as :func:`real_array` does; a Python int or
-    float (never a bool) by ``math.isfinite``, without building an array."""
+    float (never a bool) by ``math.isfinite``, without building an array.  An
+    int beyond the float range is not finite."""
     for name, value in values.items():
         if type(value) is bool or not isinstance(value, (int, float)):
             real_array(value, name)
-        elif not math.isfinite(value):
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise NonFinite(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
+        if not finite:
             raise NonFinite(f"{name} must be finite, got {value!r}")

@@ -177,6 +177,9 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     ``y_path`` supplies the scalar yield at the settlements when the claim
     uses a Gibson-Schwartz spec; it must be omitted for a constant spec.  A
     NaN or infinite spot or yield raises :class:`NonFinite`.
+
+    Working set: one buffer the shape of ``x_path``, filled one settlement
+    row at a time, plus a few temporaries the size of one row.
     """
     x = real_array(x_path, "x_path")
     z = np.asarray(z_path)
@@ -187,24 +190,27 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
         )
     if not np.issubdtype(z.dtype, np.integer):
         raise StateOutOfRange(f"state path must hold integer indices, got dtype {z.dtype}")
-    bad = (z < 0) | (z >= c.n_states)
-    if bad.any():
+    if z.size and (z.min() < 0 or z.max() >= c.n_states):
+        bad = (z < 0) | (z >= c.n_states)
         raise StateOutOfRange(f"state index outside [0, {c.n_states}): {z[bad][:1]!r}")
     if isinstance(c.yield_spec, ConstantYield):
         if y_path is not None:
             raise LengthMismatch("y_path must be omitted for a constant yield spec")
-        y = np.full(x.shape, c.yield_spec.level)
+        y = np.full(T, c.yield_spec.level)  # one scalar per settlement row
     else:
         if y_path is None:
             raise LengthMismatch("y_path is required for a Gibson-Schwartz yield spec")
         y = real_array(y_path, "y_path")
         if y.shape != x.shape:
             raise LengthMismatch(f"y_path shape {y.shape} != spot shape {x.shape}")
-    t = c.settlement_times
-    shape = (T,) + (1,) * (x.ndim - 1)
-    time_to_mat = (t - T).reshape(shape)
-    disc = np.exp(-c.rates).reshape(shape)
-    settlements = disc * x * (np.exp(y * c.delta[z] * time_to_mat) - 1.0)
+    time_to_mat = c.settlement_times - T
+    disc = np.exp(-c.rates)
+    settlements = np.empty(x.shape)
+    for k in range(T):
+        settlements[k] = disc[k] * x[k] * (np.exp(y[k] * c.delta[z[k]] * time_to_mat[k]) - 1.0)
+    # One reduction over a C-ordered buffer: its order, and so its bits, do
+    # not follow the inputs' layout, and a running sum of the rows would lose
+    # numpy's pairwise sum of a 1-d path.
     total = settlements.sum(axis=0)
     return float(total) if total.ndim == 0 else total
 

@@ -3,7 +3,8 @@
 Every public numeric argument, given a bool, a numeric string, a complex
 number or a NaN, raises its named ``RiskModelError`` subclass before any
 work is done: never a bare ``TypeError``, never a cast, no ``matrix_exp``
-call and no Monte-Carlo draw.
+call and no Monte-Carlo draw.  So does a bool among the numbers of a list or
+tuple, a ragged nested list and an int beyond the float range.
 """
 
 import warnings
@@ -20,7 +21,7 @@ from regime_risk.entropic_risk import (
     sample_paths,
     spot_risk_closed,
 )
-from regime_risk.errors import NonFinite, NotAGenerator, NotStochastic
+from regime_risk.errors import DimensionError, NonFinite, NotAGenerator, NotStochastic
 from regime_risk.instruments import (
     ConstantYield,
     FutureClaim,
@@ -128,4 +129,46 @@ def test_every_numeric_argument_is_read_by_one_rule(expm_calls, monkeypatch, cal
             call(lambda good: bad(kind, good))
     if kind != "nan":
         assert "must hold real numbers" in str(raised.value)
+    assert expm_calls == []
+
+
+# A bool among numbers in a list or tuple (numpy would cast it), a ragged
+# nested list (numpy would raise a bare ValueError) and an int beyond the
+# float range (``float()`` would raise a bare OverflowError).
+HUGE = 10**400
+HOLES = [
+    ("Generator.q.bool_entry", lambda: Generator([[-1.0, True], [1.0, -1.0]]), NotAGenerator),
+    ("from_transition.p.bool_entry", lambda: from_transition([[0.9, 0.1], [False, 1.0]], 1 / 252), NotStochastic),
+    ("matrix_exp.t.bool_entry", lambda: matrix_exp(TWO, (0.5, True)), NonFinite),
+    ("LinearSpotClaim.delta.bool_entry", lambda: LinearSpotClaim([True, 2.0]), NonFinite),
+    ("SwapClaim.rates.numpy_bool_entry", lambda: SwapClaim((0.1, np.True_), [1.0], ConstantYield(0.02, 0.01)), NonFinite),
+    ("sample_paths.grid.bool_entry", lambda: sample_paths(CRUDE, TWO, 0, [0.0, 0.5, True], np.random.default_rng(0)), NonFinite),
+    ("entropic_mc.samples.bool_row", lambda: entropic_mc([[1.0, 2.0], [True, 3.0]], 1.0), NonFinite),
+    ("entropic_mc.samples.bool_array_row", lambda: entropic_mc([np.array([True, False]), [2.0, 3.0]], 1.0), NonFinite),
+    ("Generator.q.ragged", lambda: Generator([[-1.0, 1.0], [1.0]]), DimensionError),
+    ("from_transition.p.ragged", lambda: from_transition([[0.9, 0.1], [1.0]], 1 / 252), DimensionError),
+    ("LinearSpotClaim.delta.ragged", lambda: LinearSpotClaim([1.0, [2.0, 3.0]]), DimensionError),
+    ("entropic_mc.samples.ragged", lambda: entropic_mc([[1.0, 2.0], [3.0]], 1.0), DimensionError),
+    ("OUParams.alpha.huge_int", lambda: OUParams(**{**OU, "alpha": HUGE}), NonFinite),
+    ("OUParams.mu.huge_negative_int", lambda: OUParams(**{**OU, "mu": -HUGE}), NonFinite),
+    ("RiskQuery.T.huge_int", lambda: RiskQuery(0.0, HUGE, 1.0), NonFinite),
+    ("ConstantYield.r.huge_int", lambda: ConstantYield(HUGE, 0.01), NonFinite),
+    ("FutureClaim.y.huge_int", lambda: FutureClaim([1.0, 2.0], 0.02, HUGE), NonFinite),
+    ("GibsonSchwartzParams.kappa.huge_int", lambda: GibsonSchwartzParams(**{**GS, "kappa": HUGE}), NonFinite),
+    ("conditional_law.t.huge_int", lambda: conditional_law(CRUDE, 60.0, 0.0, HUGE), NonFinite),
+    ("entropic_mc.gamma.huge_int", lambda: entropic_mc([1.0, 2.0, 3.0], HUGE), NonFinite),
+]
+
+
+@pytest.mark.parametrize("call, error", [row[1:] for row in HOLES], ids=[row[0] for row in HOLES])
+def test_no_bool_entry_ragged_list_or_huge_int_gets_through(expm_calls, monkeypatch, call, error):
+    def never(*args):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.setattr(entropic_risk, "_payoffs_for_state", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            call()
+    assert type(raised.value) is error
     assert expm_calls == []
