@@ -49,14 +49,17 @@ so every path's inputs are a pure function of (seed, round, path index).
 A stream draws every grid step's normals first, in step order (the spot's,
 then the yield's), then the regime kernel's jump rounds, one pass over the
 whole grid: round j holds every path's j-th jump, whatever grid step it
-falls in.  The regime kernel's arithmetic runs only on the paths still
-moving, which it compacts by index, in their original order; the draws of a
-round cover every path all the same.  Jump-table rows of only 0s and 1s do
-not depend on the uniform, and the kernel folds them into one base target
-per state.  The round layout (one exponential, then one uniform array per
-round) is a contract with ``bench/tracer.py`` and
-``tests/test_tracing_contract.py``, which count rounds by those calls: a
-different draw method is a benchmark change, not a kernel change.
+falls in.  The kernel runs each path on one clock, the time left to the
+grid's last time; a jump lands in the row of the grid step it falls in, and
+a row no jump wrote takes the state of the row above.  The regime kernel's
+arithmetic runs only on the paths still moving, which it compacts by index,
+in their original order; the draws of a round cover every path all the
+same.  Jump-table rows of only 0s and 1s do not depend on the uniform, and
+the kernel folds them into one base target per state.  The round layout
+(one exponential, then one uniform array per round) is a contract with
+``bench/tracer.py`` and ``tests/test_tracing_contract.py``, which count
+rounds by those calls: a different draw method is a benchmark change, not
+a kernel change.
 """
 
 from __future__ import annotations
@@ -300,9 +303,10 @@ def _advance_regimes(
 ) -> None:
     """Exact chain paths over a grid, in one pass of draw rounds.
 
-    ``Z[0]`` holds each path's start state; the kernel writes its state at
-    the end of step k (of length ``steps[k]``) into ``Z[k + 1]``.  Identical
-    in law to per-path holding-time/jump simulation.  Each round draws one
+    ``Z`` is a C-contiguous signed-integer array whose row 0 holds each
+    path's start state; the kernel writes its state at the end of step k
+    (of length ``steps[k]``) into ``Z[k + 1]``.  Identical in law to
+    per-path holding-time/jump simulation.  Each round draws one
     ``rng.exponential(1.0, n)`` array, then one ``rng.random(n)`` array, over
     every path: round j holds every path's j-th jump, whatever step it falls
     in, so a one-step grid draws what a per-step kernel would.  This round
@@ -311,16 +315,23 @@ def _advance_regimes(
     their counts: drawing another way is a benchmark change, not a kernel
     change.
 
-    A moving path carries its state, that state's exit rate, the time left
-    in its step and, on a grid of several steps, the flat index of its cell
-    of Z at the step's end, where its jumps write (so Z must be
-    C-contiguous).  A holding time at least as
-    long as the time left runs past the step's end (see
-    :func:`_run_past_step_ends`), so a jump exactly on a grid time shows
-    from the next one on, and one on the last grid time is not made.  A
-    path stops once it runs past the last grid time or reaches a zero-rate
-    state (tested only when the chain has one).  Beyond ``Z`` the kernel
-    keeps O(paths) state, no jump history.
+    A moving path carries its state, that state's exit rate and one clock,
+    ``t_left = ends[-1] - h1 - h2 - ...``: the time left to the last grid
+    time after its holding times so far (on a one-step grid, the time left
+    in the step).  A path stops once a holding time is at least its
+    ``t_left`` or it reaches a zero-rate state (tested only when the chain
+    has one).  A jump writes its target into row ``n_steps + 1 -
+    after.searchsorted(t_left)``, where ``after`` holds the times left at
+    the grid times in ascending order: the row of the first grid time
+    strictly after the jump, so a jump exactly on a grid time shows from the
+    next one on, and one on the last grid time is not made.  A later jump
+    in the same step overwrites an earlier one.  Rows 1 onwards start at
+    -1; after the last round, each row no jump wrote takes the state of the
+    row above.  Beyond ``Z`` the kernel keeps O(paths) state, no jump
+    history.  On a grid of several steps the round loop of the tests
+    (``advance_by_rounds``) restarts its clock at each grid time, so the two
+    sum grid times differently: they agree except when a jump lands within
+    rounding of a grid time.
 
     The arithmetic of a round runs only on the paths still moving, held as
     an index array in the paths' original order and compacted by index.
@@ -335,87 +346,45 @@ def _advance_regimes(
     if not Z.flags.c_contiguous:
         raise DimensionError("Z must be C-contiguous: the kernel writes it through a flat view")
     flat = Z.reshape(-1)  # Z[k, i] is flat[k * n + i]
-    # step k ends at ends[k] after the grid's start; the last step never does
-    ends = np.append(np.cumsum(steps), np.inf)
+    ends = np.cumsum(steps)
+    after = (ends[-1] - ends)[::-1]  # the time left at grid time n_steps - j
     rows = jump_cum[:-1]  # the last row is 1.0 > u and never counts
     fixed = ((rows == 0.0) | (rows == 1.0)).all(axis=1)
     base = (rows[fixed] == 0.0).sum(axis=0).astype(Z.dtype)
     fractional = rows[~fixed]
     has_zero_rate = bool((rates <= 0).any())
-    Z[1:] = Z[0]
+    Z[1:] = -1
     idx = np.flatnonzero(rates.take(Z[0]) > 0)
     src = Z[0].take(idx)
     rate = rates.take(src)
-    # the flat index of each path's cell of Z at its step's end, where its
-    # jumps write; on a one-step grid (every spot or future claim) all are in
-    # row 1, which is written by path index, and no cell is carried
-    cell = idx + n if n_steps > 1 else None
-    t_left = np.full(idx.size, steps[0])
+    t_left = np.full(idx.size, ends[-1])
     while idx.size:
         e = rng.exponential(1.0, n)
         u = rng.random(n)
         hold = e.take(idx) / rate
         jump = hold < t_left
         t_left -= hold
-        if cell is not None and not jump.all():
-            _run_past_step_ends(Z, ends, idx, src, jump, t_left, cell)
         if not jump.all():
             keep = np.flatnonzero(jump)
             idx, src, t_left = (a.take(keep) for a in (idx, src, t_left))
-            cell = None if cell is None else cell.take(keep)
         u = u.take(idx)
         dest = base.take(src)
         for row in fractional:
             dest += row.take(src) <= u
-        if cell is None:
+        if n_steps == 1:
             Z[1][idx] = dest
         else:
-            flat[cell] = dest
+            flat[(n_steps + 1 - after.searchsorted(t_left)) * n + idx] = dest
         rate = rates.take(dest)
         if has_zero_rate:
             moving = rate > 0
             if not moving.all():
                 keep = np.flatnonzero(moving)
-                if cell is not None:
-                    stop = np.flatnonzero(~moving)
-                    _hold_states(Z, cell.take(stop) // n, n_steps, idx.take(stop), dest.take(stop))
-                    cell = cell.take(keep)
                 idx, dest, rate, t_left = (a.take(keep) for a in (idx, dest, rate, t_left))
         src = dest
-
-
-def _run_past_step_ends(Z, ends, idx, src, jump, t_left, cell) -> None:
-    """The paths of ``~jump`` hold their state past their step's end to
-    ``reach``, the step's end less ``t_left`` (already less the holding
-    time): through every grid time up to the first one beyond reach.  Those
-    with a step left jump in it: ``jump``, ``t_left`` and ``cell`` are
-    updated in place."""
-    n_steps, n = ends.size - 1, Z.shape[1]
-    over = np.flatnonzero(~jump)
-    at = cell.take(over) // n - 1
-    on = np.flatnonzero(at < n_steps - 1)
-    if not on.size:
-        return
-    pos, at = over.take(on), at.take(on)
-    reach = ends.take(at) - t_left.take(pos)
-    nxt = at + 1
-    far = np.flatnonzero(reach >= ends.take(nxt))
-    if far.size:
-        nxt[far] = np.searchsorted(ends, reach.take(far), side="right")
-        moved, last = pos.take(far), np.minimum(nxt.take(far), n_steps)
-        _hold_states(Z, at.take(far) + 1, last, idx.take(moved), src.take(moved))
-    t_left[pos] = ends.take(nxt, mode="clip") - reach
-    cell[pos] += (nxt - at) * n
-    jump[pos] = nxt < n_steps
-
-
-def _hold_states(Z: np.ndarray, start: np.ndarray, stop, cols: np.ndarray, states: np.ndarray) -> None:
-    """Path ``cols[i]`` holds ``states[i]`` at the ends of steps ``start[i]``
-    to ``stop[i] - 1``: rows ``start[i] + 1`` to ``stop[i]`` of Z."""
-    count = stop - start
-    shift = np.cumsum(count) - count - start - 1
-    rows = np.arange(count.sum()) - np.repeat(shift, count)
-    Z[rows, np.repeat(cols, count)] = np.repeat(states, count)
+    # a row no jump wrote holds the state at the grid time before it
+    for k in range(1, n_steps + 1):
+        np.copyto(Z[k], Z[k - 1], where=Z[k] < 0)
 
 
 def _simulate_grid(

@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     NotMeanReverting,
     StateOutOfRange,
+    _holds_bool,
     real_array,
     require_finite,
 )
@@ -173,7 +174,9 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
 
     ``x_path`` and ``z_path`` hold the values at the settlement times 1..T
     (shape (T,) for one path, or (T, m) for m paths, returning a vector);
-    ``z_path`` holds integer state indices, and a bool or float one raises.
+    ``z_path`` holds integer state indices: a bool or float one, or a bool
+    in a list of them, raises :class:`StateOutOfRange`, and a ragged one
+    :class:`DimensionError`.
     ``y_path`` supplies the scalar yield at the settlements when the claim
     uses a Gibson-Schwartz spec; it must be omitted for a constant spec.  A
     NaN or infinite spot or yield raises :class:`NonFinite`.
@@ -182,12 +185,17 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     row at a time, plus a few temporaries the size of one row.
     """
     x = real_array(x_path, "x_path")
-    z = np.asarray(z_path)
+    try:
+        z = np.asarray(z_path)
+    except ValueError as exc:
+        raise DimensionError(f"z_path must be a rectangular array of state indices: {exc}") from exc
     T = c.n_periods
-    if x.shape[0] != T or z.shape != x.shape:
+    if x.shape[:1] != (T,) or z.shape != x.shape:
         raise LengthMismatch(
             f"spot/state series must have {T} settlement values, got {x.shape} / {z.shape}"
         )
+    if isinstance(z_path, (list, tuple)) and _holds_bool(z_path):
+        raise StateOutOfRange("state path must hold integer indices, got a bool entry")
     if not np.issubdtype(z.dtype, np.integer):
         raise StateOutOfRange(f"state path must hold integer indices, got dtype {z.dtype}")
     if z.size and (z.min() < 0 or z.max() >= c.n_states):

@@ -739,6 +739,31 @@ class TestRegimeKernelAtScale:
         assert (self.assert_matches(g, start, [0.5, 1.0], seed=4) == 4).any()
 
 
+class TestGridPrefix:
+    """Row k of one pass over a grid is the last row of a one-step pass to
+    grid time k from the same ``_state_rng(seed, state)`` stream: the
+    property that one pass over every horizon of ``sweep --mc`` rests on."""
+
+    N = 10_000
+
+    def assert_prefix(self, g, times, seed):
+        rates, cum = entropic_risk._jump_table(g)
+        for start in range(g.n):
+            states = np.full(self.N, start)
+            grid = advance(rates, cum, states, np.diff(times), entropic_risk._state_rng(seed, start))
+            for k in range(1, len(times)):
+                one = advance(rates, cum, states, [times[k]], entropic_risk._state_rng(seed, start))
+                assert np.array_equal(grid[k], one[1]), (start, k)
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_shipped_chain_at_50_and_150_days(self, seed):
+        self.assert_prefix(load_config(EXAMPLE_CONFIG).chain, [0.0, 50 / 252.0, 150 / 252.0], seed)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_dense_chain_over_eight_settlements(self, seed):
+        self.assert_prefix(Generator(DENSE), np.arange(9.0), seed)
+
+
 class TestJumpLaw:
     """Both samplers read one jump table: a state whose column has an exit rate
     but no positive target (a leak the generator check admits) never leaves."""

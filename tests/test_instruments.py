@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from regime_risk.entropic_risk import RiskQuery, claim_risk_mc, sample_paths
-from regime_risk.errors import LengthMismatch, NonFinite, StateOutOfRange, TimeOrder
+from regime_risk.errors import DimensionError, LengthMismatch, NonFinite, StateOutOfRange, TimeOrder
 from regime_risk.instruments import (
     ConstantYield,
     FutureClaim,
@@ -177,14 +177,30 @@ class TestSwapValue:
             swap_value([50.0], [0], c)
         with pytest.raises(LengthMismatch):
             swap_value([50.0, 51.0], [0], c)
+        with pytest.raises(LengthMismatch):
+            swap_value(5.0, 0, SwapClaim(rates=[0.1], delta=[1.0], yield_spec=ConstantYield(0.0, 0.1)))
 
-    @pytest.mark.parametrize("z", [[True, False], [1.0, 0.0]], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "z",
+        [[True, False], [1.0, 0.0], [True, 0], (0, np.True_)],
+        ids=["bool", "float", "bool_in_list", "bool_in_tuple"],
+    )
     def test_state_path_must_hold_integers(self, z):
-        """A bool path would index delta as a mask, and a float one fail in numpy."""
+        """A bool path would index delta as a mask, a bool in a list of ints
+        be read as state 0 or 1, and a float path fail in numpy."""
         c = SwapClaim(rates=[0.01, 0.02], delta=[1.0, 1.1], yield_spec=ConstantYield(0.01, 0.05))
         with pytest.raises(StateOutOfRange, match="integer"):
             swap_value([50.0, 51.0], z, c)
         assert swap_value([50.0, 51.0], [1, 0], c) != swap_value([50.0, 51.0], [0, 0], c)
+        # an integer path keeps its bits, however it is given
+        want = swap_value(np.array([50.0, 51.0]), np.array([1, 0]), c)
+        for ints in ([1, 0], (1, 0), np.array([1, 0], dtype=np.int32), [np.int64(1), 0]):
+            assert swap_value([50.0, 51.0], ints, c) == want
+
+    def test_ragged_state_path_is_a_dimension_error(self):
+        c = SwapClaim(rates=[0.01, 0.02], delta=[1.0, 1.1], yield_spec=ConstantYield(0.01, 0.05))
+        with pytest.raises(DimensionError, match="z_path"):
+            swap_value([1.0, 2.0], [0, [1, 0]], c)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_spot_or_yield_path_raises(self, bad):
