@@ -7,7 +7,7 @@ The same table is produced by `regime-risk sweep --config configs/crude_oil.json
 
 import numpy as np
 
-from regime_risk import OUParams, RiskQuery, from_transition, spot_risk_closed
+from regime_risk import LinearSpotClaim, OUParams, RiskQuery, claim_risk_closed, from_transition
 
 ou = OUParams(alpha=5.0, mu=48.22, sigma=13.66, x0=62.24)
 P = np.array(
@@ -23,10 +23,9 @@ delta = np.full(4, 0.75)
 gammas = [1.0, 2.5, 5.0, 10.0]
 horizons_days = [50.0, 150.0]
 
-cells = np.empty((2, 4))
-for i, days in enumerate(horizons_days):
-    q = RiskQuery(s=0.0, T=days / 252, x_s=ou.x0)
-    cells[i] = spot_risk_closed(ou, gen, delta, q, gammas=gammas)[:, 0]
+# one closed-form block: cells[i, j] is horizon i, gamma j, from regime 0
+queries = [RiskQuery(s=0.0, T=days / 252, x_s=ou.x0) for days in horizons_days]
+cells = claim_risk_closed(ou, gen, [LinearSpotClaim(delta)], queries, gammas=gammas)[:, 0, :, 0]
 
 header = "".join(f"  gamma={g:<6g}" for g in gammas)
 print(f"{'':14s}{header}")

@@ -14,7 +14,7 @@ from regime_risk import (
     GibsonSchwartzParams,
     OUParams,
     RiskQuery,
-    future_risk_closed,
+    claim_risk_closed,
     sample_paths,
 )
 
@@ -23,16 +23,15 @@ gen = Generator([[-0.8, 0.5], [0.8, -0.5]])
 T = 150 / 252
 yields = [0.0, 0.04, 0.08]
 times = [k * T / 10 for k in range(10)]
+# one closed-form block: risks[i, k] is time i, yield k, at gamma 2.5 from regime 0
+queries = [RiskQuery(s=t, T=T, x_s=ou.x0) for t in times]
+claims = [FutureClaim(delta=[0.75, 0.75], r=0.0, y=y) for y in yields]
+risks = claim_risk_closed(ou, gen, claims, queries, gammas=[2.5])[:, :, 0, 0].tolist()
 
 print("future-claim risk over evaluation time, one curve per yield level")
 print("(gamma = 2.5, delta = 0.75, r = 0, start regime 0)\n")
 print("  t (days)" + "".join(f"   y={y:<5g}" for y in yields) + "   spread")
-for t in times:
-    q = RiskQuery(s=t, T=T, x_s=ou.x0)
-    row = []
-    for y in yields:
-        claim = FutureClaim(delta=[0.75, 0.75], r=0.0, y=y)
-        row.append(future_risk_closed(ou, gen, claim, q, gammas=[2.5])[0, 0])
+for t, row in zip(times, risks):
     spread = max(row) - min(row)
     print(f"  {t * 252:7.1f} " + "".join(f"  {v:8.4f}" for v in row) + f"  {spread:7.4f}")
 print("\nthe spread column contracts toward zero as t approaches delivery.")

@@ -15,8 +15,8 @@ the spot at the horizon,
     risk_i    = -gamma ln sum_j P(Z_T = j | Z_s = i) phi_j
 
 where the regime-transition probabilities come from the chain's matrix
-exponential.  A future matures at the horizon T and folds its carry
-discount into delta.  The MC route
+exponential.  A claim's loading is delta * discount(T - s): a linear claim's
+discount is 1, a future's (it matures at T) its carry discount.  The MC route
 simulates the chain by its exact holding-time/jump construction and the
 spot by its exact Gaussian transition, so the two routes share no kernel
 beyond the transition-law parameters.
@@ -162,11 +162,21 @@ def entropic_mc(samples, gamma: float) -> MCEstimate:
     return MCEstimate(value=float(value), std_error=float(se), n_paths=psi.size)
 
 
+def _nonempty_list(values, name: str) -> list:
+    """A grid argument, any iterable, as a list; one value or none raises :class:`DimensionError`."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise DimensionError(f"{name} must be a list or 1-d array, got {type(values).__name__}") from None
+    listed = list(entries)
+    if not listed:
+        raise DimensionError(f"{name} must be nonempty")
+    return listed
+
+
 def _gamma_grid(gammas) -> list[float]:
     """``gammas`` as a list, checked: nonempty, finite, positive."""
-    grid = list(gammas)
-    if not grid:
-        raise DimensionError("gammas must be nonempty")
+    grid = _nonempty_list(gammas, "gammas")
     for gamma in grid:
         require_finite(gamma=gamma)
         if gamma <= 0:
@@ -190,12 +200,8 @@ def claim_risk_closed(ou: OUParams, g: Generator, claims, queries, *, gammas) ->
     The block is one array pass with the arithmetic of a single (query,
     claim, gamma) evaluation per element, and one finiteness check.
     ``claims`` and ``queries`` may be any iterables; each is read once."""
-    claims, queries = list(claims), list(queries)
+    claims, queries = _nonempty_list(claims, "claims"), _nonempty_list(queries, "queries")
     grid = _gamma_grid(gammas)
-    if not claims:
-        raise DimensionError("claims must be nonempty")
-    if not queries:
-        raise DimensionError("queries must be nonempty")
     for claim in claims:
         if not hasattr(claim, "loading"):
             raise TypeError(f"unsupported claim type {type(claim).__name__}")
@@ -428,14 +434,13 @@ def _simulate_grid(
 def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
     """Simulate one starting state's paths on the claim's grid and evaluate the claim.
 
-    A spot or future claim is simulated on the one-step grid [s, T]; a
-    future pays the carry-discounted terminal value e^{-(r+y)(T-s)} X_T
-    delta[Z_T], the random variable whose entropic risk the closed form
-    targets.  A swap is simulated on its settlement grid s + (0, 1, ..., T)
-    and valued by :func:`swap_value`.
+    A linear claim, a future among them, is simulated on the one-step grid
+    [s, T] and pays ``discount(T - s) X_T delta[Z_T]``, the random variable
+    whose entropic risk the closed form targets.  A swap is simulated on
+    its settlement grid s + (0, 1, ..., T) and valued by :func:`swap_value`.
     """
     gs = None
-    if isinstance(claim, (LinearSpotClaim, FutureClaim)):
+    if isinstance(claim, LinearSpotClaim):
         grid = np.array([q.s, q.T])
     elif isinstance(claim, SwapClaim):
         if q.s != 0.0:
@@ -460,9 +465,8 @@ def _blockwise(claim, q, X, Z, Y) -> np.ndarray:
     its ``entropic_risk.payoff_eval`` span, one per simulated stream.
     """
     if isinstance(claim, SwapClaim):
-        return np.atleast_1d(swap_value(X[1:], Z[1:], claim, None if Y is None else Y[1:]))
-    scale = claim.discount(q.horizon) if isinstance(claim, FutureClaim) else 1.0
-    return scale * X[-1] * claim.delta[Z[-1]]
+        return swap_value(X[1:], Z[1:], claim, None if Y is None else Y[1:])
+    return claim.discount(q.horizon) * X[-1] * claim.delta[Z[-1]]
 
 
 def claim_risk_mc(
@@ -498,9 +502,7 @@ def claim_risk_mc(
         # the Philox key holds the seed in one 64-bit word
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     _check_states(claim, g)
-    states = range(g.n) if states is None else [_state_index(state, g.n) for state in states]
-    if not states:
-        raise DimensionError("states must be nonempty")
+    states = range(g.n) if states is None else [_state_index(i, g.n) for i in _nonempty_list(states, "states")]
     grid = _gamma_grid(gammas)
     out = []
     for state in states:

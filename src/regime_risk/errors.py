@@ -15,7 +15,7 @@ class RiskModelError(ValueError):
 
 
 class DimensionError(RiskModelError):
-    """A matrix or vector has the wrong shape, or a grid (such as gammas) is empty."""
+    """A matrix or vector has the wrong shape, or a grid (such as gammas) is empty or a single value."""
 
 
 class NotAGenerator(RiskModelError):

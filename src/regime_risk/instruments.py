@@ -1,7 +1,7 @@
 """Commodity claims (linear spot, future, swap) and the convenience-yield dynamics.
 
-Claims pay off a regime-loaded multiple of the spot: the loading vector
-``delta`` has one entry per chain state.  Yields are annualized rates.
+A terminal claim pays its loading ``delta * discount(h)`` times the spot at horizon h:
+a linear claim's discount is 1, a future's e^{-(r+y) h}.  Yields are annualized rates.
 Every field is checked once, at construction: a NaN, an infinity or a value
 that is not a real number raises :class:`NonFinite`.  Paths of the yield are
 sampled together with the spot by the two samplers in :mod:`regime_risk.entropic_risk`.
@@ -47,29 +47,28 @@ class LinearSpotClaim:
     def n_states(self) -> int:
         return self.delta.size
 
+    def discount(self, h):
+        """The discount at horizon ``h`` (a number or an array): 1, in ``h``'s shape."""
+        return np.ones_like(real_array(h, "h"))
+
     def loading(self, h) -> np.ndarray:
-        """The loading at horizon ``h``: ``delta``, one row per horizon of an array ``h``."""
-        return np.broadcast_to(self.delta, np.shape(h) + self.delta.shape)
+        """The loading ``delta * discount(h)``, one row per horizon of an array ``h``."""
+        return self.delta * self.discount(h)[..., None]
 
 
 @dataclass(frozen=True)
-class FutureClaim:
+class FutureClaim(LinearSpotClaim):
     """Pays e^{(r+y)(t-T)} X_t * delta[Z_t]; r risk-free rate, y convenience yield.
 
     The future matures at the horizon T of the query that evaluates it.
     """
 
-    delta: np.ndarray
     r: float
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _freeze_vec(self.delta, "delta"))
+        super().__post_init__()
         require_finite(r=self.r, y=self.y)
-
-    @property
-    def n_states(self) -> int:
-        return self.delta.size
 
     @property
     def carry(self) -> float:
@@ -78,10 +77,6 @@ class FutureClaim:
     def discount(self, h):
         """The carry discount e^{-(r+y) h} at horizon ``h`` (a number or an array)."""
         return np.exp(-self.carry * real_array(h, "h"))
-
-    def loading(self, h) -> np.ndarray:
-        """The loading ``delta * discount(h)``, one row per horizon of an array ``h``."""
-        return self.delta * self.discount(h)[..., None]
 
 
 @dataclass(frozen=True)

@@ -83,14 +83,16 @@ class PriceSeries:
 
     ``dt`` is the year fraction between consecutive rows (1/252 for daily
     data); calendar gaps are ignored — absent days are simply absent.  A NaN
-    or infinite price or ``dt`` raises :class:`NonFinite`.
+    or infinite timestamp, price or ``dt`` raises :class:`NonFinite`.
     """
 
-    timestamps: np.ndarray
+    timestamps: np.ndarray  # datetime64, or numbers stored as given
     prices: np.ndarray
     dt: float = DEFAULT_DT
 
     def __post_init__(self) -> None:
+        if not np.issubdtype(getattr(self.timestamps, "dtype", float), np.datetime64):
+            real_array(self.timestamps, "timestamps")
         ts = np.asarray(self.timestamps)
         px = real_array(self.prices, "prices")
         require_finite(dt=self.dt)

@@ -2,10 +2,13 @@
 package as shipped: a change to the API that leaves them behind fails here.
 
 Each demo runs in a fresh interpreter with ``-W error::RuntimeWarning``, the
-warning filter the suite applies in-process.  Demo 01 is left out here, as it
-takes several seconds; CI runs it as a step of its own.
+warning filter the suite applies in-process, and must print the stdout whose
+sha256 is pinned below: a change that moves a printed digit fails here.
+Demo 01 is left out here, as it takes several seconds; CI runs it as a step
+of its own and checks its stdout's sha256 there.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -17,23 +20,25 @@ import regime_risk
 from conftest import REPO_ROOT
 
 
-@pytest.mark.parametrize(
-    "demo",
-    [
-        "02_spot_model",
-        "03_closed_form_vs_monte_carlo",
-        "04_risk_aversion_sweep",
-        "05_convenience_yield",
-        "06_swap_risk",
-    ],
-)
+# sha256 of each demo's stdout
+DEMO_STDOUT = {
+    "02_spot_model": "c184f357188c3d05e4d1ea2bd336622d17b60114a6171ec085ae3aaa9d138b3f",
+    "03_closed_form_vs_monte_carlo": "252ef9f1da55eb949bcbd430636a7b19a0144ab107b6a590c0cd843fb3dd4438",
+    "04_risk_aversion_sweep": "a147d59214b053d9ed22be2ad1c2b8eba2bb232bc506e0e96f511376a68ad27e",
+    "05_convenience_yield": "174e7eb6975998036936732b7f64cc6ffa04af14c49b7c4139b379e51b6d75fa",
+    "06_swap_risk": "53bbdfbacffc832f89eadeb0490d29ed18d596f19f3a582d63cf672fe5b12ca6",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(REPO_ROOT / "demos" / f"{demo}.py")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo], proc.stdout.decode()
 
 
 def test_readme_quickstart_runs():

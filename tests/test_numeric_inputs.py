@@ -18,6 +18,7 @@ from regime_risk.entropic_risk import (
     claim_risk_closed,
     claim_risk_mc,
     entropic_mc,
+    future_risk_closed,
     sample_paths,
     spot_risk_closed,
 )
@@ -72,6 +73,7 @@ ROWS = [
     ("conditional_law.x_s", lambda b: conditional_law(CRUDE, b(60.0), 0.0, 1.0), NonFinite),
     ("conditional_law.s", lambda b: conditional_law(CRUDE, 60.0, b(0.5), 1.0), NonFinite),
     ("conditional_law.t", lambda b: conditional_law(CRUDE, 60.0, 0.0, b(1.0)), NonFinite),
+    ("PriceSeries.timestamps", lambda b: PriceSeries(b([0.0, 1.0, 2.0, 3.0]), PRICES), NonFinite),
     ("PriceSeries.prices", lambda b: PriceSeries(np.arange(4), b(PRICES)), NonFinite),
     ("PriceSeries.dt", lambda b: PriceSeries(np.arange(4), PRICES, dt=b(1 / 252)), NonFinite),
     ("LinearSpotClaim.delta", lambda b: LinearSpotClaim(b([1.0, 2.0])), NonFinite),
@@ -172,3 +174,77 @@ def test_no_bool_entry_ragged_list_or_huge_int_gets_through(expm_calls, monkeypa
             call()
     assert type(raised.value) is error
     assert expm_calls == []
+
+
+# A grid argument given as one value: iterating it raised a bare TypeError.
+LINEAR = LinearSpotClaim([1.0, 2.0])
+FUTURE = FutureClaim([1.0, 2.0], 0.02, 0.01)
+GAMMA_ROUTES = {
+    "claim_risk_closed": lambda gammas: claim_risk_closed(CRUDE, TWO, [LINEAR], [Q], gammas=gammas),
+    "claim_risk_mc": lambda gammas: claim_risk_mc(CRUDE, TWO, LINEAR, Q, 100, 0, gammas=gammas),
+    "spot_risk_closed": lambda gammas: spot_risk_closed(CRUDE, TWO, [1.0, 2.0], Q, gammas=gammas),
+    "future_risk_closed": lambda gammas: future_risk_closed(CRUDE, TWO, FUTURE, Q, gammas=gammas),
+}
+SINGLE_VALUES = [
+    *[
+        (f"{route}.gammas={label}", "gammas", lambda call=call, value=value: call(value))
+        for route, call in GAMMA_ROUTES.items()
+        for label, value in [("float", 2.5), ("0d_array", np.array(2.5)), ("None", None)]
+    ],
+    ("claim_risk_mc.states=0", "states", lambda: claim_risk_mc(CRUDE, TWO, LINEAR, Q, 100, 0, gammas=[1.0], states=0)),
+    ("claim_risk_closed.claims=claim", "claims", lambda: claim_risk_closed(CRUDE, TWO, LINEAR, [Q], gammas=[1.0])),
+    ("claim_risk_closed.queries=query", "queries", lambda: claim_risk_closed(CRUDE, TWO, [LINEAR], Q, gammas=[1.0])),
+]
+
+
+@pytest.mark.parametrize("name, call", [row[1:] for row in SINGLE_VALUES], ids=[row[0] for row in SINGLE_VALUES])
+def test_grid_argument_given_one_value_raises_dimension_error(expm_calls, monkeypatch, name, call):
+    def never(*args):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.setattr(entropic_risk, "_payoffs_for_state", never)
+    with pytest.raises(DimensionError, match=f"^{name} must be a list or 1-d array") as raised:
+        call()
+    assert type(raised.value) is DimensionError
+    assert expm_calls == []
+
+
+@pytest.mark.parametrize("route", sorted(GAMMA_ROUTES))
+def test_every_iterable_gamma_grid_is_read_as_a_list(route):
+    def flat(result):
+        return [e.value for row in result for e in row] if route == "claim_risk_mc" else np.asarray(result).tolist()
+
+    want = flat(GAMMA_ROUTES[route]([1.0, 2.5]))
+    for grid in [(1.0, 2.5), np.array([1.0, 2.5]), (g for g in [1.0, 2.5])]:
+        assert flat(GAMMA_ROUTES[route](grid)) == want
+
+
+# Timestamps went around the numeric reader: an infinity, a complex number
+# and ISO date strings were accepted, and a ragged list and Nones raised
+# bare numpy and Python errors.
+@pytest.mark.parametrize(
+    "timestamps, error",
+    [
+        ([0.0, 1.0, np.inf], NonFinite),
+        ([0.0, 1.0, 2.0 + 1j], NonFinite),
+        (["2020-01-01", "2020-01-02", "2020-01-03"], NonFinite),
+        ([None, None, None], NonFinite),
+        ([0.0, [1.0, 2.0], 3.0], DimensionError),
+    ],
+    ids=["inf", "complex", "iso_strings", "nones", "ragged"],
+)
+def test_price_series_timestamps_read_by_the_numeric_rule(timestamps, error):
+    with pytest.raises(error) as raised:
+        PriceSeries(timestamps, PRICES[:3])
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize(
+    "timestamps",
+    [np.arange(3), np.array(["2020-01-01", "2020-01-02", "2020-01-03"], dtype="datetime64[D]")],
+    ids=["int", "datetime64"],
+)
+def test_price_series_stores_timestamps_as_given(timestamps):
+    series = PriceSeries(timestamps, PRICES[:3])
+    assert series.timestamps.dtype == timestamps.dtype
+    assert np.array_equal(series.timestamps, timestamps)
