@@ -36,9 +36,9 @@ def horizon_years(days: float) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """Parsed and validated run configuration; ``config_sha256`` digests the file as run."""
 
-    raw: dict
+    config_sha256: str
     chain: Generator | None
     z0: int
     ou: OUParams | None
@@ -253,13 +253,11 @@ def load_config(
     out_dir = base / _text(output.get("dir", "out"), "output.dir")
     out_dir = Path(out_override) if out_override else out_dir
 
-    effective = json.loads(json.dumps(raw))
-    effective.setdefault("mc", {})
-    effective["mc"]["n_paths"] = n_paths
-    effective["mc"]["seed"] = seed
+    raw["mc"] = {**mc, "n_paths": n_paths, "seed": seed}
+    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
     return RunConfig(
-        raw=effective,
+        config_sha256=hashlib.sha256(canon.encode()).hexdigest(),
         chain=chain,
         z0=z0,
         ou=ou,
@@ -292,11 +290,6 @@ def _fmt(v) -> str:
     return s
 
 
-def config_hash(effective_raw: dict) -> str:
-    canon = json.dumps(effective_raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def provenance(cfg: RunConfig, command: str) -> dict:
     from . import __version__
 
@@ -304,7 +297,7 @@ def provenance(cfg: RunConfig, command: str) -> dict:
         "tool": "regime-risk",
         "version": __version__,
         "command": command,
-        "config_sha256": config_hash(cfg.raw),
+        "config_sha256": cfg.config_sha256,
         "seed": cfg.seed,
         "n_paths": cfg.n_paths,
         "days_per_year": TRADING_DAYS_PER_YEAR,

@@ -146,6 +146,7 @@ def entropic_mc(samples, gamma: float) -> MCEstimate:
     from the delta method on the mean of exp(-psi/gamma) and is invariant
     under the shift.
     """
+    require_finite(gamma=gamma)
     _gamma_grid([gamma])
     psi = real_array(samples, "samples").ravel()
     if psi.size == 0:
@@ -175,12 +176,11 @@ def _nonempty_list(values, name: str) -> list:
 
 
 def _gamma_grid(gammas) -> list[float]:
-    """``gammas`` as a list, checked: nonempty, finite, positive."""
+    """``gammas`` as the list of its entries as given, read as one positive vector."""
     grid = _nonempty_list(gammas, "gammas")
-    for gamma in grid:
-        require_finite(gamma=gamma)
-        if gamma <= 0:
-            raise NonPositiveGamma(f"gamma must be positive, got {gamma}")
+    nonpositive = real_array(grid, "gammas", rank=1) <= 0
+    if nonpositive.any():
+        raise NonPositiveGamma(f"gamma must be positive, got {grid[int(np.argmax(nonpositive))]}")
     return grid
 
 
@@ -533,9 +533,7 @@ def sample_paths(
     (:func:`_jump_table`).  A one-state chain draws nothing, so it gives a
     spot-only path.
     """
-    grid = real_array(grid, "grid")
-    if grid.ndim != 1 or grid.size == 0:
-        raise DimensionError(f"grid must be a nonempty 1-d array, got shape {grid.shape}")
+    grid = real_array(grid, "grid", rank=1)
     steps = np.diff(grid)
     if grid[0] != 0.0 or not np.all(steps > 0):
         raise TimeOrder("grid must start at 0 and be strictly increasing")

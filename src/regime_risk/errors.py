@@ -15,7 +15,8 @@ class RiskModelError(ValueError):
 
 
 class DimensionError(RiskModelError):
-    """A matrix or vector has the wrong shape, or a grid (such as gammas) is empty or a single value."""
+    """A matrix or vector has the wrong shape, a list or array stands where a
+    number belongs, or a grid (such as gammas) is empty or a single value."""
 
 
 class NotAGenerator(RiskModelError):
@@ -93,14 +94,18 @@ def _holds_bool(seq) -> bool:
     )
 
 
-def real_array(value, name: str, error: type[RiskModelError] = NonFinite) -> np.ndarray:
+_RANKS = ("a number", "a nonempty 1-d vector", "a nonempty matrix")
+
+
+def real_array(value, name: str, error: type[RiskModelError] = NonFinite, rank=None) -> np.ndarray:
     """``value``, a number or an array of numbers, as a float array (a float64
     array is not copied): the one rule for what the library takes as a number.
     A dtype other than int, uint or float (a bool, string, complex or object
     value), or a bool anywhere in a list or tuple of numbers, raises
-    ``error``, never cast; a ragged nested list raises :class:`DimensionError`;
-    a NaN or an infinity raises :class:`NonFinite` naming the first bad entry,
-    as ``(i,j)`` in a matrix."""
+    ``error``, never cast; a ragged nested list, or a value not of ``rank`` (0
+    a number, 1 a nonempty vector, 2 a nonempty matrix; None any shape), raises
+    :class:`DimensionError`; a NaN or an infinity raises :class:`NonFinite`
+    naming the first bad entry, as ``(i,j)`` in a matrix."""
     try:
         raw = np.asarray(value)
     except ValueError as exc:
@@ -109,6 +114,8 @@ def real_array(value, name: str, error: type[RiskModelError] = NonFinite) -> np.
         raise error(f"{name} must hold real numbers, got dtype {raw.dtype}")
     if isinstance(value, (list, tuple)) and _holds_bool(value):
         raise error(f"{name} must hold real numbers, got a bool entry")
+    if rank is not None and (raw.ndim != rank or (rank and not raw.size)):
+        raise DimensionError(f"{name} must be {_RANKS[rank]}, got shape {raw.shape}")
     out = raw.astype(float, copy=False)
     if not np.isfinite(out).all():
         at = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
@@ -118,12 +125,12 @@ def real_array(value, name: str, error: type[RiskModelError] = NonFinite) -> np.
 
 
 def require_finite(**values) -> None:
-    """Check each keyword value as :func:`real_array` does; a Python int or
-    float (never a bool) by ``math.isfinite``, without building an array.  An
-    int beyond the float range is not finite."""
+    """Check each keyword value as :func:`real_array` does at rank 0 (a number);
+    a Python int or float (never a bool) by ``math.isfinite``, without building
+    an array.  An int beyond the float range is not finite."""
     for name, value in values.items():
         if type(value) is bool or not isinstance(value, (int, float)):
-            real_array(value, name)
+            real_array(value, name, rank=0)
             continue
         try:
             finite = math.isfinite(value)

@@ -27,9 +27,7 @@ from .ou_model import OUParams, step_coefficients
 
 
 def _freeze_vec(v, name: str) -> np.ndarray:
-    a = real_array(v, name).copy()
-    if a.ndim != 1 or a.size == 0:
-        raise DimensionError(f"{name} must be a nonempty 1-d vector, got shape {a.shape}")
+    a = real_array(v, name, rank=1).copy()
     a.setflags(write=False)
     return a
 

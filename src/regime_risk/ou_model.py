@@ -141,7 +141,8 @@ def step_coefficients(p: OUParams, dt: float) -> tuple[float, float, float]:
 
 
 def conditional_law(p: OUParams, x_s: float, s: float, t: float) -> ConditionalLaw:
-    """Law of X_t given X_s = x_s, 0 <= s <= t."""
+    """Law of X_t given X_s = x_s, 0 <= s <= t; ``x_s``, ``s`` and ``t`` are
+    numbers, and a list or array raises :class:`DimensionError`."""
     require_finite(x_s=x_s, s=s, t=t)
     if t < s:
         raise TimeOrder(f"t={t} earlier than s={s}")

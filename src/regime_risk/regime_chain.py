@@ -41,6 +41,7 @@ from .errors import (
     NotStochastic,
     TimeOrder,
     real_array,
+    require_finite,
 )
 
 _COLSUM_TOL = 1e-9      # generator column sums must vanish within this
@@ -75,15 +76,15 @@ class Generator:
     sums of the clamped matrix, which is stored read-only and rebuilds to the
     same bits.  Raises :class:`NotAGenerator` if ``q`` does not hold real
     numbers (a complex, string, bool or object matrix is never cast),
-    :class:`DimensionError` if it is not square, :class:`NonFinite` on a NaN
-    or infinite entry and :class:`NotAGenerator` on a sign or column sum out
-    of tolerance, naming the entry.
+    :class:`DimensionError` if it is not a nonempty square matrix,
+    :class:`NonFinite` on a NaN or infinite entry and :class:`NotAGenerator`
+    on a sign or column sum out of tolerance, naming the entry.
     """
 
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = real_array(self.q, "generator", NotAGenerator).copy()
+        q = real_array(self.q, "generator", NotAGenerator, rank=2).copy()
         _check_generator(q)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -99,10 +100,8 @@ class Generator:
 
 def _check_generator(q: np.ndarray) -> None:
     """Check a raw rate matrix, clamping its sign dust in place (see Generator)."""
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    if q.shape[0] != q.shape[1]:
         raise DimensionError(f"generator must be a square matrix, got shape {q.shape}")
-    if q.shape[0] < 1:
-        raise DimensionError("generator needs at least one state")
     mask = ~np.eye(q.shape[0], dtype=bool)
     off = q[mask]
     if off.size and off.min() < -_SIGN_TOL:
@@ -139,20 +138,21 @@ def from_transition(p, dt: float) -> Generator:
     hold real numbers raises :class:`NotStochastic` and is never cast; a NaN
     or infinite entry raises :class:`NonFinite` naming its own ``(i,j)``.
     """
-    mat, step = real_array(p, "transition matrix", NotStochastic), float(real_array(dt, "dt"))
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = real_array(p, "transition matrix", NotStochastic, rank=2)
+    require_finite(dt=dt)
+    if mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"transition matrix must be square, got shape {mat.shape}")
-    if step <= 0:
-        raise TimeOrder(f"dt must be positive, got {step}")
+    if dt <= 0:
+        raise TimeOrder(f"dt must be positive, got {dt}")
     if np.any(mat < -_SIGN_TOL) or np.any(mat > 1 + _SIGN_TOL):
         i, j = np.unravel_index(int(np.argmin(np.minimum(mat, 1 - mat))), mat.shape)
         raise NotStochastic(f"entry ({i},{j})={mat[i, j]!r} outside [0, 1]")
     sums = mat.sum(axis=1)
     off = np.abs(sums - 1.0)
-    if np.any(off > _COLSUM_TOL * step):
+    if np.any(off > _COLSUM_TOL * dt):
         i = int(np.argmax(off))
-        raise NotStochastic(f"row {i} sums to {sums[i]!r}, expected 1 within {_COLSUM_TOL * step:.3g}")
-    return Generator((mat - np.eye(mat.shape[0])).T / step)
+        raise NotStochastic(f"row {i} sums to {sums[i]!r}, expected 1 within {_COLSUM_TOL * dt:.3g}")
+    return Generator((mat - np.eye(mat.shape[0])).T / dt)
 
 
 def matrix_exp(g: Generator, t) -> np.ndarray:
@@ -234,7 +234,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
-    """Law of the chain at time t from initial law ``p0``: ``expm(q t) @ p0``."""
+    """Law of the chain at time ``t``, a number (a list or array raises
+    :class:`DimensionError`), from initial law ``p0``: ``expm(q t) @ p0``."""
+    require_finite(t=t)
     p0 = real_array(p0, "p0")
     if p0.shape != (g.n,):
         raise DimensionError(f"p0 must have shape ({g.n},), got {p0.shape}")

@@ -4,16 +4,21 @@ Every public numeric argument, given a bool, a numeric string, a complex
 number or a NaN, raises its named ``RiskModelError`` subclass before any
 work is done: never a bare ``TypeError``, never a cast, no ``matrix_exp``
 call and no Monte-Carlo draw.  So does a bool among the numbers of a list or
-tuple, a ragged nested list and an int beyond the float range.
+tuple, a ragged nested list and an int beyond the float range.  A list or
+array where a number belongs raises ``DimensionError`` naming the argument.
 """
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
+import regime_risk
 from regime_risk import entropic_risk
 from regime_risk.entropic_risk import (
+    MCEstimate,
     RiskQuery,
     claim_risk_closed,
     claim_risk_mc,
@@ -31,7 +36,7 @@ from regime_risk.instruments import (
     SwapClaim,
     swap_value,
 )
-from regime_risk.ou_model import OUParams, PriceSeries, conditional_law
+from regime_risk.ou_model import ConditionalLaw, OUParams, PriceSeries, conditional_law, load_price_csv
 from regime_risk.regime_chain import Generator, distribution_at, from_transition, matrix_exp
 
 OU = {"alpha": 1.2, "mu": 60.0, "sigma": 8.0, "x0": 60.0}
@@ -248,3 +253,82 @@ def test_price_series_stores_timestamps_as_given(timestamps):
     series = PriceSeries(timestamps, PRICES[:3])
     assert series.timestamps.dtype == timestamps.dtype
     assert np.array_equal(series.timestamps, timestamps)
+
+
+# A number given as a list or an array of one entry: it was stored and failed
+# later, was broadcast through the arithmetic, or raised a bare TypeError.
+PRICE_CSV = "prices.csv"  # written into each case's own directory
+PRICE_ROWS = "date,price\n" + "".join(f"2020-01-0{day},{x}\n" for day, x in enumerate(PRICES, 1))
+RANKS = [
+    ("from_transition.dt", lambda v: from_transition(P, dt=v(1 / 252))),
+    ("distribution_at.t", lambda v: distribution_at(TWO, [0.5, 0.5], v(1.0))),
+    *[(f"OUParams.{k}", lambda v, k=k: OUParams(**{**OU, k: v(OU[k])})) for k in OU],
+    ("ConditionalLaw.mean", lambda v: ConditionalLaw(v(60.0), 4.0)),
+    ("ConditionalLaw.variance", lambda v: ConditionalLaw(60.0, v(4.0))),
+    ("conditional_law.x_s", lambda v: conditional_law(CRUDE, v(60.0), 0.0, 1.0)),
+    ("conditional_law.s", lambda v: conditional_law(CRUDE, 60.0, v(0.5), 1.0)),
+    ("conditional_law.t", lambda v: conditional_law(CRUDE, 60.0, 0.0, v(1.0))),
+    ("PriceSeries.dt", lambda v: PriceSeries(np.arange(4), PRICES, dt=v(1 / 252))),
+    ("load_price_csv.dt", lambda v: load_price_csv(PRICE_CSV, dt=v(1 / 252))),
+    ("FutureClaim.r", lambda v: FutureClaim([1.0, 2.0], v(0.02), 0.01)),
+    ("FutureClaim.y", lambda v: FutureClaim([1.0, 2.0], 0.02, v(0.01))),
+    ("ConstantYield.r", lambda v: ConstantYield(v(0.02), 0.01)),
+    ("ConstantYield.y", lambda v: ConstantYield(0.02, v(0.01))),
+    *[(f"GibsonSchwartzParams.{k}", lambda v, k=k: GibsonSchwartzParams(**{**GS, k: v(GS[k])})) for k in GS],
+    ("RiskQuery.s", lambda v: RiskQuery(v(0.5), 1.0, 60.0)),
+    ("RiskQuery.T", lambda v: RiskQuery(0.0, v(1.0), 60.0)),
+    ("RiskQuery.x_s", lambda v: RiskQuery(0.0, 1.0, v(60.0))),
+    ("MCEstimate.value", lambda v: MCEstimate(v(1.0), 0.1, 10)),
+    ("MCEstimate.std_error", lambda v: MCEstimate(1.0, v(0.1), 10)),
+    # its list case is the nested grid entropic_mc(samples, [1.0])
+    ("entropic_mc.gamma", lambda v: entropic_mc([1.0, 2.0, 3.0], v(1.0))),
+]
+# Exported names whose float fields need no RANKS row, and why.
+RANK_EXEMPT = {"CalibrationResult": "a record calibrate fills from its own fit: no caller passes it a number"}
+WRONG_RANKS = [
+    *[
+        (f"{arg}={label}", arg.rsplit(".", 1)[1], lambda call=call, wrap=wrap: call(wrap))
+        for arg, call in RANKS
+        for label, wrap in [("list", lambda v: [v]), ("array", lambda v: np.array([v]))]
+    ],
+    # a gamma grid whose entry is itself a list or an array
+    *[
+        (f"{route}.gammas={label}", "gammas", lambda call=call, value=value: call(value))
+        for route, call in GAMMA_ROUTES.items()
+        for label, value in [("nested_list", [[1.0]]), ("row_array", np.array([[1.0, 2.0]]))]
+    ],
+]
+
+
+@pytest.mark.parametrize("name, call", [row[1:] for row in WRONG_RANKS], ids=[row[0] for row in WRONG_RANKS])
+def test_a_list_or_array_where_a_number_belongs_raises_dimension_error(
+    expm_calls, monkeypatch, tmp_path, name, call
+):
+    def never(*args):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.setattr(entropic_risk, "_payoffs_for_state", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / PRICE_CSV).write_text(PRICE_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match=f"^{name} must be a ") as raised:
+            call()
+    assert type(raised.value) is DimensionError
+    assert expm_calls == []
+
+
+def test_every_float_argument_has_a_ranks_row_or_an_exemption():
+    floats = set()
+    for export in regime_risk.__all__:
+        obj = getattr(regime_risk, export)
+        if dataclasses.is_dataclass(obj):
+            annotated = [(f.name, f.type) for f in dataclasses.fields(obj)]
+        elif inspect.isfunction(obj):
+            annotated = [(p.name, p.annotation) for p in inspect.signature(obj).parameters.values()]
+        else:
+            continue
+        floats |= {f"{export}.{name}" for name, kind in annotated if kind in ("float", float)}
+    rows = {row[0] for row in RANKS}
+    assert rows <= floats
+    assert sorted(arg for arg in floats - rows if arg.split(".")[0] not in RANK_EXEMPT) == []

@@ -13,6 +13,7 @@ from regime_risk.ou_model import (
     calibrate,
     conditional_law,
     load_price_csv,
+    step_coefficients,
 )
 from regime_risk.regime_chain import Generator
 
@@ -79,16 +80,18 @@ class TestSampleExact:
         assert simulate_path(p, [0.0, 0.5], rng)[1] == law.mean
 
     def test_moments_match_law_at_1e5_draws(self):
-        # every step of a path is one draw from the law given the previous value
+        # every step of a path is one draw from the one-step law given the
+        # previous value: mean b x + c, standard deviation sd
         rng = np.random.default_rng(5)
         n, dt = 100_000, 0.25
         x = simulate_path(CRUDE, np.arange(n + 1) * dt, rng)
-        law = conditional_law(CRUDE, x[:-1], 0.0, dt)
-        resid = x[1:] - law.mean
-        se_mean = law.std / np.sqrt(n)
+        b, c, sd = step_coefficients(CRUDE, dt)
+        mean, variance = x[:-1] * b + c, sd * sd
+        resid = x[1:] - mean
+        se_mean = np.sqrt(variance) / np.sqrt(n)
         assert abs(resid.mean()) < 4 * se_mean
-        se_var = law.variance * np.sqrt(2.0 / (n - 1))
-        assert abs(resid.var(ddof=1) - law.variance) < 4 * se_var
+        se_var = variance * np.sqrt(2.0 / (n - 1))
+        assert abs(resid.var(ddof=1) - variance) < 4 * se_var
 
 
 class TestSimulatePath:
