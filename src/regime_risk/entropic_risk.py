@@ -49,12 +49,15 @@ so every path's inputs are a pure function of (seed, round, path index).
 A stream draws every grid step's normals first, in step order (the spot's,
 then the yield's), then the regime kernel's jump rounds, one pass over the
 whole grid: round j holds every path's j-th jump, whatever grid step it
-falls in.  The kernel runs each path on one clock, the time left to the
-grid's last time; a jump lands in the row of the grid step it falls in, and
-a row no jump wrote takes the state of the row above.  The regime kernel's
-arithmetic runs only on the paths still moving, which it compacts by index,
-in their original order; the draws of a round cover every path all the
-same.  Jump-table rows of only 0s and 1s do not depend on the uniform, and
+falls in.  A claim reads the regime path only through its loading, so a
+claim whose loading takes one value (bitwise) draws no jump rounds; its
+stream ends after its normals, and its payoffs are the bits the simulated
+regimes would give.  The kernel runs each path on one clock, the time left
+to the grid's last time; a jump lands in the row of the grid step it falls
+in, and a row no jump wrote takes the state of the row above.  The regime
+kernel's arithmetic runs only on the paths still moving, which it compacts
+by index, in their original order; the draws of a round cover every path
+all the same.  Jump-table rows of only 0s and 1s do not depend on the uniform, and
 the kernel folds them into one base target per state.  The round layout
 (one exponential, then one uniform array per round) is a contract with
 ``bench/tracer.py`` and ``tests/test_tracing_contract.py``, which count
@@ -402,6 +405,7 @@ def _simulate_grid(
     n_paths: int,
     rng: np.random.Generator,
     gs: GibsonSchwartzParams | None = None,
+    regimes: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Exact joint paths of (X, Z[, Y]) started at (x_s, state[, gs.y0]) at grid[0].
 
@@ -411,7 +415,11 @@ def _simulate_grid(
     given (correlated with the spot innovation at the exact per-step
     correlation); then one :func:`_advance_regimes` pass of jump rounds over
     the whole grid.  A one-step grid (a spot or future claim) so draws its
-    normals, then its jump rounds, as a per-step layout would.
+    normals, then its jump rounds, as a per-step layout would.  With
+    ``regimes=False`` the stream ends after its normals: no jump round is
+    drawn and every row of Z holds ``state``, which is how a claim whose
+    loading takes one value (bitwise) is simulated, as its payoff does not
+    read Z.
     """
     shape = (len(grid), n_paths)
     X = np.full(shape, x_s, dtype=float)
@@ -427,7 +435,8 @@ def _simulate_grid(
             corr = step_correlation(ou, gs, dt)
             e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal(n_paths)
             Y[k + 1] = by * Y[k] + cy + sdy * e2
-    _advance_regimes(*_jump_table(g), Z, steps, rng)
+    if regimes:
+        _advance_regimes(*_jump_table(g), Z, steps, rng)
     return X, Z, Y
 
 
@@ -438,6 +447,13 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
     [s, T] and pays ``discount(T - s) X_T delta[Z_T]``, the random variable
     whose entropic risk the closed form targets.  A swap is simulated on
     its settlement grid s + (0, 1, ..., T) and valued by :func:`swap_value`.
+
+    A claim reads the regime path only through ``delta[Z]``, so a claim
+    whose loading takes one value (bitwise) draws no jump rounds: its stream
+    ends after its normals and its paths stay in ``state``, which gives the
+    payoff the bits the simulated regimes would.  Bits, not values: a
+    loading of 0.0 and -0.0 writes either sign of zero, so it runs the
+    kernel.
     """
     gs = None
     if isinstance(claim, LinearSpotClaim):
@@ -454,7 +470,9 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
             gs = claim.yield_spec
     else:
         raise TypeError(f"unsupported claim type {type(claim).__name__}")
-    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs)
+    bits = claim.delta.view(np.uint64)
+    regimes = bool((bits != bits[0]).any())
+    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs, regimes)
     return _blockwise(claim, q, X, Z, Y)
 
 
@@ -492,7 +510,9 @@ def claim_risk_mc(
     ``gammas``; ``q`` supplies s, T and x_s.  Each entry is a list of
     :class:`MCEstimate`, one per gamma, in grid order.  Each state's stream
     is keyed by (seed, state) alone, so an estimate does not depend on which
-    other states or gammas are requested.
+    other states or gammas are requested.  A claim whose loading takes one
+    value (bitwise) draws no jump rounds: its stream ends after its normals,
+    with the estimates the simulated regimes would give.
     """
     if not _is_int(n_paths):
         raise ConfigError(f"n_paths must be an integer, got {n_paths!r}")

@@ -1151,6 +1151,98 @@ class TestSwapRiskMC:
 
 
 @st.composite
+def state_constant_instances(draw):
+    """(chain, claim, query) for a claim whose loading takes one value in
+    every state: a chain of :func:`law_instances` (1 to 5 states, reducible
+    and zero-rate states included), and a linear claim or future from s up
+    to T, or a constant-yield or Gibson-Schwartz swap of 1 to 4 settlements
+    from s = 0."""
+    g = draw(law_instances())[0]
+    delta = np.full(g.n, draw(st.floats(-2.0, 2.0)))
+    kind = draw(st.sampled_from(["linear", "future", "constant_swap", "gibson_schwartz_swap"]))
+    if kind in ("linear", "future"):
+        s = draw(st.floats(0.0, 1.0))
+        q = RiskQuery(s, s + draw(st.floats(0.01, 2.0)), draw(st.floats(30.0, 90.0)))
+        claim = LinearSpotClaim(delta) if kind == "linear" else FutureClaim(delta, r=0.02, y=0.06)
+        return g, claim, q
+    rates = draw(st.lists(st.floats(0.0, 0.1), min_size=1, max_size=4))
+    if kind == "constant_swap":
+        spec = ConstantYield(r=0.02, y=0.06)
+    else:
+        spec = GibsonSchwartzParams(kappa=1.5, y_bar=0.08, sigma_y=0.12, rho=-0.4, lambda_y=0.02, y0=0.05)
+    return g, SwapClaim(rates, delta, spec), RiskQuery(0.0, float(len(rates)), CRUDE.x0)
+
+
+def risk_with_kernel(ou, g, claim, q, n_paths, seed, gammas):
+    """``claim_risk_mc`` of every start state with the regime kernel run on
+    each stream, whatever the claim's loading."""
+    if isinstance(claim, SwapClaim):
+        grid = np.arange(claim.n_periods + 1.0)
+        gs = claim.yield_spec if isinstance(claim.yield_spec, GibsonSchwartzParams) else None
+    else:
+        grid, gs = np.array([q.s, q.T]), None
+    out = []
+    for state in range(g.n):
+        rng = entropic_risk._state_rng(seed, state)
+        paths = entropic_risk._simulate_grid(ou, g, grid, q.x_s, state, n_paths, rng, gs)
+        payoffs = entropic_risk._blockwise(claim, q, *paths)
+        out.append([entropic_mc(payoffs, gamma) for gamma in gammas])
+    return out
+
+
+class TestStateConstantLoading:
+    """A claim reads the regime path only through ``delta[Z]``: a loading
+    that takes one value, bit for bit, draws no jump rounds and gives the
+    estimates the simulated regimes give."""
+
+    GAMMAS = [0.5, 5.0]
+
+    @staticmethod
+    def count_kernel_calls(call):
+        calls = []
+        real = entropic_risk._advance_regimes
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropic_risk, "_advance_regimes", counting)
+            out = call()
+        return out, len(calls)
+
+    @SETTINGS
+    @given(state_constant_instances(), st.integers(0, 2**64 - 1))
+    def test_matches_the_kernel_run_without_calling_it(self, instance, seed):
+        g, claim, q = instance
+        want = risk_with_kernel(CRUDE, g, claim, q, 200, seed, self.GAMMAS)
+        got, calls = self.count_kernel_calls(
+            lambda: claim_risk_mc(CRUDE, g, claim, q, 200, seed, gammas=self.GAMMAS)
+        )
+        assert got == want
+        assert calls == 0
+
+    @pytest.mark.parametrize(
+        "claim, T",
+        [
+            (LinearSpotClaim([0.0, -0.0, 0.0]), 0.5),
+            (SwapClaim(rates=[0.05, 0.05], delta=[-0.0, 0.0, 0.0], yield_spec=ConstantYield(r=0.02, y=0.06)), 2.0),
+        ],
+        ids=["linear", "constant_swap"],
+    )
+    def test_signed_zero_loading_runs_the_kernel(self, claim, T):
+        """0.0 and -0.0 are equal values with different bits, so the payoff's
+        sign of zero reads the regime path."""
+        g = Generator(random_generator_matrix(np.random.default_rng(5), 3))
+        q = RiskQuery(0.0, T, CRUDE.x0)
+        got, calls = self.count_kernel_calls(
+            lambda: claim_risk_mc(CRUDE, g, claim, q, 500, 11, gammas=self.GAMMAS)
+        )
+        assert calls == g.n
+        assert got == risk_with_kernel(CRUDE, g, claim, q, 500, 11, self.GAMMAS)
+
+
+@st.composite
 def closed_instances(draw):
     """(chain, OU params, loading, query, increasing gamma grid): rates in
     [0.1, 5] on 1 to 5 states, split into two blocks that cannot reach each

@@ -35,76 +35,91 @@ GS_SWAP = {
 }
 
 
+REGIMES_CONFIG = EXAMPLE_CONFIG.with_name("crude_oil_regimes.json")
+
+
+def traced_run(tmp_path, args, outputs):
+    """The trace of one ``bench/child.py`` run of ``args``, after checking it
+    wrote the bytes an untraced ``main(args)`` writes to each of ``outputs``."""
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "bench" / "child.py"), "cli", str(result), "1",
+         *args, "--out", str(tmp_path / "traced")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(result.read_text())
+    assert payload["rc"] == 0, payload.get("error")
+
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    for name in outputs:
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    return payload["trace"]
+
+
 # The regime kernel's rounds at 2000 paths: one exponential and one uniform
-# array over every path per round, one kernel call per stream.  The shipped
+# array over every path per round, one kernel call per stream.  The regimes
 # claim's count is that of the kernel that recomputed every path in every
 # round, so a kernel that skips paths at rest must keep the same draw layout.
 # The swap's is that of one pass over each stream's three-settlement grid,
 # round j holding every path's j-th jump whatever settlement it falls in (a
-# pass per settlement drew 1993 rounds).
+# pass per settlement drew 1993 rounds).  The shipped claim's loading is
+# 0.75 in every state, so its payoff does not read the regime path: its
+# streams draw their normals and no jump round.
 @pytest.mark.parametrize(
-    "claim, normal_rounds, jump_rounds",
-    [(None, 1, 176), (GS_SWAP, 6, 1763)],
-    ids=["shipped", "gibson_schwartz_swap"],
+    "config, claim, normal_rounds, kernel_calls, jump_rounds",
+    [
+        (EXAMPLE_CONFIG, None, 1, 0, 0),
+        (REGIMES_CONFIG, None, 1, 4, 176),
+        (EXAMPLE_CONFIG, GS_SWAP, 6, 4, 1763),
+    ],
+    ids=["shipped", "regimes", "gibson_schwartz_swap"],
 )
-def test_traced_risk_mc_records_every_layer(tmp_path, claim, normal_rounds, jump_rounds):
-    cfg = json.loads(EXAMPLE_CONFIG.read_text())
+def test_traced_risk_mc_records_every_layer(tmp_path, config, claim, normal_rounds, kernel_calls, jump_rounds):
+    cfg = json.loads(config.read_text())
     if claim is not None:
         cfg["claim"] = claim
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     n_states = len(cfg["chain"]["matrix"])
-    args = ["risk", "--config", str(config), "--mc", "--paths", "2000"]
-    result = tmp_path / "result.json"
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "bench" / "child.py"), "cli", str(result), "1",
-         *args, "--out", str(tmp_path / "traced")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(result.read_text())
-    assert payload["rc"] == 0, payload.get("error")
+    trace = traced_run(tmp_path, ["risk", "--config", str(config), "--mc", "--paths", "2000"], ["risk.csv"])
 
-    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
-    traced = (tmp_path / "traced" / "risk.csv").read_bytes()
-    assert traced == (tmp_path / "plain" / "risk.csv").read_bytes()
-
-    spans = Counter(span[0] for span in payload["trace"]["spans"])
+    spans = Counter(span[0] for span in trace["spans"])
     assert spans["entropic_risk.mc"] == 1
     assert spans["entropic_risk.sim"] == n_states
     assert spans["entropic_risk.payoff_eval"] == n_states
     assert spans["entropic_risk.gauss"] == n_states * normal_rounds
-    assert spans["entropic_risk.advance"] == n_states
+    assert spans["entropic_risk.advance"] == kernel_calls
     assert spans["instruments.swap_value"] == (0 if claim is None else n_states)
 
-    counts = payload["trace"]["counts"]
+    counts = Counter(trace["counts"])  # a kind never drawn has no entry
     assert counts["rng.exponential.calls"] == jump_rounds
     assert counts["rng.exponential.elems"] == counts["rng.random.elems"] == jump_rounds * 2000
 
 
 # ``sweep --mc`` simulates the starting regime once per horizon, each from the
-# start of the same (seed, z0) stream: 28 rounds at 50 days and 59 at 150 at
-# 2000 paths.  A change that shares one pass between the horizons moves these
-# counts on purpose.
+# start of the same (seed, z0) stream: on the regimes config, 28 rounds at 50
+# days and 59 at 150 at 2000 paths.  A change that shares one pass between the
+# horizons moves these counts on purpose.
 def test_traced_sweep_mc_simulates_each_horizon(tmp_path):
-    args = ["sweep", "--config", str(EXAMPLE_CONFIG), "--mc", "--paths", "2000"]
-    result = tmp_path / "result.json"
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "bench" / "child.py"), "cli", str(result), "1",
-         *args, "--out", str(tmp_path / "traced")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(result.read_text())
-    assert payload["rc"] == 0, payload.get("error")
+    args = ["sweep", "--config", str(REGIMES_CONFIG), "--mc", "--paths", "2000"]
+    trace = traced_run(tmp_path, args, ["sweep.csv", "sweep_mc.csv"])
 
-    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
-    for name in ("sweep.csv", "sweep_mc.csv"):
-        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
-
-    spans = Counter(span[0] for span in payload["trace"]["spans"])
+    spans = Counter(span[0] for span in trace["spans"])
     assert spans["entropic_risk.mc"] == 2
     assert spans["entropic_risk.sim"] == 2
-    assert payload["trace"]["counts"]["rng.exponential.calls"] == 87
+    assert spans["entropic_risk.advance"] == 2
+    assert trace["counts"]["rng.exponential.calls"] == 87
+
+
+# The shipped config's state-constant loading: each horizon's stream draws
+# its normals and no jump round.
+def test_traced_sweep_mc_of_shipped_config_draws_no_jump_round(tmp_path):
+    args = ["sweep", "--config", str(EXAMPLE_CONFIG), "--mc", "--paths", "2000"]
+    trace = traced_run(tmp_path, args, ["sweep.csv", "sweep_mc.csv"])
+
+    spans = Counter(span[0] for span in trace["spans"])
+    assert spans["entropic_risk.sim"] == spans["entropic_risk.gauss"] == 2
+    assert spans["entropic_risk.advance"] == 0
+    assert "rng.exponential.calls" not in trace["counts"]
