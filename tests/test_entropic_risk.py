@@ -38,8 +38,9 @@ from regime_risk.instruments import (
     GibsonSchwartzParams,
     LinearSpotClaim,
     SwapClaim,
+    step_correlation,
 )
-from regime_risk.ou_model import ConditionalLaw, OUParams, conditional_law
+from regime_risk.ou_model import ConditionalLaw, OUParams, conditional_law, step_coefficients
 from regime_risk.regime_chain import Generator, distribution_at, matrix_exp
 
 from conftest import EXAMPLE_CONFIG, SETTINGS, draw_mc_instance, random_generator_matrix
@@ -673,6 +674,68 @@ class TestRegimeKernel:
         assert np.array_equal(cum[moving, moving], below)
 
 
+@st.composite
+def long_grid_instances(draw):
+    """(chain, start states, steps) for the regime kernel on grids of 5 to 64
+    steps, each of 0 or a power of two from 2^-10 (much shorter than a
+    holding time) to 1.  Every state leaves at 0, 1/4, 1 or 2 and splits that
+    rate among its targets in eighths, so holding times in eighths (see
+    ``LongGridRng``) keep every clock exact and land jumps on grid times."""
+    n = draw(st.integers(1, 6))
+    q = np.zeros((n, n))
+    for s in range(n):
+        rate = draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])) if n > 1 else 0.0
+        if rate:
+            targets = [t for t in range(n) if t != s]
+            eighths = draw(st.lists(st.sampled_from(targets), min_size=8, max_size=8))
+            for t in eighths:
+                q[t, s] += rate / 8.0
+            q[s, s] = -rate
+    states = draw(arrays(np.int64, draw(st.integers(1, 40)), elements=st.integers(0, n - 1)))
+    step = st.sampled_from([0.0, 2.0**-10, 2.0**-4, 0.25, 1.0])
+    steps = draw(st.lists(step, min_size=5, max_size=64))
+    return Generator(q), states, steps
+
+
+class LongGridRng:
+    """A Philox stream whose holding times are rounded to eighths when
+    ``eighths`` is set, and whose jump uniforms all equal ``u`` unless ``u``
+    is None; ``random()`` without a size reads the stream's next draw."""
+
+    def __init__(self, seed, eighths, u):
+        self._rng = entropic_risk._state_rng(seed, 0)
+        self.eighths, self.u = eighths, u
+
+    def exponential(self, scale, size):
+        e = self._rng.exponential(scale, size)
+        return np.round(e * 8.0) / 8.0 if self.eighths else e
+
+    def random(self, size=None):
+        return self._rng.random(size) if size is None or self.u is None else np.full(size, self.u)
+
+
+class TestRegimeKernelOnLongGrids:
+    @SETTINGS
+    @given(
+        long_grid_instances(),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+        st.sampled_from(["philox", "u=0", "u=1-"]),
+    )
+    def test_matches_the_round_loop(self, instance, seed, eighths, draws):
+        """Same grid rows and the same next draw as the loop over every path,
+        with holding times from Philox or in eighths, which end exactly on
+        grid times, and a jump row picked among up to 64 grid times."""
+        g, states, steps = instance
+        rates, cum = entropic_risk._jump_table(g)
+        u = {"philox": None, "u=0": 0.0, "u=1-": np.nextafter(1.0, 0.0)}[draws]
+        rng, oracle = LongGridRng(seed, eighths, u), LongGridRng(seed, eighths, u)
+        got = advance(rates, cum, states, steps, rng)
+        want = advance_by_rounds(rates, cum, states, steps, oracle)
+        assert np.array_equal(got, want)
+        assert rng.random() == oracle.random()
+
+
 def fixed_rows(cum):
     """Which rows of a jump table, the last one aside, hold only 0s and 1s."""
     rows = cum[:-1]
@@ -762,6 +825,46 @@ class TestGridPrefix:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_dense_chain_over_eight_settlements(self, seed):
         self.assert_prefix(Generator(DENSE), np.arange(9.0), seed)
+
+
+class TestSimulateGridBits:
+    """``_simulate_grid`` writes each row in place; its rows must hold the bits
+    of the textbook recursion on the same normals, replayed from the same
+    ``_state_rng(seed, state)`` stream."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GibsonSchwartzParams(kappa=1.5, y_bar=0.08, sigma_y=0.12, rho=-0.4, lambda_y=0.02, y0=0.05),
+            ConstantYield(r=0.02, y=0.06),
+        ],
+        ids=["gibson_schwartz", "constant"],
+    )
+    def test_rows_are_the_textbook_recursion(self, spec):
+        gs = spec if isinstance(spec, GibsonSchwartzParams) else None
+        grid = np.array([0.0, 0.5, 1.0, 1.0, 2.75, 3.0, 4.0, 7.0])
+        n, seed, state = 1000, 11, 1
+        X, Z, Y = entropic_risk._simulate_grid(
+            CRUDE, TWO_STATE, grid, 61.5, state, n, entropic_risk._state_rng(seed, state), gs
+        )
+        rng = entropic_risk._state_rng(seed, state)
+        x, y = np.full(n, 61.5), None if gs is None else np.full(n, gs.y0)
+        assert np.array_equal(X[0], x) and np.array_equal(Z[0], np.full(n, state))
+        for k, dt in enumerate(np.diff(grid).tolist()):
+            bx, cx, sdx = step_coefficients(CRUDE, dt)
+            e1 = rng.standard_normal(n)
+            x = bx * x + cx + sdx * e1
+            assert np.array_equal(X[k + 1], x), k
+            if gs is not None:
+                by, cy, sdy = step_coefficients(gs.historical_ou, dt)
+                corr = step_correlation(CRUDE, gs, dt)
+                e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal(n)
+                y = by * y + cy + sdy * e2
+                assert np.array_equal(Y[k + 1], y), k
+        if gs is None:
+            assert Y is None
+        else:
+            assert np.array_equal(Y[0], np.full(n, gs.y0))
 
 
 class TestJumpLaw:

@@ -61,6 +61,20 @@ MIXED_CHAIN = {
 }
 MIXED_RISK_MC = {"chain": MIXED_CHAIN, "claim": LINEAR}
 MIXED_SIMULATE = {"chain": MIXED_CHAIN, "grids": dict(SHIPPED["grids"], horizons_days=[2520.0])}
+# a swap with a flat convenience yield on a state-varying loading: the only MC
+# run of the ``ConstantYield`` branch, with the regime kernel over 4 settlements
+CONSTANT_SWAP = {
+    "type": "swap",
+    "delta": [1.0, 0.9, 1.1, 0.8],
+    "rates": [0.02, 0.04, 0.06, 0.08],
+    "yield": {"kind": "constant", "r": 0.01, "y": 0.05},
+}
+# the benchmark swap's shape: 8 settlements on a chain whose jump table has
+# fractional rows, so jumps land in every row of an 8-step grid
+MIXED_GS_SWAP_8 = {
+    "chain": MIXED_CHAIN,
+    "claim": dict(GS_SWAP, rates=[0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08]),
+}
 # the shipped example with a state-varying loading, run from its own file
 REGIMES_CONFIG = EXAMPLE_CONFIG.with_name("crude_oil_regimes.json")
 
@@ -83,6 +97,8 @@ RUNS = {
     "gs_swap_simulate": (["simulate"], GS_SWAP_SIMULATE),
     "mixed_risk_mc": (["risk", "--mc", "--paths", "2000"], MIXED_RISK_MC),
     "mixed_simulate": (["simulate"], MIXED_SIMULATE),
+    "constant_swap_risk_mc": (["risk", "--mc", "--paths", "2000"], {"claim": CONSTANT_SWAP}),
+    "mixed_gs_swap_8_risk_mc": (["risk", "--mc", "--paths", "2000"], MIXED_GS_SWAP_8),
     "regimes_risk": (["risk"], REGIMES_CONFIG),
     "regimes_sweep": (["sweep"], REGIMES_CONFIG),
     "regimes_yield_sweep": (["yield-sweep"], REGIMES_CONFIG),
@@ -158,6 +174,14 @@ GOLDEN = {
     "mixed_simulate": {
         "paths.csv": "d64e6396bb81f2612afd0d9a4253e61ca0f64467d38099e2e25b574f7e45ebb7",
         "paths.json": "92ec1bea1cbb072b68ea58b445c5b6000700a794d65c2986a5a6fb86536ad83a",
+    },
+    "constant_swap_risk_mc": {
+        "risk.csv": "6bce201f8077a4aafc0c112551c7d47dee6966ae75c22ed89b33c20df91c02ab",
+        "risk.json": "7eb81bcc4de726fcc2705fe5eec33b8cf22cb1a49d1c82c8798b03b0bfee84de",
+    },
+    "mixed_gs_swap_8_risk_mc": {
+        "risk.csv": "7178cae90b3a764a7f4910e66aa20621c067df896d49e05c050b9213e9611f11",
+        "risk.json": "6a453beebe93b4b2d55aa00eaf9b036a83203eea2d66df0bfb6b550185235aca",
     },
     "regimes_risk": {
         "risk.csv": "81192ded830e05f16f523966653fedfa830b447ea9e9384454b3674da49ffd34",
