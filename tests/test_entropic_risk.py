@@ -735,6 +735,25 @@ class TestRegimeKernelOnLongGrids:
         assert np.array_equal(got, want)
         assert rng.random() == oracle.random()
 
+    # every state leaves at 2 and splits it among two targets in eighths
+    EIGHTHS = [[-2.0, 1.0, 0.75], [1.25, -2.0, 1.25], [0.75, 1.0, -2.0]]
+
+    @pytest.mark.parametrize("eighths", [False, True], ids=["philox", "eighths"])
+    @pytest.mark.parametrize("n_steps", [255, 256, 300])
+    def test_row_count_past_one_byte(self, n_steps, eighths):
+        """The kernel counts a jump's grid row in the narrowest type that holds
+        the step count: one byte up to 255 steps, two from 256.  On grids of
+        1/16-year steps that straddle that width, jumps early in the grid
+        have counts above 255, and must still land in the loop's rows."""
+        rates, cum = entropic_risk._jump_table(Generator(self.EIGHTHS))
+        states = np.arange(300) % 3
+        steps = [2.0**-4] * n_steps
+        rng, oracle = LongGridRng(n_steps, eighths, None), LongGridRng(n_steps, eighths, None)
+        got = advance(rates, cum, states, steps, rng)
+        want = advance_by_rounds(rates, cum, states, steps, oracle)
+        assert np.array_equal(got, want)
+        assert rng.random() == oracle.random()
+
 
 def fixed_rows(cum):
     """Which rows of a jump table, the last one aside, hold only 0s and 1s."""
