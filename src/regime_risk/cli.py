@@ -38,7 +38,7 @@ from .entropic_risk import (
 # unused here; kept because bench/tracer.py wraps both names on this module
 from .entropic_risk import future_risk_closed, spot_risk_closed  # noqa: F401
 from .errors import ConfigError, RiskModelError
-from .instruments import FutureClaim, GibsonSchwartzParams, SwapClaim
+from .instruments import FutureClaim, SwapClaim
 from .ou_model import calibrate, conditional_law, load_price_csv
 
 
@@ -79,7 +79,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     n_days = int(days)
     grid = np.arange(n_days + 1) * horizon_years(1.0)
     rng = np.random.default_rng(cfg.seed)
-    spot, regimes, yld = sample_paths(cfg.ou, cfg.chain, cfg.z0, grid, rng, _configured_gs_yield(cfg))
+    yield_spec = getattr(cfg.claim, "stochastic_yield", None)  # None but for a stochastic-yield swap
+    spot, regimes, yld = sample_paths(cfg.ou, cfg.chain, cfg.z0, grid, rng, yield_spec)
     header = ["step", "t_years", "spot", "regime"]
     cols = [list(range(n_days + 1)), grid.tolist(), spot.tolist(), regimes.tolist()]
     if yld is not None:
@@ -97,11 +98,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _configured_gs_yield(cfg: RunConfig) -> GibsonSchwartzParams | None:
-    spec = getattr(cfg.claim, "yield_spec", None)
-    return spec if isinstance(spec, GibsonSchwartzParams) else None
-
-
 def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float | None:
     """For a single-regime chain the closed form must reduce to
     d m - d^2 v / (2 gamma); printed alongside as an independent check."""
@@ -114,9 +110,9 @@ def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float |
 
 def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
     """Per-state risk report for the configured claim at each configured gamma."""
-    cfg.require("chain", "ou", "claim", "gammas", "horizons")
     claim = cfg.claim
     is_swap = isinstance(claim, SwapClaim)
+    cfg.require("chain", "ou", "claim", "gammas", *([] if is_swap else ["horizons"]))
     if is_swap and not use_mc:
         raise ConfigError("swap risk has no closed form; rerun with --mc")
     T = float(claim.n_periods) if is_swap else horizon_years(cfg.horizons_days[0])

@@ -34,8 +34,8 @@ of a single evaluation per element, so its results are bit-identical to
 evaluating each (query, claim, gamma) triple on its own.
 
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
-engine (:func:`_simulate_grid`) steps many paths at once over a few grid
-times: a terminal claim is the one-step grid [s, T], a swap its settlement
+engine (:func:`_simulate_grid`) steps many paths at once over each claim's
+own grid, ``mc_grid(q)``: a terminal claim's is [s, T], a swap's its settlement
 grid.  :func:`sample_paths` draws one path over thousands of grid times, as
 the ``simulate`` command does; it loops over scalars, which is several times
 faster than the engine on one path.  Both read one jump law, the exit rates
@@ -78,7 +78,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     EmptySamples,
-    LengthMismatch,
     NonFinite,
     NonPositiveGamma,
     StateOutOfRange,
@@ -471,10 +470,8 @@ def _simulate_grid(
 def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
     """Simulate one starting state's paths on the claim's grid and evaluate the claim.
 
-    A linear claim, a future among them, is simulated on the one-step grid
-    [s, T] and pays ``discount(T - s) X_T delta[Z_T]``, the random variable
-    whose entropic risk the closed form targets.  A swap is simulated on
-    its settlement grid s + (0, 1, ..., T) and valued by :func:`swap_value`.
+    The claim states its grid, ``claim.mc_grid(q)``, and simulated yield,
+    ``claim.stochastic_yield``; :func:`_blockwise` evaluates its payoff.
 
     A claim reads the regime path only through ``delta[Z]``, so a claim
     whose loading takes one value (bitwise) draws no jump rounds: its stream
@@ -483,21 +480,7 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
     loading of 0.0 and -0.0 writes either sign of zero, so it runs the
     kernel.
     """
-    gs = None
-    if isinstance(claim, LinearSpotClaim):
-        grid = np.array([q.s, q.T])
-    elif isinstance(claim, SwapClaim):
-        if q.s != 0.0:
-            raise TimeOrder(f"swap risk is evaluated from s=0, got s={q.s}")
-        if q.T != float(claim.n_periods):
-            raise LengthMismatch(
-                f"query horizon T={q.T} != swap settlement count {claim.n_periods}"
-            )
-        grid = np.concatenate([[q.s], q.s + claim.settlement_times])
-        if isinstance(claim.yield_spec, GibsonSchwartzParams):
-            gs = claim.yield_spec
-    else:
-        raise TypeError(f"unsupported claim type {type(claim).__name__}")
+    grid, gs = claim.mc_grid(q), claim.stochastic_yield
     bits = claim.delta.view(np.uint64)
     regimes = bool((bits != bits[0]).any())
     X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs, regimes)
@@ -549,6 +532,8 @@ def claim_risk_mc(
     if not (_is_int(seed) and 0 <= seed < 1 << 64):
         # the Philox key holds the seed in one 64-bit word
         raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not hasattr(claim, "mc_grid"):
+        raise TypeError(f"unsupported claim type {type(claim).__name__}")
     _check_states(claim, g)
     states = range(g.n) if states is None else [_state_index(i, g.n) for i in _nonempty_list(states, "states")]
     grid = _gamma_grid(gammas)

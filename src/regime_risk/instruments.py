@@ -3,8 +3,8 @@
 A terminal claim pays its loading ``delta * discount(h)`` times the spot at horizon h:
 a linear claim's discount is 1, a future's e^{-(r+y) h}.  Yields are annualized rates.
 Every field is checked once, at construction: a NaN, an infinity or a value
-that is not a real number raises :class:`NonFinite`.  Paths of the yield are
-sampled together with the spot by the two samplers in :mod:`regime_risk.entropic_risk`.
+that is not a real number raises :class:`NonFinite`.  Each claim states its
+Monte-Carlo grid, ``mc_grid(q)``, and the yield simulated with the spot, ``stochastic_yield``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     NotMeanReverting,
     StateOutOfRange,
+    TimeOrder,
     _holds_bool,
     real_array,
     require_finite,
@@ -37,6 +38,7 @@ class LinearSpotClaim:
     """Pays X_t * delta[Z_t]."""
 
     delta: np.ndarray
+    stochastic_yield = None  # a class attribute, not a field: no yield is simulated
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _freeze_vec(self.delta, "delta"))
@@ -52,6 +54,10 @@ class LinearSpotClaim:
     def loading(self, h) -> np.ndarray:
         """The loading ``delta * discount(h)``, one row per horizon of an array ``h``."""
         return self.delta * self.discount(h)[..., None]
+
+    def mc_grid(self, q) -> np.ndarray:
+        """The Monte-Carlo grid of query ``q``: the one step [s, T]."""
+        return np.array([q.s, q.T])
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,18 @@ class SwapClaim:
     def settlement_times(self) -> np.ndarray:
         return np.arange(1, self.n_periods + 1, dtype=float)
 
+    @property
+    def stochastic_yield(self) -> GibsonSchwartzParams | None:
+        return self.yield_spec if isinstance(self.yield_spec, GibsonSchwartzParams) else None
+
+    def mc_grid(self, q) -> np.ndarray:
+        """The grid of query ``q``, from s = 0 to T = ``n_periods``: s, then s + each settlement time."""
+        if q.s != 0.0:
+            raise TimeOrder(f"swap risk is evaluated from s=0, got s={q.s}")
+        if q.T != float(self.n_periods):
+            raise LengthMismatch(f"query horizon T={q.T} != swap settlement count {self.n_periods}")
+        return np.concatenate([[q.s], q.s + self.settlement_times])
+
 
 def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     """Discounted sum of the swap's cash settlements.
@@ -194,7 +212,7 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     if z.size and (z.min() < 0 or z.max() >= c.n_states):
         bad = (z < 0) | (z >= c.n_states)
         raise StateOutOfRange(f"state index outside [0, {c.n_states}): {z[bad][:1]!r}")
-    if isinstance(c.yield_spec, ConstantYield):
+    if c.stochastic_yield is None:
         if y_path is not None:
             raise LengthMismatch("y_path must be omitted for a constant yield spec")
         y = np.full(T, c.yield_spec.level)  # one scalar per settlement row

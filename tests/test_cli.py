@@ -219,6 +219,23 @@ class TestRiskCommand:
         assert all(r[header.index("closed")] == "" for r in rows)
         assert all(r[header.index("mc_value")] != "" for r in rows)
 
+    def test_swap_needs_no_horizons(self, tmp_path):
+        """A swap's horizon is its settlement count: ``risk`` reads no configured one."""
+        cfg = base_config(
+            claim={
+                "type": "swap",
+                "delta": [1.0, 0.9],
+                "rates": [0.05, 0.05],
+                "yield": {"kind": "constant", "r": 0.02, "y": 0.06},
+            }
+        )
+        del cfg["grids"]["horizons_days"]
+        assert run(["risk", "--config", write_config(tmp_path, cfg), "--mc", "--paths", 500]) == 0
+        header, rows = read_csv(tmp_path / "out" / "risk.csv")
+        gammas, n_states = cfg["grids"]["gammas"], len(cfg["chain"]["matrix"])
+        assert [(float(r[0]), int(r[1])) for r in rows] == [(g, i) for g in gammas for i in range(n_states)]
+        assert all(r[header.index("mc_value")] != "" for r in rows)
+
 
 class TestSweepCommand:
     def test_table_shape_matches_report_layout(self, tmp_path):

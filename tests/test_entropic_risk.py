@@ -1162,6 +1162,13 @@ class TestClaimRiskMC:
         with pytest.raises(DimensionError, match="states must be nonempty"):
             claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, 100, seed=0, gammas=self.GAMMAS, states=[])
 
+    def test_unsupported_claim_rejected_before_simulating(self, monkeypatch):
+        """An object that states no Monte-Carlo grid is refused by name, not
+        by an AttributeError from inside the first stream."""
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
+        with pytest.raises(TypeError, match="unsupported claim type ConstantYield"):
+            claim_risk_mc(CRUDE, TWO_STATE, ConstantYield(r=0.02, y=0.04), self.Q, 100, seed=0, gammas=self.GAMMAS)
+
     def test_numpy_integer_state_and_seed_are_integers(self):
         c = LinearSpotClaim([0.75, 1.25])
         want = claim_risk_mc(CRUDE, TWO_STATE, c, self.Q, 200, seed=3, gammas=self.GAMMAS, states=[1])

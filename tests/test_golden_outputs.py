@@ -99,6 +99,8 @@ RUNS = {
     "mixed_simulate": (["simulate"], MIXED_SIMULATE),
     "constant_swap_risk_mc": (["risk", "--mc", "--paths", "2000"], {"claim": CONSTANT_SWAP}),
     "mixed_gs_swap_8_risk_mc": (["risk", "--mc", "--paths", "2000"], MIXED_GS_SWAP_8),
+    # a flat-yield swap: simulate draws no yield path and writes no ``yield`` column
+    "constant_swap_simulate": (["simulate"], {"claim": CONSTANT_SWAP}),
     "regimes_risk": (["risk"], REGIMES_CONFIG),
     "regimes_sweep": (["sweep"], REGIMES_CONFIG),
     "regimes_yield_sweep": (["yield-sweep"], REGIMES_CONFIG),
@@ -182,6 +184,10 @@ GOLDEN = {
     "mixed_gs_swap_8_risk_mc": {
         "risk.csv": "7178cae90b3a764a7f4910e66aa20621c067df896d49e05c050b9213e9611f11",
         "risk.json": "6a453beebe93b4b2d55aa00eaf9b036a83203eea2d66df0bfb6b550185235aca",
+    },
+    "constant_swap_simulate": {
+        "paths.csv": "68cd8319f384035a7d7056fb97764c0a882df1773fba32a60b9050896ec798ae",
+        "paths.json": "a3f63ee634be0299dc0e5dc33ceeadc622ec6da7c013968a8abb6edbc6f4e886",
     },
     "regimes_risk": {
         "risk.csv": "81192ded830e05f16f523966653fedfa830b447ea9e9384454b3674da49ffd34",
