@@ -36,9 +36,10 @@ def horizon_years(days: float) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated run configuration; ``config_sha256`` digests the file as run."""
+    """Parsed and validated run configuration; ``config_text`` is the file as
+    run, in canonical JSON, which :func:`provenance` digests."""
 
-    config_sha256: str
+    config_text: str
     chain: Generator | None
     z0: int
     ou: OUParams | None
@@ -254,10 +255,9 @@ def load_config(
     out_dir = Path(out_override) if out_override else out_dir
 
     raw["mc"] = {**mc, "n_paths": n_paths, "seed": seed}
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
     return RunConfig(
-        config_sha256=hashlib.sha256(canon.encode()).hexdigest(),
+        config_text=json.dumps(raw, sort_keys=True, separators=(",", ":")),
         chain=chain,
         z0=z0,
         ou=ou,
@@ -291,13 +291,16 @@ def _fmt(v) -> str:
 
 
 def provenance(cfg: RunConfig, command: str) -> dict:
+    """The header every output carries.  Commands call it after their work:
+    a process's first ``hashlib.sha256`` call moves the C heap's layout, which
+    raises the peak RSS of Monte-Carlo arrays allocated after it."""
     from . import __version__
 
     return {
         "tool": "regime-risk",
         "version": __version__,
         "command": command,
-        "config_sha256": cfg.config_sha256,
+        "config_sha256": hashlib.sha256(cfg.config_text.encode()).hexdigest(),
         "seed": cfg.seed,
         "n_paths": cfg.n_paths,
         "days_per_year": TRADING_DAYS_PER_YEAR,

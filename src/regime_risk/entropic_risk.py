@@ -36,11 +36,16 @@ evaluating each (query, claim, gamma) triple on its own.
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over each claim's
 own grid, ``mc_grid(q)``: a terminal claim's is [s, T], a swap's its settlement
-grid.  :func:`sample_paths` draws one path over thousands of grid times, as
-the ``simulate`` command does; it loops over scalars, which is several times
-faster than the engine on one path.  Both read one jump law, the exit rates
-and per-state target CDFs of :func:`_jump_table`, whose target for a uniform
-is the draw ``Generator.choice`` would make.
+grid.  One :func:`claim_risk_mc` call owns one working set, X, Z and (for
+a simulated yield) Y, one row per grid time and one column per path, and
+each start state's simulation overwrites it whole; Z holds state indices in
+the narrowest signed integer type that holds the chain's states (int8 up to
+128 states, int16 above).  :func:`sample_paths` draws one path over
+thousands of grid times, as the ``simulate`` command does; it loops over
+scalars, which is several times faster than the engine on one path.  Both
+read one jump law, the exit rates and per-state target CDFs of
+:func:`_jump_table`, whose target for a uniform is the draw
+``Generator.choice`` would make.
 
 Determinism: all Monte-Carlo randomness comes from a Philox (counter-based)
 bit stream keyed by (seed, starting state), consumed in a fixed
@@ -313,11 +318,15 @@ def _advance_regimes(
 
     ``Z`` is a C-contiguous signed-integer array whose row 0 holds each
     path's start state; the kernel writes its state at the end of step k
-    (of length ``steps[k]``) into ``Z[k + 1]``.  Identical in law to
-    per-path holding-time/jump simulation.  Each round draws one
-    ``rng.exponential(1.0, n)`` array, then one ``rng.random(n)`` array, over
-    every path: round j holds every path's j-th jump, whatever step it falls
-    in, so a one-step grid draws what a per-step kernel would.  This round
+    (of length ``steps[k]``) into ``Z[k + 1]``.  The caller owns ``Z``;
+    any signed type that holds every state index (the engine's is
+    :func:`_working_set`'s narrowest) will do, and another dtype raises
+    :class:`DimensionError` before the first draw.  The kernel rewrites
+    every row past 0, so a reused ``Z`` keeps nothing of its last pass.
+    Identical in law to per-path holding-time/jump simulation.  Each round
+    draws one ``rng.exponential(1.0, n)`` array, then one ``rng.random(n)``
+    array, over every path: round j holds every path's j-th jump, whatever
+    step it falls in, so a one-step grid draws what a per-step kernel would.  This round
     layout is a contract with ``bench/tracer.py``, which counts rounds by
     these calls, and with ``tests/test_tracing_contract.py``, which pins
     their counts: drawing another way is a benchmark change, not a kernel
@@ -361,6 +370,10 @@ def _advance_regimes(
     n_steps, n = steps.size, Z.shape[1]
     if not Z.flags.c_contiguous:
         raise DimensionError("Z must be C-contiguous: the kernel writes it through a flat view")
+    if Z.dtype.kind != "i" or np.iinfo(Z.dtype).max < rates.size - 1:
+        raise DimensionError(
+            f"Z of dtype {Z.dtype} cannot hold the states of a {rates.size}-state chain and -1"
+        )
     flat = Z.reshape(-1)  # Z[k, i] is flat[k * n + i]
     ends = np.cumsum(steps)
     after = (ends[-1] - ends)[::-1]  # the time left at grid time n_steps - j
@@ -406,6 +419,18 @@ def _advance_regimes(
         np.copyto(Z[k], Z[k - 1], where=Z[k] < 0)
 
 
+def _working_set(g: Generator, n_times: int, n_paths: int, stochastic_yield: bool) -> tuple:
+    """Uninitialised ``(X, Z, Y)`` buffers of shape ``(n_times, n_paths)``:
+    X and Y as float64, Y only with a simulated yield (else None), and Z in
+    ``np.min_scalar_type(-g.n)``, the narrowest signed integer type that
+    holds every state index and the kernel's -1 (int8 up to 128 states,
+    int16 above)."""
+    shape = (n_times, n_paths)
+    X = np.empty(shape)
+    Z = np.empty(shape, dtype=np.min_scalar_type(-g.n))
+    return X, Z, np.empty(shape) if stochastic_yield else None
+
+
 def _simulate_grid(
     ou: OUParams,
     g: Generator,
@@ -416,6 +441,7 @@ def _simulate_grid(
     rng: np.random.Generator,
     gs: GibsonSchwartzParams | None = None,
     regimes: bool = True,
+    work: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Exact joint paths of (X, Z[, Y]) started at (x_s, state[, gs.y0]) at grid[0].
 
@@ -436,15 +462,16 @@ def _simulate_grid(
     the expression evaluates in, so the row has its bits (Y's likewise).
     Z starts with only row 0 set: the kernel fills the rest, or, without
     jump rounds, row 0 is copied down.
+
+    The paths are written into ``work``, a caller-owned :func:`_working_set`
+    of ``len(grid)`` rows that this call overwrites whole and returns; without
+    one, the call allocates its own by the same rule, so Z is always of the
+    narrow dtype :func:`_working_set` picks.
     """
-    shape = (len(grid), n_paths)
-    X = np.empty(shape)
+    X, Z, Y = _working_set(g, len(grid), n_paths, gs is not None) if work is None else work
     X[0] = x_s
-    Z = np.empty(shape, dtype=np.int64)
     Z[0] = state
-    Y = None
     if gs is not None:
-        Y = np.empty(shape)
         Y[0] = gs.y0
     steps = np.diff(grid)
     for k, dt in enumerate(steps.tolist()):
@@ -467,11 +494,13 @@ def _simulate_grid(
     return X, Z, Y
 
 
-def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
+def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, work) -> np.ndarray:
     """Simulate one starting state's paths on the claim's grid and evaluate the claim.
 
     The claim states its grid, ``claim.mc_grid(q)``, and simulated yield,
-    ``claim.stochastic_yield``; :func:`_blockwise` evaluates its payoff.
+    ``claim.stochastic_yield``; :func:`_blockwise` evaluates its payoff.  The
+    paths are written into ``work``, the calling :func:`claim_risk_mc`'s
+    working set, and the payoffs are a new array.
 
     A claim reads the regime path only through ``delta[Z]``, so a claim
     whose loading takes one value (bitwise) draws no jump rounds: its stream
@@ -483,7 +512,7 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed) -> np.ndarray:
     grid, gs = claim.mc_grid(q), claim.stochastic_yield
     bits = claim.delta.view(np.uint64)
     regimes = bool((bits != bits[0]).any())
-    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs, regimes)
+    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs, regimes, work)
     return _blockwise(claim, q, X, Z, Y)
 
 
@@ -521,9 +550,13 @@ def claim_risk_mc(
     ``gammas``; ``q`` supplies s, T and x_s.  Each entry is a list of
     :class:`MCEstimate`, one per gamma, in grid order.  Each state's stream
     is keyed by (seed, state) alone, so an estimate does not depend on which
-    other states or gammas are requested.  A claim whose loading takes one
-    value (bitwise) draws no jump rounds: its stream ends after its normals,
-    with the estimates the simulated regimes would give.
+    other states or gammas are requested.  The call owns one working set
+    (:func:`_working_set`: X, Y for a simulated yield, and Z in the
+    narrowest signed type that holds the chain's states), shaped
+    ``(len(claim.mc_grid(q)), n_paths)``; every state's simulation
+    overwrites it whole.  A claim whose loading takes one value (bitwise)
+    draws no jump rounds: its stream ends after its normals, with the
+    estimates the simulated regimes would give.
     """
     if not _is_int(n_paths):
         raise ConfigError(f"n_paths must be an integer, got {n_paths!r}")
@@ -537,9 +570,10 @@ def claim_risk_mc(
     _check_states(claim, g)
     states = range(g.n) if states is None else [_state_index(i, g.n) for i in _nonempty_list(states, "states")]
     grid = _gamma_grid(gammas)
+    work = _working_set(g, len(claim.mc_grid(q)), n_paths, claim.stochastic_yield is not None)
     out = []
     for state in states:
-        payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed)
+        payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, work)
         out.append([entropic_mc(payoffs, gamma) for gamma in grid])
     return out
 

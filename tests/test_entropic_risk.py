@@ -755,6 +755,75 @@ class TestRegimeKernelOnLongGrids:
         assert rng.random() == oracle.random()
 
 
+def dense_chain(n):
+    """An n-state chain in which every state leaves at 2 per year, to any
+    other state."""
+    q = np.random.default_rng(n).uniform(0.5, 1.5, (n, n))
+    np.fill_diagonal(q, 0.0)
+    q *= 2.0 / q.sum(axis=0)
+    np.fill_diagonal(q, -2.0)
+    return Generator(q)
+
+
+class TestNarrowStateType:
+    """The engine stores Z in the narrowest signed type that holds every
+    state index: int8 up to 128 states, int16 from 129."""
+
+    N = 2000
+
+    @pytest.mark.parametrize("n, dtype", [(128, np.int8), (129, np.int16)])
+    def test_kernel_rows_on_the_narrow_type(self, n, dtype):
+        """The kernel's rows on the engine's Z equal the loop's on int64
+        starts, with the same next draw, and reach the last state."""
+        g = dense_chain(n)
+        rates, cum = entropic_risk._jump_table(g)
+        states = np.arange(self.N) % n
+        steps = [1.0] * 8
+        _, Z, _ = entropic_risk._working_set(g, len(steps) + 1, self.N, False)
+        assert Z.dtype == dtype
+        Z[0] = states
+        rng, oracle = entropic_risk._state_rng(n, 0), entropic_risk._state_rng(n, 0)
+        entropic_risk._advance_regimes(rates, cum, Z, steps, rng)
+        want = advance_by_rounds(rates, cum, states, steps, oracle)
+        assert np.array_equal(Z, want)
+        assert (Z[1:] == n - 1).any()
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_claim_risk_mc_from_the_last_state(self, n):
+        """``claim_risk_mc`` from the last state equals its estimates on an
+        int64 working set."""
+        g = dense_chain(n)
+        spec = GibsonSchwartzParams(kappa=1.5, y_bar=0.08, sigma_y=0.12, rho=-0.4, lambda_y=0.02, y0=0.05)
+        c = SwapClaim([0.03, 0.02, 0.04, 0.05], np.linspace(0.5, 1.5, n), spec)
+        q = RiskQuery(0.0, 4.0, CRUDE.x0)
+
+        def risk():
+            return claim_risk_mc(CRUDE, g, c, q, self.N, seed=9, gammas=[0.5, 5.0], states=[n - 1])
+
+        narrow = risk()
+        real = entropic_risk._working_set
+
+        def wide(*args):
+            X, Z, Y = real(*args)
+            return X, Z.astype(np.int64), Y
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropic_risk, "_working_set", wide)
+            assert risk() == narrow
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.float64])
+    def test_kernel_rejects_a_z_that_cannot_hold_the_states(self, dtype):
+        """On a 200-state chain an int8 Z would wrap states 128 onwards and a
+        uint8 one cannot hold -1: both raise before the first draw."""
+        rates, cum = entropic_risk._jump_table(dense_chain(200))
+        Z = np.zeros((3, 10), dtype=dtype)
+        rng, fresh = entropic_risk._state_rng(1, 0), entropic_risk._state_rng(1, 0)
+        with pytest.raises(DimensionError, match=f"dtype {np.dtype(dtype)} .* 200-state chain"):
+            entropic_risk._advance_regimes(rates, cum, Z, [0.5, 0.5], rng)
+        assert rng.random() == fresh.random()
+
+
 def fixed_rows(cum):
     """Which rows of a jump table, the last one aside, hold only 0s and 1s."""
     rows = cum[:-1]
@@ -1182,6 +1251,55 @@ class TestClaimRiskMC:
             claim_risk_mc(CRUDE, TWO_STATE, c, RiskQuery(s=0.5, T=2.5, x_s=60.0), 100, seed=0, gammas=self.GAMMAS)
         with pytest.raises(LengthMismatch):
             claim_risk_mc(CRUDE, TWO_STATE, c, RiskQuery(s=0.0, T=3.0, x_s=60.0), 100, seed=0, gammas=self.GAMMAS)
+
+
+class TestWorkingSetReuse:
+    """One ``claim_risk_mc`` call simulates every start state into one
+    working set, so a cell one state leaves unwritten would leak into the
+    next.  Each call's buffers start poisoned, as such a leak would leave
+    them, and with a different state in every cell of Z per call."""
+
+    G = Generator(DENSE)
+    DELTA = [0.6, 0.75, 1.0, 1.1]
+    GS = GibsonSchwartzParams(kappa=1.2, y_bar=0.05, sigma_y=0.04, rho=-0.3, lambda_y=0.0, y0=0.04)
+
+    @staticmethod
+    def poisoned(mp, state):
+        real = entropic_risk._working_set
+
+        def filled(*args):
+            X, Z, Y = real(*args)
+            X.fill(np.nan)
+            Z.fill(state)
+            if Y is not None:
+                Y.fill(np.nan)
+            return X, Z, Y
+
+        mp.setattr(entropic_risk, "_working_set", filled)
+
+    @pytest.mark.parametrize(
+        "claim, T",
+        [
+            (SwapClaim([0.03, 0.06, 0.09, 0.12], DELTA, GS), 4.0),
+            (SwapClaim([0.03, 0.06, 0.09, 0.12], DELTA, ConstantYield(r=0.02, y=0.06)), 4.0),
+            (LinearSpotClaim(DELTA), 0.5),
+            (FutureClaim([0.75] * 4, r=0.02, y=0.06), 0.5),
+        ],
+        ids=["gibson_schwartz_swap", "constant_swap", "linear", "state_constant_future"],
+    )
+    def test_each_state_as_if_alone(self, claim, T):
+        q = RiskQuery(0.0, T, CRUDE.x0)
+        states = [3, 1, 0, 1, 2]
+
+        def risk(states, poison):
+            with pytest.MonkeyPatch.context() as mp:
+                self.poisoned(mp, poison)
+                return claim_risk_mc(CRUDE, self.G, claim, q, 2000, seed=5, gammas=[0.5, 5.0], states=states)
+
+        together = risk(states, 3)
+        assert len(together) == len(states)
+        for state, ests in zip(states, together):
+            assert ests == risk([state], 0)[0], state
 
 
 class TestSwapRiskMC:
