@@ -244,8 +244,8 @@ def load_config(
         n_paths = int(paths_override)
     if seed_override is not None:
         seed = int(seed_override)
-    if n_paths < 2:
-        raise ConfigError("mc.n_paths must be at least 2")
+    if not 2 <= n_paths < 1 << 63:  # numpy sizes an array by a signed 64-bit count
+        raise ConfigError(f"mc.n_paths must be an integer in [2, 2**63), got {n_paths}")
     if not 0 <= seed < 1 << 64:
         # the Philox key holds the seed in one 64-bit word
         raise ConfigError(f"mc.seed must be an integer in [0, 2**64), got {seed}")

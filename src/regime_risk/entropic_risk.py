@@ -87,6 +87,7 @@ from .errors import (
     NonPositiveGamma,
     StateOutOfRange,
     TimeOrder,
+    read_int,
     real_array,
     require_finite,
 )
@@ -130,9 +131,7 @@ class MCEstimate:
 
     def __post_init__(self) -> None:
         require_finite(value=self.value, std_error=self.std_error)
-        if not _is_int(self.n_paths):
-            raise ConfigError(f"n_paths must be an integer, got {self.n_paths!r}")
-        if self.n_paths < 1:
+        if read_int(self.n_paths, "n_paths", ConfigError, None, 1 << 63) < 1:
             raise EmptySamples(f"need n_paths >= 1, got {self.n_paths}")
         if self.std_error < 0:
             raise BadDistribution(f"std_error must be nonnegative, got {self.std_error}")
@@ -262,18 +261,6 @@ def future_risk_closed(ou: OUParams, g: Generator, c: FutureClaim, q: RiskQuery,
 # ---------------------------------------------------------------------------
 # Monte-Carlo machinery
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    """A Python or numpy integer, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _state_index(state, n: int, name: str = "state") -> int:
-    """``state`` checked as an index of an n-state chain: an integer in [0, n)."""
-    if not (_is_int(state) and 0 <= state < n):
-        raise StateOutOfRange(f"{name}={state!r} is not a state index in [0, {n})")
-    return int(state)
 
 
 def _state_rng(seed: int, state: int) -> np.random.Generator:
@@ -558,17 +545,17 @@ def claim_risk_mc(
     draws no jump rounds: its stream ends after its normals, with the
     estimates the simulated regimes would give.
     """
-    if not _is_int(n_paths):
-        raise ConfigError(f"n_paths must be an integer, got {n_paths!r}")
+    # numpy sizes an array by a signed 64-bit count; Philox keys the seed in one 64-bit word
+    n_paths = read_int(n_paths, "n_paths", ConfigError, None, 1 << 63)
     if n_paths < 2:
         raise EmptySamples(f"need n_paths >= 2, got {n_paths}")
-    if not (_is_int(seed) and 0 <= seed < 1 << 64):
-        # the Philox key holds the seed in one 64-bit word
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    seed = read_int(seed, "seed", ConfigError, 0, 1 << 64)
     if not hasattr(claim, "mc_grid"):
         raise TypeError(f"unsupported claim type {type(claim).__name__}")
     _check_states(claim, g)
-    states = range(g.n) if states is None else [_state_index(i, g.n) for i in _nonempty_list(states, "states")]
+    states = range(g.n) if states is None else [
+        read_int(i, "states entry", StateOutOfRange, 0, g.n) for i in _nonempty_list(states, "states")
+    ]
     grid = _gamma_grid(gammas)
     work = _working_set(g, len(claim.mc_grid(q)), n_paths, claim.stochastic_yield is not None)
     out = []
@@ -604,7 +591,7 @@ def sample_paths(
     steps = np.diff(grid)
     if grid[0] != 0.0 or not np.all(steps > 0):
         raise TimeOrder("grid must start at 0 and be strictly increasing")
-    z0 = _state_index(z0, g.n, "z0")
+    z0 = read_int(z0, "z0", StateOutOfRange, 0, g.n)
     eps = rng.standard_normal(steps.size)
 
     # exact chain: exponential holding time at the exit rate, then a jump

@@ -1,4 +1,6 @@
-"""Exception types raised by the regime_risk package.
+"""Exception types raised by the regime_risk package, and its one numeric
+reader, :func:`real_array` (its integer mode, through :func:`read_int` for
+one integer in a range, reads path counts, seeds and state indices).
 
 Everything derives from :class:`RiskModelError`, which is itself a
 ``ValueError``, so callers can catch broadly or precisely.
@@ -97,7 +99,7 @@ def _holds_bool(seq) -> bool:
 _RANKS = ("a number", "a nonempty 1-d vector", "a nonempty matrix")
 
 
-def real_array(value, name: str, error: type[RiskModelError] = NonFinite, rank=None) -> np.ndarray:
+def real_array(value, name: str, error: type[RiskModelError] = NonFinite, rank=None, integer=False) -> np.ndarray:
     """``value``, a number or an array of numbers, as a float array (a float64
     array is not copied): the one rule for what the library takes as a number.
     A dtype other than int, uint or float (a bool, string, complex or object
@@ -105,23 +107,41 @@ def real_array(value, name: str, error: type[RiskModelError] = NonFinite, rank=N
     ``error``, never cast; a ragged nested list, or a value not of ``rank`` (0
     a number, 1 a nonempty vector, 2 a nonempty matrix; None any shape), raises
     :class:`DimensionError`; a NaN or an infinity raises :class:`NonFinite`
-    naming the first bad entry, as ``(i,j)`` in a matrix."""
+    naming the first bad entry, as ``(i,j)`` in a matrix.  With ``integer`` a
+    float dtype raises ``error`` too (as does a Python int past 64 bits, an
+    object to numpy), and the array is returned as given, int or uint."""
     try:
         raw = np.asarray(value)
     except ValueError as exc:
         raise DimensionError(f"{name} must be a rectangular array of numbers: {exc}") from exc
-    if raw.dtype.kind not in "iuf":
-        raise error(f"{name} must hold real numbers, got dtype {raw.dtype}")
+    wanted = ("be an integer" if rank == 0 else "hold integers") if integer else "hold real numbers"
+    if raw.dtype.kind not in ("iu" if integer else "iuf"):
+        raise error(f"{name} must {wanted}, got dtype {raw.dtype}")
     if isinstance(value, (list, tuple)) and _holds_bool(value):
-        raise error(f"{name} must hold real numbers, got a bool entry")
+        raise error(f"{name} must {wanted}, got a bool entry")
     if rank is not None and (raw.ndim != rank or (rank and not raw.size)):
         raise DimensionError(f"{name} must be {_RANKS[rank]}, got shape {raw.shape}")
+    if integer:
+        return raw
     out = raw.astype(float, copy=False)
     if not np.isfinite(out).all():
         at = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
         where = f" entry ({','.join(map(str, at))})" if at else ""
         raise NonFinite(f"{name}{where} must be finite, got {float(out[at])!r}")
     return out
+
+
+def read_int(value, name: str, error: type[RiskModelError], low: int | None, high: int) -> int:
+    """``value`` as a Python int in [low, high) (``low`` None: below ``high``),
+    read as :func:`real_array` reads an integer at rank 0 (a 0-d int array is
+    a number); a Python int, never a bool, is compared without an array, at
+    any size.  A value not an integer, or out of range, raises ``error``."""
+    if type(value) is not int:
+        value = int(real_array(value, name, error, rank=0, integer=True))
+    if value >= high or (low is not None and value < low):
+        bounds = f"below {high}" if low is None else f"in [{low}, {high})"
+        raise error(f"{name} must be an integer {bounds}, got {value}")
+    return value
 
 
 def require_finite(**values) -> None:

@@ -15,12 +15,10 @@ import numpy as np
 
 from .errors import (
     BadDistribution,
-    DimensionError,
     LengthMismatch,
     NotMeanReverting,
     StateOutOfRange,
     TimeOrder,
-    _holds_bool,
     real_array,
     require_finite,
 )
@@ -185,9 +183,9 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
 
     ``x_path`` and ``z_path`` hold the values at the settlement times 1..T
     (shape (T,) for one path, or (T, m) for m paths, returning a vector);
-    ``z_path`` holds integer state indices: a bool or float one, or a bool
-    in a list of them, raises :class:`StateOutOfRange`, and a ragged one
-    :class:`DimensionError`.
+    ``z_path`` holds integer state indices, read by the integer rule of
+    :func:`~regime_risk.errors.real_array` with :class:`StateOutOfRange` as
+    its error, as is an index outside the chain.
     ``y_path`` supplies the scalar yield at the settlements when the claim
     uses a Gibson-Schwartz spec; it must be omitted for a constant spec.  A
     NaN or infinite spot or yield raises :class:`NonFinite`.
@@ -196,19 +194,12 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
     row at a time, plus a few temporaries the size of one row.
     """
     x = real_array(x_path, "x_path")
-    try:
-        z = np.asarray(z_path)
-    except ValueError as exc:
-        raise DimensionError(f"z_path must be a rectangular array of state indices: {exc}") from exc
+    z = real_array(z_path, "z_path", StateOutOfRange, integer=True)
     T = c.n_periods
     if x.shape[:1] != (T,) or z.shape != x.shape:
         raise LengthMismatch(
             f"spot/state series must have {T} settlement values, got {x.shape} / {z.shape}"
         )
-    if isinstance(z_path, (list, tuple)) and _holds_bool(z_path):
-        raise StateOutOfRange("state path must hold integer indices, got a bool entry")
-    if not np.issubdtype(z.dtype, np.integer):
-        raise StateOutOfRange(f"state path must hold integer indices, got dtype {z.dtype}")
     if z.size and (z.min() < 0 or z.max() >= c.n_states):
         bad = (z < 0) | (z >= c.n_states)
         raise StateOutOfRange(f"state index outside [0, {c.n_states}): {z[bad][:1]!r}")

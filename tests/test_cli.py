@@ -747,6 +747,25 @@ class TestConfigValidation:
         assert "ConfigError: mc.seed must be an integer in [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "where, n_paths",
+        [("config", 1e300), ("config", 1 << 63), ("flag", 1 << 63)],
+        ids=["config_1e300", "config_2**63", "flag_2**63"],
+    )
+    def test_path_count_past_63_bits_rejected(self, tmp_path, capsys, where, n_paths):
+        """numpy sizes an array by a signed 64-bit count: a path count at or
+        past 2**63 is refused by name before anything is allocated, not by
+        numpy's bare ValueError from inside the first Monte-Carlo call."""
+        cfg = base_config()
+        args = ["risk", "--mc", "--out", tmp_path / "out"]
+        if where == "config":
+            cfg["mc"]["n_paths"] = n_paths
+        else:
+            args += ["--paths", n_paths]
+        assert run(args + ["--config", write_config(tmp_path, cfg)]) == 2
+        assert "ConfigError: mc.n_paths must be an integer in [2, 2**63)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_largest_seed_accepted(self, tmp_path):
         path = write_config(tmp_path, base_config())
         assert run(["risk", "--mc", "--paths", "100", "--config", path, "--seed", (1 << 64) - 1]) == 0

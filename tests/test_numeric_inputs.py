@@ -1,4 +1,5 @@
-"""One rule for every number the library takes (``errors.real_array``).
+"""One rule for every number the library takes (``errors.real_array``, and
+its integer mode for path counts, seeds and state indices).
 
 Every public numeric argument, given a bool, a numeric string, a complex
 number or a NaN, raises its named ``RiskModelError`` subclass before any
@@ -27,7 +28,16 @@ from regime_risk.entropic_risk import (
     sample_paths,
     spot_risk_closed,
 )
-from regime_risk.errors import DimensionError, NonFinite, NotAGenerator, NotStochastic
+from regime_risk.errors import (
+    ConfigError,
+    DimensionError,
+    EmptySamples,
+    LengthMismatch,
+    NonFinite,
+    NotAGenerator,
+    NotStochastic,
+    StateOutOfRange,
+)
 from regime_risk.instruments import (
     ConstantYield,
     FutureClaim,
@@ -332,3 +342,110 @@ def test_every_float_argument_has_a_ranks_row_or_an_exemption():
     rows = {row[0] for row in RANKS}
     assert rows <= floats
     assert sorted(arg for arg in floats - rows if arg.split(".")[0] not in RANK_EXEMPT) == []
+
+
+# Every integer argument (a path count, a seed, a start state, a swap's state
+# path) goes through the reader's integer mode.  Each row: the argument, a
+# call taking the value, a value in range (fed as a 0-d array, an int8, a
+# float, a string and so on), the error of a value that is not an integer
+# and of a one-entry list, and each range edge: the last value in range,
+# accepted (None), where a call with it is cheap, and the first value out,
+# with its error.  A 0-d int array is a number, as a 0-d float array is: it
+# used to be refused where a start state, a seed or a path count belongs.
+# A path count at 2**63 used to reach the allocation and fail there with
+# numpy's bare ValueError (an MCEstimate took it).
+SOR = StateOutOfRange
+SWAP_ONE = SwapClaim(rates=[0.05], delta=[1.0, 0.8], yield_spec=ConstantYield(0.02, 0.01))
+STATE_EDGES = [(-1, SOR), (0, None), (1, None), (2, SOR)]
+INTEGERS = [
+    (
+        "claim_risk_mc.n_paths",
+        lambda v: claim_risk_mc(CRUDE, TWO, LINEAR, Q, v, 0, gammas=[1.0]),
+        2, ConfigError, DimensionError, [(1, EmptySamples), (2, None), (1 << 63, ConfigError)],
+    ),
+    (
+        "claim_risk_mc.seed",
+        lambda v: claim_risk_mc(CRUDE, TWO, LINEAR, Q, 2, v, gammas=[1.0]),
+        1, ConfigError, DimensionError, [(-1, ConfigError), (0, None), ((1 << 64) - 1, None), (1 << 64, ConfigError)],
+    ),
+    (
+        "claim_risk_mc.states",
+        lambda v: claim_risk_mc(CRUDE, TWO, LINEAR, Q, 2, 0, gammas=[1.0], states=[v]),
+        1, SOR, DimensionError, STATE_EDGES,
+    ),
+    (
+        "sample_paths.z0",
+        lambda v: sample_paths(CRUDE, TWO, v, [0.0, 0.5, 1.0], np.random.default_rng(0))[1].tolist(),
+        1, SOR, DimensionError, STATE_EDGES,
+    ),
+    (
+        "MCEstimate.n_paths",
+        lambda v: MCEstimate(1.0, 0.1, v),
+        1, ConfigError, DimensionError, [(0, EmptySamples), (1, None), ((1 << 63) - 1, None), (1 << 63, ConfigError)],
+    ),
+    # the value is the path's one entry: a list there makes the path a
+    # matrix, which does not match the spot path's shape
+    ("swap_value.z_path", lambda v: swap_value([50.0], [v], SWAP_ONE), 1, SOR, LengthMismatch, STATE_EDGES),
+]
+# Exported names whose int fields need no INTEGERS row, and why.
+INT_EXEMPT = {"CalibrationResult": "a record calibrate fills from its own fit: no caller passes it an integer"}
+NOT_INTEGERS = [
+    ("bool", lambda n: True),
+    ("numpy_bool", lambda n: np.True_),
+    ("integral_float", float),
+    ("float", lambda n: n + 0.5),
+    ("str", str),
+    ("None", lambda n: None),
+]
+INTEGER_CASES = [
+    *[
+        (f"{arg}={label}", call, make(base), not_int)
+        for arg, call, base, not_int, *_ in INTEGERS
+        for label, make in NOT_INTEGERS
+    ],
+    *[(f"{arg}=list", call, [base], listed) for arg, call, base, _, listed, _ in INTEGERS],
+    *[
+        (f"{arg}={label}", call, make(base), None)
+        for arg, call, base, *_ in INTEGERS
+        for label, make in [("0d_array", np.array), ("int8", np.int8)]
+    ],
+    *[(f"{arg}={value}", call, value, error) for arg, call, *_, edges in INTEGERS for value, error in edges],
+]
+
+
+@pytest.mark.parametrize("call, value, error", [c[1:] for c in INTEGER_CASES], ids=[c[0] for c in INTEGER_CASES])
+def test_every_integer_argument_is_read_by_one_rule(expm_calls, monkeypatch, call, value, error):
+    """An input is accepted, with the result of the Python int it stands
+    for, or raises its typed error before anything is allocated or drawn."""
+    if error is None:
+        assert call(value) == call(int(value))
+        return
+
+    def never(*args):
+        raise AssertionError("allocated or simulated before the arguments were checked")
+
+    monkeypatch.setattr(entropic_risk, "_working_set", never)
+    monkeypatch.setattr(entropic_risk, "_payoffs_for_state", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            call(value)
+    assert type(raised.value) is error
+    assert expm_calls == []
+
+
+def test_every_int_argument_has_an_integers_row_or_an_exemption():
+    arguments, ints = set(), set()
+    for export in regime_risk.__all__:
+        obj = getattr(regime_risk, export)
+        if dataclasses.is_dataclass(obj):
+            annotated = [(f.name, f.type) for f in dataclasses.fields(obj)]
+        elif inspect.isfunction(obj):
+            annotated = [(p.name, p.annotation) for p in inspect.signature(obj).parameters.values()]
+        else:
+            continue
+        arguments |= {f"{export}.{name}" for name, _ in annotated}
+        ints |= {f"{export}.{name}" for name, kind in annotated if kind in ("int", int)}
+    rows = {row[0] for row in INTEGERS}
+    assert rows <= arguments
+    assert sorted(arg for arg in ints - rows if arg.split(".")[0] not in INT_EXEMPT) == []
