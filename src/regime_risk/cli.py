@@ -86,9 +86,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if yld is not None:
         header.append("yield")
         cols.append(yld.tolist())
-    rows = list(zip(*cols))
     prov = provenance(cfg, "simulate")
-    write_csv(cfg.out_dir / "paths.csv", prov, header, rows)
+    # the row tuples are a temporary, freed before the JSON is built
+    write_csv(cfg.out_dir / "paths.csv", prov, header, list(zip(*cols)))
     write_json(
         cfg.out_dir / "paths.json",
         prov,

@@ -13,12 +13,13 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, LengthMismatch, read_text
+from .errors import ConfigError, LengthMismatch, read_int, read_text
 from .instruments import (
     ConstantYield,
     FutureClaim,
@@ -240,15 +241,12 @@ def load_config(
     mc = _section(raw, "mc") or {}
     n_paths = _number(mc.get("n_paths", 10_000), "mc.n_paths", integer=True)
     seed = _number(mc.get("seed", 0), "mc.seed", integer=True)
-    if paths_override is not None:
-        n_paths = int(paths_override)
-    if seed_override is not None:
-        seed = int(seed_override)
-    if not 2 <= n_paths < 1 << 63:  # numpy sizes an array by a signed 64-bit count
-        raise ConfigError(f"mc.n_paths must be an integer in [2, 2**63), got {n_paths}")
-    if not 0 <= seed < 1 << 64:
-        # the Philox key holds the seed in one 64-bit word
-        raise ConfigError(f"mc.seed must be an integer in [0, 2**64), got {seed}")
+    # numpy sizes an array by a signed 64-bit count; the Philox key holds the
+    # seed in one 64-bit word.  An override is never cast: 3.7 is not seed 3
+    n_paths = n_paths if paths_override is None else paths_override
+    seed = seed if seed_override is None else seed_override
+    n_paths = read_int(n_paths, "mc.n_paths", ConfigError, 2, 1 << 63)
+    seed = read_int(seed, "mc.seed", ConfigError, 0, 1 << 64)
 
     output = _section(raw, "output") or {}
     out_dir = base / _text(output.get("dir", "out"), "output.dir")
@@ -307,16 +305,18 @@ def provenance(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _csv_template(rows: list[list]) -> tuple[str, list[int]]:
+def _csv_template(rows: list[list], n_cols: int) -> tuple[str, list[int]]:
     """One ``%`` template for every row, and the columns it leaves to :func:`_fmt`.
 
     A column of floats takes ``%.12g`` and a column of ints (never bools)
     ``%d``, which is what :func:`_fmt` writes for each of their cells; any
     other column (labels, ``None``, bools) goes through ``_fmt`` cell by cell.
+    Each column's types are read through ``itemgetter``, so no transposed
+    copy of the table (nor ``zip``'s iterator per row) is built.
     """
     specs, mixed = [], []
-    for j, column in enumerate(zip(*rows)):
-        types = set(map(type, column))
+    for j in range(n_cols):
+        types = set(map(type, map(operator.itemgetter(j), rows)))
         if all(issubclass(t, float) for t in types):
             specs.append("%.12g")
         elif types == {int}:
@@ -334,25 +334,27 @@ def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
     formatting is locale-free and deterministic, so identical inputs produce
     byte-identical files.  Each row is formatted by one ``%`` template chosen
     from its columns' types; the bytes are those of formatting every cell
-    with :func:`_fmt`.
+    with :func:`_fmt`.  The file is opened as ``Path.write_text`` opens it and
+    written in pieces, a line at a time, never as one string.
     """
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise LengthMismatch(f"{path.name} row {i} has {len(row)} cells, header has {len(header)}")
-    template, mixed = _csv_template(rows)
-    lines = [f"# {k}={prov[k]}" for k in sorted(prov)]
-    lines.append(",".join(header))
-    if mixed:
-        for row in rows:
-            cells = list(row)
-            for j in mixed:
-                cells[j] = _fmt(cells[j])
-            lines.append(template % tuple(cells))
-    else:
-        # ``tuple`` returns a tuple row itself, not a copy
-        lines += map(template.__mod__, map(tuple, rows))
+    template, mixed = _csv_template(rows, len(header))
+    line = template + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\r\n".join(lines) + "\r\n")
+    with path.open("w") as fh:
+        fh.writelines(f"# {k}={prov[k]}\r\n" for k in sorted(prov))
+        fh.write(",".join(header) + "\r\n")
+        if mixed:
+            for row in rows:
+                cells = list(row)
+                for j in mixed:
+                    cells[j] = _fmt(cells[j])
+                fh.write(line % tuple(cells))
+        else:
+            # ``tuple`` returns a tuple row itself, not a copy
+            fh.writelines(map(line.__mod__, map(tuple, rows)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,9 +367,10 @@ def _is_flat(values) -> bool:
     return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
 
 
-def _json_rows(rows, indent: str) -> str | None:
+def _json_rows(rows, indent: str) -> list[str] | None:
     """The items of a list of nonempty flat rows ``indent`` deep, as
-    :func:`_json` writes them, from one C-encoder call; None for any other list.
+    :func:`_json` writes them, one string per row, from one C-encoder call;
+    None for any other list.
 
     The encoder writes every cell of every row with the rows' item separator
     between them, and the result is split back on it: a JSON scalar never
@@ -385,41 +388,59 @@ def _json_rows(rows, indent: str) -> str | None:
     for row in rows:
         out.append(f"[\n{inner}{sep.join(encoded[k:k + len(row)])}\n{indent}]")
         k += len(row)
-    return (",\n" + indent).join(out)
+    return out
 
 
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for a value ``indent`` deep.
+def _json(value, indent: str = ""):
+    """The pieces of ``json.dumps(value, sort_keys=True, indent=2)`` for a
+    value ``indent`` deep, in order: joined, they are its text.
 
     A flat list of scalars goes through the C encoder in one call, with the
     separators the indented (pure-Python) encoder would write between its
     items, and so does a list of nonempty flat rows (:func:`_json_rows`).
     Dicts, and other lists that hold containers, recurse here.
     """
+    if not isinstance(value, (dict, list, tuple)):
+        yield json.dumps(value)
+        return
+    if not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+        return
     inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # the C encoder turns the key into its JSON string as json.dumps does
-        items = (json.dumps({k: 0})[1:-4] + ": " + _json(v, inner) for k, v in sorted(value.items()))
-        opening, body, closing = "{", (",\n" + inner).join(items), "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if _is_flat(value):
-            body = _flat_encoder(inner)(value)[1:-1]
-        else:
-            body = _json_rows(value, inner)
-            if body is None:
-                body = (",\n" + inner).join(_json(v, inner) for v in value)
-        opening, closing = "[", "]"
+        opening, closing = "{\n" + inner, "\n" + indent + "}"
+        for k, v in sorted(value.items()):
+            # the C encoder turns the key into its JSON string as json.dumps does
+            yield opening + json.dumps({k: 0})[1:-4] + ": "
+            yield from _json(v, inner)
+            opening = sep
+        yield closing
+        return
+    yield "[\n" + inner
+    if _is_flat(value):
+        yield _flat_encoder(inner)(value)[1:-1]
+    elif (rows := _json_rows(value, inner)) is not None:
+        for i, row in enumerate(rows):
+            yield sep + row if i else row
     else:
-        return json.dumps(value)
-    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+        for i, v in enumerate(value):
+            if i:
+                yield sep
+            yield from _json(v, inner)
+    yield "\n" + indent + "]"
 
 
 def write_json(path: Path, prov: dict, data) -> None:
     """``{"provenance": prov, "data": data}`` as ``json.dumps(..., sort_keys=True,
-    indent=2)`` writes it, byte for byte, plus a final newline."""
+    indent=2)`` writes it, byte for byte, plus a final newline.
+
+    Every piece is encoded before the file is opened, so a value JSON cannot
+    hold raises and leaves no new or truncated file; the pieces are then
+    written in turn, never joined into one string.
+    """
+    pieces = list(_json({"provenance": prov, "data": data}))
+    pieces.append("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json({"provenance": prov, "data": data}) + "\n")
+    with path.open("w") as fh:
+        fh.writelines(pieces)

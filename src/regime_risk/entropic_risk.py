@@ -73,6 +73,7 @@ a kernel change.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,10 +412,20 @@ def _working_set(g: Generator, n_times: int, n_paths: int, stochastic_yield: boo
     X and Y as float64, Y only with a simulated yield (else None), and Z in
     ``np.min_scalar_type(-g.n)``, the narrowest signed integer type that
     holds every state index and the kernel's -1 (int8 up to 128 states,
-    int16 above)."""
+    int16 above).  A working set past numpy's byte limit (the largest
+    ``intp``, a ``Py_ssize_t``: ``sys.maxsize``) raises :class:`ConfigError`
+    naming ``n_paths``, before anything is allocated."""
+    z_type = np.min_scalar_type(-g.n)
+    n_bytes = n_times * n_paths * (8 * (1 + stochastic_yield) + z_type.itemsize)
+    # sys.maxsize, not np.iinfo: a forked command's first np.iinfo call costs ~0.1 ms
+    if n_bytes > sys.maxsize:
+        raise ConfigError(
+            f"n_paths={n_paths} needs a working set of {n_bytes} bytes over {n_times} grid times, "
+            f"past numpy's limit of {sys.maxsize}"
+        )
     shape = (n_times, n_paths)
     X = np.empty(shape)
-    Z = np.empty(shape, dtype=np.min_scalar_type(-g.n))
+    Z = np.empty(shape, dtype=z_type)
     return X, Z, np.empty(shape) if stochastic_yield else None
 
 

@@ -139,7 +139,9 @@ def read_int(value, name: str, error: type[RiskModelError], low: int | None, hig
     if type(value) is not int:
         value = int(real_array(value, name, error, rank=0, integer=True))
     if value >= high or (low is not None and value < low):
-        bounds = f"below {high}" if low is None else f"in [{low}, {high})"
+        # a power-of-two bound past 32 bits (a 64-bit word's) reads as 2**k
+        top = f"2**{high.bit_length() - 1}" if high > 1 << 32 and not high & (high - 1) else high
+        bounds = f"below {top}" if low is None else f"in [{low}, {top})"
         raise error(f"{name} must be an integer {bounds}, got {value}")
     return value
 

@@ -10,7 +10,9 @@ import pytest
 
 from regime_risk import entropic_risk
 from regime_risk.cli import main
+from regime_risk.config import load_config
 from regime_risk.entropic_risk import RiskQuery, sample_paths, spot_risk_closed
+from regime_risk.errors import ConfigError
 from regime_risk.instruments import GibsonSchwartzParams, step_correlation
 from regime_risk.ou_model import OUParams, TRADING_DAYS_PER_YEAR, step_coefficients
 from regime_risk.regime_chain import Generator
@@ -765,6 +767,33 @@ class TestConfigValidation:
         assert run(args + ["--config", write_config(tmp_path, cfg)]) == 2
         assert "ConfigError: mc.n_paths must be an integer in [2, 2**63)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_path_count_past_numpys_byte_limit_rejected(self, tmp_path, capsys):
+        """A path count below 2**63 whose working set numpy cannot size (its
+        bytes past the largest intp) is refused by name before anything is
+        allocated, not by numpy's bare ValueError."""
+        path = write_config(tmp_path, base_config())
+        args = ["risk", "--mc", "--paths", (1 << 63) - 1, "--out", tmp_path / "out", "--config", path]
+        assert run(args) == 2
+        assert "ConfigError: n_paths=9223372036854775807 needs a working set" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override, value",
+        [("seed", 3.7), ("seed", True), ("seed", "3"), ("paths", 2000.9), ("paths", 2000.0), ("paths", np.float64(2000))],
+        ids=["seed_float", "seed_bool", "seed_str", "paths_float", "paths_integral_float", "paths_np_float"],
+    )
+    def test_override_is_never_cast(self, tmp_path, override, value):
+        """An override is read by the library's integer rule: 3.7 is not
+        seed 3, True not seed 1, 2000.9 not 2000 paths."""
+        key = {"seed": "mc.seed", "paths": "mc.n_paths"}[override]
+        with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got dtype"):
+            load_config(write_config(tmp_path, base_config()), **{f"{override}_override": value})
+
+    def test_numpy_integer_overrides_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, base_config()), seed_override=np.uint64(7), paths_override=np.array(2500))
+        assert (cfg.seed, cfg.n_paths) == (7, 2500)
+        assert type(cfg.seed) is int and type(cfg.n_paths) is int
 
     def test_largest_seed_accepted(self, tmp_path):
         path = write_config(tmp_path, base_config())

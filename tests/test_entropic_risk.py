@@ -1226,6 +1226,19 @@ class TestClaimRiskMC:
         with pytest.raises(ConfigError, match="n_paths must be an integer"):
             claim_risk_mc(CRUDE, TWO_STATE, LinearSpotClaim([1.0, 1.0]), self.Q, n_paths, seed=0, gammas=self.GAMMAS)
 
+    @pytest.mark.parametrize("claim", ["linear", "gs_swap"])
+    def test_path_count_past_numpys_byte_limit_rejected_before_simulating(self, monkeypatch, claim):
+        """2**62 paths fit a signed 64-bit count, but not the working set's
+        bytes into numpy's (an intp): refused by name, not by numpy's bare
+        ValueError from the allocation."""
+        monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
+        q, c = self.Q, LinearSpotClaim([1.0, 1.0])
+        if claim == "gs_swap":
+            gs = GibsonSchwartzParams(kappa=1.2, y_bar=0.05, sigma_y=0.04, rho=-0.3, lambda_y=0.0, y0=0.04)
+            q, c = RiskQuery(s=0.0, T=2.0, x_s=62.24), SwapClaim(rates=[0.05, 0.05], delta=[1.0, 0.9], yield_spec=gs)
+        with pytest.raises(ConfigError, match=r"^n_paths=4611686018427387904 needs a working set"):
+            claim_risk_mc(CRUDE, TWO_STATE, c, q, 1 << 62, seed=0, gammas=self.GAMMAS)
+
     def test_empty_state_list_rejected_before_simulating(self, monkeypatch):
         monkeypatch.setattr(entropic_risk, "_payoffs_for_state", self.never)
         with pytest.raises(DimensionError, match="states must be nonempty"):

@@ -7,6 +7,8 @@ cover those).
 """
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,3 +117,64 @@ def test_write_csv_tuple_and_list_rows_give_the_same_bytes(tmp_path, rows):
 def test_write_csv_rejects_a_short_tuple_row(tmp_path):
     with pytest.raises(LengthMismatch, match="row 1"):
         write_csv(tmp_path / "t.csv", {}, ["a", "b"], [(1, 2.0), (3,)])
+
+
+def long_table(mixed: bool = True) -> tuple[list[str], list[list]]:
+    """A deterministic 5 001-row table, a simulate grid's length: far more
+    bytes than a text file's write buffer holds, which the hypothesis tables
+    (at most 12 rows) never reach.  Int, float (numpy and edge floats too)
+    and, with ``mixed``, a column of labels, None, floats and bools."""
+    rows = []
+    for i in range(5001):
+        row = [i, i / 252.0, np.float64(60.0 + 7.0 * math.sin(i)), EDGE_FLOATS[i % len(EDGE_FLOATS)], i % 4]
+        if mixed:
+            row.append([None, f'T={i} "d",x', i * 0.5, i % 8 == 3][i % 4])
+        rows.append(row)
+    return [f"c{j}" for j in range(len(rows[0]))], rows
+
+
+PROV = {"seed": 7, "tool": "regime-risk", "n_paths": 2}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["typed", "mixed"])
+def test_long_table_is_byte_identical(tmp_path, mixed):
+    header, rows = long_table(mixed)
+    write_csv(tmp_path / "t.csv", PROV, header, rows)
+    with (tmp_path / "t.csv").open(newline="") as fh:
+        assert fh.read() == csv_by_cell(PROV, header, rows)
+    for name, data in [("rows", {"columns": header, "rows": rows}), ("cols", dict(zip(header, map(list, zip(*rows)))))]:
+        write_json(tmp_path / f"{name}.json", PROV, data)
+        want = json.dumps({"provenance": PROV, "data": data}, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / f"{name}.json").read_text() == want
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["typed", "mixed"])
+def test_write_csv_holds_no_copy_of_the_file(tmp_path, mixed):
+    """The table is written a line at a time: the traced heap peak of a call
+    stays within twice the file's size (one joined string, its line list and
+    its encoded copy took over four times).  The heap Python traces, not
+    RSS, which follows the allocator's layout."""
+    header, rows = long_table(mixed)
+    path = tmp_path / "t.csv"
+    write_csv(path, PROV, header, rows)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        write_csv(path, PROV, header, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
+
+
+def test_write_json_encodes_before_it_opens_the_file(tmp_path):
+    """A value JSON cannot hold raises the encoder's TypeError and leaves the
+    file at that path as it was, or leaves no file."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"earlier run\r\n")
+    data = {"columns": ["a"], "rows": [[float(i)] for i in range(5001)] + [[object()]]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(path, PROV, data)
+    assert path.read_bytes() == b"earlier run\r\n"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(tmp_path / "new" / "out.json", PROV, {"a": [1.0, object()]})
+    assert not (tmp_path / "new" / "out.json").exists()
