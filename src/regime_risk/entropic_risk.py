@@ -152,22 +152,36 @@ def entropic_mc(samples, gamma: float) -> MCEstimate:
     so arbitrarily large exponents cannot overflow; the standard error comes
     from the delta method on the mean of exp(-psi/gamma) and is invariant
     under the shift.
+
+    One in-place pass over one scratch buffer the size of the samples: the
+    weights ``w = exp(logw - max(logw))`` with ``logw = psi / -gamma``, one
+    sum for the mean that both the value and the standard error use, then
+    the squared deviations from it, summed.  These are the operations of
+    ``w.mean()`` and ``w.std(ddof=1)``, so the value and standard error are
+    bit-identical to ``-gamma * (shift + log(w.mean()))`` and ``gamma *
+    w.std(ddof=1) / (w.mean() * sqrt(n))`` (pinned in
+    ``tests/test_entropic_risk.py``), and the call's heap peak is the one
+    buffer, where those expressions hold about three.
     """
     require_finite(gamma=gamma)
     _gamma_grid([gamma])
     psi = real_array(samples, "samples").ravel()
-    if psi.size == 0:
+    n = psi.size
+    if n == 0:
         raise EmptySamples("no payoff samples")
-    logw = -psi / gamma
-    shift = logw.max()
-    w = np.exp(logw - shift)
-    wbar = w.mean()
+    w = np.divide(psi, -gamma)  # -psi / gamma, bit for bit
+    shift = np.maximum.reduce(w)
+    w -= shift
+    np.exp(w, out=w)
+    wbar = np.add.reduce(w) / n
     value = -gamma * (shift + np.log(wbar))
-    if psi.size >= 2:
-        se = gamma * w.std(ddof=1) / (wbar * np.sqrt(psi.size))
+    if n >= 2:
+        w -= wbar
+        np.multiply(w, w, out=w)
+        se = gamma * np.sqrt(np.add.reduce(w) / (n - 1)) / (wbar * np.sqrt(n))
     else:
         se = 0.0
-    return MCEstimate(value=float(value), std_error=float(se), n_paths=psi.size)
+    return MCEstimate(value=float(value), std_error=float(se), n_paths=n)
 
 
 def _nonempty_list(values, name: str) -> list:
@@ -458,6 +472,8 @@ def _simulate_grid(
     Each row of X and Y is written once, in place: ``bx * X[k] + cx + sdx *
     e1`` as ``bx * X[k]``, then ``+= cx``, then ``+= sdx * e1``, the order
     the expression evaluates in, so the row has its bits (Y's likewise).
+    The step coefficients and the yield's correlation are computed once per
+    distinct step length, from the same ``dt``, so they keep their bits too.
     Z starts with only row 0 set: the kernel fills the rest, or, without
     jump rounds, row 0 is copied down.
 
@@ -472,16 +488,21 @@ def _simulate_grid(
     if gs is not None:
         Y[0] = gs.y0
     steps = np.diff(grid)
+    spot, yld = {}, {}  # step coefficients once per distinct step length, as in sample_paths
     for k, dt in enumerate(steps.tolist()):
-        bx, cx, sdx = step_coefficients(ou, dt)
+        if dt not in spot:
+            spot[dt] = step_coefficients(ou, dt)
+            if gs is not None:
+                corr = step_correlation(ou, gs, dt)
+                yld[dt] = (*step_coefficients(gs.historical_ou, dt), corr, np.sqrt(1.0 - corr * corr))
+        bx, cx, sdx = spot[dt]
         e1 = rng.standard_normal(n_paths)
         x = np.multiply(bx, X[k], out=X[k + 1])
         x += cx
         x += sdx * e1
         if gs is not None:
-            by, cy, sdy = step_coefficients(gs.historical_ou, dt)
-            corr = step_correlation(ou, gs, dt)
-            e2 = corr * e1 + np.sqrt(1.0 - corr * corr) * rng.standard_normal(n_paths)
+            by, cy, sdy, corr, scale = yld[dt]
+            e2 = corr * e1 + scale * rng.standard_normal(n_paths)
             y = np.multiply(by, Y[k], out=Y[k + 1])
             y += cy
             y += sdy * e2

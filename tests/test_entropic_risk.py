@@ -1,6 +1,7 @@
 """Closed-form risks, the MC estimator, and their agreement."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -108,6 +109,36 @@ class TestEntropicMC:
         psi = rng.normal(0.0, 3.0, size=20_000)
         est = entropic_mc(psi, gamma=2.0)
         assert est.value < psi.mean()
+
+    @SETTINGS
+    @given(
+        n=st.sampled_from([1, 2, 3, 1000, 100_000]),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 1.0, -50.0, 1e3, -1e6, 1e6]),
+        log_scale=st.floats(-3.0, 3.0),
+        log_gamma=st.floats(-3.0, 4.0),
+    )
+    def test_bits_of_the_numpy_formula(self, n, seed, offset, log_scale, log_gamma):
+        # the in-place pass does what these numpy expressions do, on every numpy CI runs
+        psi = offset + 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
+        gamma = 10.0**log_gamma
+        logw = -psi / gamma
+        w = np.exp(logw - logw.max())
+        value = -gamma * (logw.max() + np.log(w.mean()))
+        se = gamma * w.std(ddof=1) / (w.mean() * np.sqrt(n)) if n > 1 else 0.0
+        est = entropic_mc(psi, gamma)
+        assert np.array([est.value, est.std_error]).tobytes() == np.array([value, se]).tobytes()
+
+    def test_heap_peak_is_one_buffer_the_size_of_the_samples(self):
+        psi = np.random.default_rng(5).normal(50.0, 10.0, size=100_000)
+        entropic_mc(psi, 2.0)  # numpy's lazy set-up is not the call's
+        tracemalloc.start()
+        try:
+            entropic_mc(psi, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * psi.nbytes
 
 
 class TestRiskQuery:

@@ -82,7 +82,7 @@ def test_traced_risk_mc_records_every_layer(tmp_path, config, claim, normal_roun
         cfg["claim"] = claim
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
-    n_states = len(cfg["chain"]["matrix"])
+    n_states, n_gammas = len(cfg["chain"]["matrix"]), len(cfg["grids"]["gammas"])
     trace = traced_run(tmp_path, ["risk", "--config", str(config), "--mc", "--paths", "2000"], ["risk.csv"])
 
     spans = Counter(span[0] for span in trace["spans"])
@@ -92,6 +92,8 @@ def test_traced_risk_mc_records_every_layer(tmp_path, config, claim, normal_roun
     assert spans["entropic_risk.gauss"] == n_states * normal_rounds
     assert spans["entropic_risk.advance"] == kernel_calls
     assert spans["instruments.swap_value"] == (0 if claim is None else n_states)
+    # one reduction per (stream, gamma): the tracer's ESS metrics read each call's samples and gamma
+    assert spans["entropic_risk.reduce"] == n_states * n_gammas
 
     counts = Counter(trace["counts"])  # a kind never drawn has no entry
     assert counts["rng.exponential.calls"] == jump_rounds
