@@ -367,28 +367,22 @@ def _is_flat(values) -> bool:
     return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
 
 
-def _json_rows(rows, indent: str) -> list[str] | None:
+def _json_rows(rows, indent: str) -> str | None:
     """The items of a list of nonempty flat rows ``indent`` deep, as
-    :func:`_json` writes them, one string per row, from one C-encoder call;
-    None for any other list.
+    :func:`_json` writes them, from one C-encoder call; None for any other list.
 
-    The encoder writes every cell of every row with the rows' item separator
-    between them, and the result is split back on it: a JSON scalar never
-    holds a raw newline, so never the separator.
+    The encoder writes the cells of every row with their item separator
+    between all items, and one ``str.replace`` re-indents each row boundary,
+    the text ``]``, separator, ``[``: it holds a raw newline, as no JSON
+    scalar does, so it is never inside a row.
     """
     if not all(isinstance(row, (list, tuple)) and row for row in rows):
         return None
-    cells = [cell for row in rows for cell in row]
-    if not _is_flat(cells):
+    if not _is_flat([cell for row in rows for cell in row]):
         return None
     inner = indent + "  "
-    sep = ",\n" + inner
-    encoded = _flat_encoder(inner)(cells)[1:-1].split(sep)
-    out, k = [], 0
-    for row in rows:
-        out.append(f"[\n{inner}{sep.join(encoded[k:k + len(row)])}\n{indent}]")
-        k += len(row)
-    return out
+    body = _flat_encoder(inner)(rows)[2:-2].replace(f"],\n{inner}[", f"\n{indent}],\n{indent}[\n{inner}")
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _json(value, indent: str = ""):
@@ -421,8 +415,7 @@ def _json(value, indent: str = ""):
     if _is_flat(value):
         yield _flat_encoder(inner)(value)[1:-1]
     elif (rows := _json_rows(value, inner)) is not None:
-        for i, row in enumerate(rows):
-            yield sep + row if i else row
+        yield rows
     else:
         for i, v in enumerate(value):
             if i:

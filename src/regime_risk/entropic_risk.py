@@ -89,8 +89,9 @@ from .errors import (
     StateOutOfRange,
     TimeOrder,
     read_int,
+    read_real,
     real_array,
-    require_finite,
+    store_reals,
 )
 from .instruments import (
     FutureClaim,
@@ -113,7 +114,7 @@ class RiskQuery:
     x_s: float
 
     def __post_init__(self) -> None:
-        require_finite(s=self.s, T=self.T, x_s=self.x_s)
+        store_reals(self)
         if not 0 <= self.s < self.T:
             raise TimeOrder(f"need 0 <= s < T, got s={self.s}, T={self.T}")
 
@@ -131,8 +132,9 @@ class MCEstimate:
     n_paths: int
 
     def __post_init__(self) -> None:
-        require_finite(value=self.value, std_error=self.std_error)
-        if read_int(self.n_paths, "n_paths", ConfigError, None, 1 << 63) < 1:
+        store_reals(self, "value", "std_error")
+        object.__setattr__(self, "n_paths", read_int(self.n_paths, "n_paths", ConfigError, None, 1 << 63))
+        if self.n_paths < 1:
             raise EmptySamples(f"need n_paths >= 1, got {self.n_paths}")
         if self.std_error < 0:
             raise BadDistribution(f"std_error must be nonnegative, got {self.std_error}")
@@ -163,8 +165,7 @@ def entropic_mc(samples, gamma: float) -> MCEstimate:
     ``tests/test_entropic_risk.py``), and the call's heap peak is the one
     buffer, where those expressions hold about three.
     """
-    require_finite(gamma=gamma)
-    _gamma_grid([gamma])
+    (gamma,) = _gamma_grid([read_real(gamma, "gamma")])
     psi = real_array(samples, "samples").ravel()
     n = psi.size
     if n == 0:
@@ -197,12 +198,11 @@ def _nonempty_list(values, name: str) -> list:
 
 
 def _gamma_grid(gammas) -> list[float]:
-    """``gammas`` as the list of its entries as given, read as one positive vector."""
-    grid = _nonempty_list(gammas, "gammas")
-    nonpositive = real_array(grid, "gammas", rank=1) <= 0
-    if nonpositive.any():
-        raise NonPositiveGamma(f"gamma must be positive, got {grid[int(np.argmax(nonpositive))]}")
-    return grid
+    """``gammas`` read as one positive vector, as the list of its Python floats."""
+    grid = real_array(_nonempty_list(gammas, "gammas"), "gammas", rank=1)
+    if (grid <= 0).any():
+        raise NonPositiveGamma(f"gamma must be positive, got {grid[int(np.argmax(grid <= 0))]}")
+    return grid.tolist()
 
 
 def _check_states(claim, g: Generator) -> None:
@@ -449,16 +449,17 @@ def _simulate_grid(
     grid: np.ndarray,
     x_s: float,
     state: int,
-    n_paths: int,
     rng: np.random.Generator,
-    gs: GibsonSchwartzParams | None = None,
-    regimes: bool = True,
-    work: tuple | None = None,
+    gs: GibsonSchwartzParams | None,
+    regimes: bool,
+    work: tuple,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Exact joint paths of (X, Z[, Y]) started at (x_s, state[, gs.y0]) at grid[0].
 
-    Returns arrays of shape (len(grid), n_paths), one row per grid time; Y is
-    None without a Gibson-Schwartz spec.  Draw layout: for each step in
+    ``work`` is the caller's :func:`_working_set` ``(X, Z, Y)``, of
+    ``len(grid)`` rows, one per grid time, and one column per path: the call
+    reads the path count from it, overwrites it whole and returns it (Y is
+    None without a Gibson-Schwartz spec).  Draw layout: for each step in
     order, a spot normal round, then a yield normal round when ``gs`` is
     given (correlated with the spot innovation at the exact per-step
     correlation); then one :func:`_advance_regimes` pass of jump rounds over
@@ -476,13 +477,9 @@ def _simulate_grid(
     distinct step length, from the same ``dt``, so they keep their bits too.
     Z starts with only row 0 set: the kernel fills the rest, or, without
     jump rounds, row 0 is copied down.
-
-    The paths are written into ``work``, a caller-owned :func:`_working_set`
-    of ``len(grid)`` rows that this call overwrites whole and returns; without
-    one, the call allocates its own by the same rule, so Z is always of the
-    narrow dtype :func:`_working_set` picks.
     """
-    X, Z, Y = _working_set(g, len(grid), n_paths, gs is not None) if work is None else work
+    X, Z, Y = work
+    n_paths = X.shape[1]
     X[0] = x_s
     Z[0] = state
     if gs is not None:
@@ -513,7 +510,7 @@ def _simulate_grid(
     return X, Z, Y
 
 
-def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, work) -> np.ndarray:
+def _payoffs_for_state(ou, g, claim, q, state, seed, work) -> np.ndarray:
     """Simulate one starting state's paths on the claim's grid and evaluate the claim.
 
     The claim states its grid, ``claim.mc_grid(q)``, and simulated yield,
@@ -531,7 +528,7 @@ def _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, work) -> np.ndarra
     grid, gs = claim.mc_grid(q), claim.stochastic_yield
     bits = claim.delta.view(np.uint64)
     regimes = bool((bits != bits[0]).any())
-    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, n_paths, _state_rng(seed, state), gs, regimes, work)
+    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, _state_rng(seed, state), gs, regimes, work)
     return _blockwise(claim, q, X, Z, Y)
 
 
@@ -592,7 +589,7 @@ def claim_risk_mc(
     work = _working_set(g, len(claim.mc_grid(q)), n_paths, claim.stochastic_yield is not None)
     out = []
     for state in states:
-        payoffs = _payoffs_for_state(ou, g, claim, q, state, n_paths, seed, work)
+        payoffs = _payoffs_for_state(ou, g, claim, q, state, seed, work)
         out.append([entropic_mc(payoffs, gamma) for gamma in grid])
     return out
 

@@ -1,6 +1,7 @@
 """Exception types raised by the regime_risk package, and its one numeric
-reader, :func:`real_array` (its integer mode, through :func:`read_int` for
-one integer in a range, reads path counts, seeds and state indices).
+reader, :func:`real_array`: a number is held as its float (:func:`read_real`,
+and :func:`store_reals` for a record's fields), an integer as its int
+(:func:`read_int`: path counts, seeds and state indices).
 
 Everything derives from :class:`RiskModelError`, which is itself a
 ``ValueError``, so callers can catch broadly or precisely.
@@ -146,17 +147,22 @@ def read_int(value, name: str, error: type[RiskModelError], low: int | None, hig
     return value
 
 
-def require_finite(**values) -> None:
-    """Check each keyword value as :func:`real_array` does at rank 0 (a number);
-    a Python int or float (never a bool) by ``math.isfinite``, without building
-    an array.  An int beyond the float range is not finite."""
-    for name, value in values.items():
-        if type(value) is bool or not isinstance(value, (int, float)):
-            real_array(value, name, rank=0)
-            continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:
-            raise NonFinite(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
-        if not finite:
-            raise NonFinite(f"{name} must be finite, got {value!r}")
+def read_real(value, name: str) -> float:
+    """``value`` as the Python float it stands for, read as :func:`real_array`
+    reads a number (rank 0); a Python int or float (never a bool) without
+    building an array.  An int beyond the float range is not finite."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return float(real_array(value, name, rank=0))
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        raise NonFinite(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
+    raise NonFinite(f"{name} must be finite, got {value!r}")
+
+
+def store_reals(record, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``record`` (every field,
+    given no names) as its :func:`read_real` float."""
+    for name in names or list(vars(record)):
+        object.__setattr__(record, name, read_real(getattr(record, name), name))

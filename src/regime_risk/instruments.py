@@ -20,7 +20,7 @@ from .errors import (
     StateOutOfRange,
     TimeOrder,
     real_array,
-    require_finite,
+    store_reals,
 )
 from .ou_model import OUParams, step_coefficients
 
@@ -70,7 +70,7 @@ class FutureClaim(LinearSpotClaim):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        require_finite(r=self.r, y=self.y)
+        store_reals(self, "r", "y")
 
     @property
     def carry(self) -> float:
@@ -89,7 +89,7 @@ class ConstantYield:
     y: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        store_reals(self)
 
     @property
     def level(self) -> float:
@@ -113,7 +113,7 @@ class GibsonSchwartzParams:
     y0: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        store_reals(self)
         if self.kappa <= 0:
             raise NotMeanReverting(f"kappa must be positive, got {self.kappa}")
         if self.sigma_y < 0:

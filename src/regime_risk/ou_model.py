@@ -29,9 +29,10 @@ from .errors import (
     NotMeanReverting,
     TimeOrder,
     TooFewPoints,
+    read_real,
     read_text,
     real_array,
-    require_finite,
+    store_reals,
 )
 
 TRADING_DAYS_PER_YEAR = 252.0
@@ -49,7 +50,7 @@ class OUParams:
     x0: float
 
     def __post_init__(self) -> None:
-        require_finite(**vars(self))
+        store_reals(self)
         if self.alpha <= 0:
             raise NotMeanReverting(f"alpha must be positive, got {self.alpha}")
         if self.sigma < 0:
@@ -68,7 +69,7 @@ class ConditionalLaw:
     variance: float
 
     def __post_init__(self) -> None:
-        require_finite(mean=self.mean, variance=self.variance)
+        store_reals(self)
         if self.variance < 0:
             raise BadDistribution(f"variance must be nonnegative, got {self.variance}")
 
@@ -95,7 +96,7 @@ class PriceSeries:
             real_array(self.timestamps, "timestamps")
         ts = np.asarray(self.timestamps)
         px = real_array(self.prices, "prices")
-        require_finite(dt=self.dt)
+        store_reals(self, "dt")
         if ts.shape != px.shape or ts.ndim != 1:
             raise LengthMismatch("timestamps and prices must be equal-length 1-d arrays")
         if px.size < 3:
@@ -143,7 +144,7 @@ def step_coefficients(p: OUParams, dt: float) -> tuple[float, float, float]:
 def conditional_law(p: OUParams, x_s: float, s: float, t: float) -> ConditionalLaw:
     """Law of X_t given X_s = x_s, 0 <= s <= t; ``x_s``, ``s`` and ``t`` are
     numbers, and a list or array raises :class:`DimensionError`."""
-    require_finite(x_s=x_s, s=s, t=t)
+    x_s, s, t = read_real(x_s, "x_s"), read_real(s, "s"), read_real(t, "t")
     if t < s:
         raise TimeOrder(f"t={t} earlier than s={s}")
     b, c, sd = step_coefficients(p, t - s)

@@ -8,9 +8,9 @@ squaring with the degree-13 Padé approximant (Higham 2005).  Paths of the
 chain are sampled together with the spot by the two samplers in
 :mod:`regime_risk.entropic_risk`, which draw jump targets from one table.
 
-One tolerance: generator columns sum to 0 within 1e-9, which a transition
-matrix's rows meet before the division by dt, and a kernel's column mass may
-drift by the t-fold admitted leak (plus 1e-10 of rounding).
+One tolerance: generator columns sum to 0 within 1e-9 and signs hold within
+1e-12, which a transition matrix meets before the division by dt, and a
+kernel's column mass may drift by the t-fold admitted leak (plus 1e-10).
 
 Convention
 ----------
@@ -40,8 +40,8 @@ from .errors import (
     NotAGenerator,
     NotStochastic,
     TimeOrder,
+    read_real,
     real_array,
-    require_finite,
 )
 
 _COLSUM_TOL = 1e-9      # generator column sums must vanish within this
@@ -131,21 +131,23 @@ def from_transition(p, dt: float) -> Generator:
     logarithm; adequate for small steps (e.g. daily data), and always
     well-defined.
 
-    Matrices are rejected with :class:`NotStochastic` (naming the row and its
-    sum) when any row strays from 1 by more than ``1e-9 * dt``, the
-    generator's column-sum tolerance before the division by dt — defective
+    Matrices are rejected with :class:`NotStochastic` when an entry lies
+    outside [0, 1] by more than ``1e-12 * dt`` (naming it, a negative one
+    first) or a row strays from 1 by more than ``1e-9 * dt`` (naming its
+    sum): the generator's tolerances before the division by dt — defective
     inputs are surfaced, never renormalized silently.  A matrix that does not
     hold real numbers raises :class:`NotStochastic` and is never cast; a NaN
     or infinite entry raises :class:`NonFinite` naming its own ``(i,j)``.
     """
     mat = real_array(p, "transition matrix", NotStochastic, rank=2)
-    require_finite(dt=dt)
+    dt = read_real(dt, "dt")
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError(f"transition matrix must be square, got shape {mat.shape}")
     if dt <= 0:
         raise TimeOrder(f"dt must be positive, got {dt}")
-    if np.any(mat < -_SIGN_TOL) or np.any(mat > 1 + _SIGN_TOL):
-        i, j = np.unravel_index(int(np.argmin(np.minimum(mat, 1 - mat))), mat.shape)
+    outside = (mat < -_SIGN_TOL * dt) | (mat > 1 + _SIGN_TOL * dt)
+    if outside.any():
+        i, j = np.unravel_index(int(np.argmin(np.where(outside, mat, np.inf))), mat.shape)
         raise NotStochastic(f"entry ({i},{j})={mat[i, j]!r} outside [0, 1]")
     sums = mat.sum(axis=1)
     off = np.abs(sums - 1.0)
@@ -236,7 +238,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
     """Law of the chain at time ``t``, a number (a list or array raises
     :class:`DimensionError`), from initial law ``p0``: ``expm(q t) @ p0``."""
-    require_finite(t=t)
+    t = read_real(t, "t")
     p0 = real_array(p0, "p0")
     if p0.shape != (g.n,):
         raise DimensionError(f"p0 must have shape ({g.n},), got {p0.shape}")

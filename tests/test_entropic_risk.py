@@ -963,8 +963,9 @@ class TestSimulateGridBits:
         gs = spec if isinstance(spec, GibsonSchwartzParams) else None
         grid = np.array([0.0, 0.5, 1.0, 1.0, 2.75, 3.0, 4.0, 7.0])
         n, seed, state = 1000, 11, 1
+        work = entropic_risk._working_set(TWO_STATE, len(grid), n, gs is not None)
         X, Z, Y = entropic_risk._simulate_grid(
-            CRUDE, TWO_STATE, grid, 61.5, state, n, entropic_risk._state_rng(seed, state), gs
+            CRUDE, TWO_STATE, grid, 61.5, state, entropic_risk._state_rng(seed, state), gs, True, work
         )
         rng = entropic_risk._state_rng(seed, state)
         x, y = np.full(n, 61.5), None if gs is None else np.full(n, gs.y0)
@@ -1079,7 +1080,8 @@ class TestSimulatedLaw:
         chain's marginal and one-step laws."""
         g, state, grid = instance
         rng = entropic_risk._state_rng(seed, state)
-        _, Z, _ = entropic_risk._simulate_grid(CRUDE, g, grid, 60.0, state, self.N_PATHS, rng)
+        work = entropic_risk._working_set(g, len(grid), self.N_PATHS, False)
+        _, Z, _ = entropic_risk._simulate_grid(CRUDE, g, grid, 60.0, state, rng, None, True, work)
         assert np.all(Z[0] == state)
         p = np.eye(g.n)[state]
         for k in range(1, len(grid)):
@@ -1467,15 +1469,12 @@ def state_constant_instances(draw):
 def risk_with_kernel(ou, g, claim, q, n_paths, seed, gammas):
     """``claim_risk_mc`` of every start state with the regime kernel run on
     each stream, whatever the claim's loading."""
-    if isinstance(claim, SwapClaim):
-        grid = np.arange(claim.n_periods + 1.0)
-        gs = claim.yield_spec if isinstance(claim.yield_spec, GibsonSchwartzParams) else None
-    else:
-        grid, gs = np.array([q.s, q.T]), None
+    grid, gs = claim.mc_grid(q), claim.stochastic_yield
+    work = entropic_risk._working_set(g, len(grid), n_paths, gs is not None)
     out = []
     for state in range(g.n):
         rng = entropic_risk._state_rng(seed, state)
-        paths = entropic_risk._simulate_grid(ou, g, grid, q.x_s, state, n_paths, rng, gs)
+        paths = entropic_risk._simulate_grid(ou, g, grid, q.x_s, state, rng, gs, True, work)
         payoffs = entropic_risk._blockwise(claim, q, *paths)
         out.append([entropic_mc(payoffs, gamma) for gamma in gammas])
     return out

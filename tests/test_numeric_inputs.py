@@ -344,6 +344,84 @@ def test_every_float_argument_has_a_ranks_row_or_an_exemption():
     assert sorted(arg for arg in floats - rows if arg.split(".")[0] not in RANK_EXEMPT) == []
 
 
+# A number is held as the reader's float, so a numpy scalar gives the result
+# of the float it stands for.  The library used to store and compute with
+# the caller's scalar: a float32 field computed in float32, a uint8 gamma of
+# 20 squared to 144 (mod 256), a uint64 gamma negated to 2**64 - 2.
+def plain(result):
+    """``result`` as nested lists of Python values, to compare with ``==``: a
+    record by its class and fields, an array by its dtype and entries."""
+    if dataclasses.is_dataclass(result):
+        return [type(result).__name__, *(plain(getattr(result, f.name)) for f in dataclasses.fields(result))]
+    if isinstance(result, np.ndarray):
+        return [result.dtype.str, result.tolist()]
+    if isinstance(result, (list, tuple)):
+        return [plain(v) for v in result]
+    return result
+
+
+def assert_fields_are_python_numbers(result):
+    """Every ``float`` field of each record in ``result`` (a record or nested
+    lists of them) holds a Python float, and every ``int`` field a Python int."""
+    if isinstance(result, (list, tuple)):
+        for v in result:
+            assert_fields_are_python_numbers(v)
+    elif dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            for kind in (float, int):
+                if f.type in (kind.__name__, kind):
+                    assert type(getattr(result, f.name)) is kind, f.name
+
+
+@pytest.mark.parametrize("call", [row[1] for row in RANKS], ids=[row[0] for row in RANKS])
+def test_a_float32_argument_gives_its_floats_result(monkeypatch, tmp_path, call):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / PRICE_CSV).write_text(PRICE_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(np.float32)
+    assert plain(got) == plain(call(lambda v: float(np.float32(v))))
+    assert_fields_are_python_numbers(got)
+
+
+@pytest.mark.parametrize("route", sorted(GAMMA_ROUTES))
+def test_a_float32_gamma_gives_its_floats_result(route):
+    grid = [np.float32(0.7), np.float32(2.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = GAMMA_ROUTES[route](grid)
+    assert plain(got) == plain(GAMMA_ROUTES[route](list(map(float, grid))))
+    assert_fields_are_python_numbers(got)
+
+
+# Integer scalars at integral values, on a 2-state chain with OU (5, 48.22,
+# 13.66, 62.24), loading [0.6, 1.1] and T = 0.5.  Each call takes a reader
+# of the value: the scalar itself, or the float it stands for.
+OU5 = OUParams(5.0, 48.22, 13.66, 62.24)
+LOADING = LinearSpotClaim([0.6, 1.1])
+Q5 = RiskQuery(0.0, 0.5, 62.24)
+INTEGRAL = [
+    ("claim_risk_closed.gammas=uint8(20)", lambda v: claim_risk_closed(OU5, TWO, [LOADING], [Q5], gammas=[v(np.uint8(20))])),
+    ("claim_risk_mc.gammas=uint64(2)", lambda v: claim_risk_mc(OU5, TWO, LOADING, Q5, 1000, 0, gammas=[v(np.uint64(2))])),
+    ("FutureClaim.r,y=uint8(0),uint8(1)", lambda v: FutureClaim([1.0], r=v(np.uint8(0)), y=v(np.uint8(1))).discount(1.0)),
+    (
+        "conditional_law.alpha=uint8(5)",
+        lambda v: conditional_law(OUParams(v(np.uint8(5)), 48.22, 13.66, 62.24), 62.24, 0.0, 0.5),
+    ),
+    ("claim_risk_closed.gammas=int64(2**33)", lambda v: claim_risk_closed(OU5, TWO, [LOADING], [Q5], gammas=[v(np.int64(2**33))])),
+    ("claim_risk_closed.gammas=int32(70000)", lambda v: claim_risk_closed(OU5, TWO, [LOADING], [Q5], gammas=[v(np.int32(70000))])),
+]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in INTEGRAL], ids=[row[0] for row in INTEGRAL])
+def test_an_integer_scalar_gives_its_floats_result(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(lambda v: v)
+    assert plain(got) == plain(call(float))
+    assert_fields_are_python_numbers(got)
+
+
 # Every integer argument (a path count, a seed, a start state, a swap's state
 # path) goes through the reader's integer mode.  Each row: the argument, a
 # call taking the value, a value in range (fed as a 0-d array, an int8, a
@@ -419,6 +497,7 @@ def test_every_integer_argument_is_read_by_one_rule(expm_calls, monkeypatch, cal
     for, or raises its typed error before anything is allocated or drawn."""
     if error is None:
         assert call(value) == call(int(value))
+        assert_fields_are_python_numbers(call(value))
         return
 
     def never(*args):

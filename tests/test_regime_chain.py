@@ -288,6 +288,17 @@ class TestFromTransition:
         with pytest.raises(NotStochastic, match="row 0"):
             from_transition(p, dt=1 / 252)
 
+    def test_entries_are_held_to_the_sign_tolerance_times_dt(self):
+        """Entries are held to the generator's sign tolerance before the
+        division by dt, as rows are to its column-sum tolerance.  This daily
+        matrix passed that check, and the generator then named entry (1,0),
+        the transposed index of a rate of -1.26e-10 no one wrote."""
+        with pytest.raises(NotStochastic, match=r"entry \(0,1\)=.*-5e-13.* outside \[0, 1\]"):
+            from_transition([[1 + 5e-13, -5e-13], [0.25, 0.75]], dt=1 / 252)
+        # dust within 1e-12 * dt is the generator's dust, clamped to zero
+        g = from_transition([[1.0, -1e-15], [0.25, 0.75]], dt=1 / 252)
+        assert g.q[1, 0] == 0.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_named_in_the_transition_matrix(self, bad):
         """The entry is named by its own (row, column), not by its place in

@@ -6,6 +6,7 @@ payload or table, not only those the commands produce (the golden hashes
 cover those).
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -24,8 +25,10 @@ from conftest import SETTINGS
 # switch to exponent notation, and the non-finite values json spells out
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e15, 1e-5, 0.1, 123456789012.5, float("inf"), float("nan")]
 floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+# the last three spell a row boundary of a JSON row table, which the writer
+# finds by its raw newline: a string cell holds it only escaped
 texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
-    ['"', '""', ",", 'a,"b"', "line\r\nbreak", "tab\there", "\\", "é"]
+    ['"', '""', ",", 'a,"b"', "line\r\nbreak", "tab\there", "\\", "é", "]", "[", "],\n  ["]
 )
 scalars = st.none() | st.booleans() | st.integers() | floats | texts
 rows_of_scalars = st.lists(st.lists(scalars, max_size=5), max_size=6)
@@ -164,6 +167,17 @@ def test_write_csv_holds_no_copy_of_the_file(tmp_path, mixed):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * path.stat().st_size
+
+
+def test_write_json_row_table_whose_cells_spell_a_row_boundary(tmp_path):
+    """A row table is encoded once and each row boundary, the text ``]``,
+    separator, ``[``, re-indented by one replace: a cell that spells the
+    boundary, or a part of it, in any place of its row stays as it is."""
+    spelled = ["]", "[", "],\n  [", "],", ",\n  ["]
+    rows = [list(cells) for cells in itertools.permutations(spelled, 3)] + [[cell] for cell in spelled]
+    write_json(tmp_path / "out.json", PROV, {"rows": rows, "nested": {"rows": rows}})
+    want = json.dumps({"provenance": PROV, "data": {"rows": rows, "nested": {"rows": rows}}}, sort_keys=True, indent=2)
+    assert (tmp_path / "out.json").read_text() == want + "\n"
 
 
 def test_write_json_encodes_before_it_opens_the_file(tmp_path):
