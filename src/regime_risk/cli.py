@@ -108,38 +108,37 @@ def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float |
     return d * law.mean - d * d * law.variance / (2.0 * gamma)
 
 
+def _mc_cells(est, closed: float | None) -> list:
+    """The ``mc_value``, ``mc_std_error`` and ``z_score`` cells of one MC
+    estimate against its closed-form value (no z-score without one)."""
+    return [est.value, est.std_error, None if closed is None else est.z_score(closed)]
+
+
 def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
     """Per-state risk report for the configured claim at each configured gamma."""
     claim = cfg.claim
-    is_swap = isinstance(claim, SwapClaim)
-    cfg.require("chain", "ou", "claim", "gammas", *([] if is_swap else ["horizons"]))
-    if is_swap and not use_mc:
-        raise ConfigError("swap risk has no closed form; rerun with --mc")
-    T = float(claim.n_periods) if is_swap else horizon_years(cfg.horizons_days[0])
+    cfg.require("chain", "ou", "claim", "gammas")
+    if isinstance(claim, SwapClaim):
+        if not use_mc:
+            raise ConfigError("swap risk has no closed form; rerun with --mc")
+        q = RiskQuery(s=0.0, T=float(claim.n_periods), x_s=cfg.ou.x0)
+        closed = [[None] * cfg.chain.n] * len(cfg.gammas)
+        oracle = [None] * len(cfg.gammas)
+    else:
+        cfg.require("horizons")
+        q = RiskQuery(s=0.0, T=horizon_years(cfg.horizons_days[0]), x_s=cfg.ou.x0)
+        closed = claim_risk_closed(cfg.ou, cfg.chain, [claim], [q], gammas=cfg.gammas)[0, 0].tolist()
+        oracle = [_scalar_oracle(cfg, claim, q, gamma) for gamma in cfg.gammas]
 
     header = ["gamma", "state", "closed", "oracle", "mc_value", "mc_std_error", "z_score"]
     rows: list[list] = []
-    q = RiskQuery(s=0.0, T=T, x_s=cfg.ou.x0)
     ests = None
-    if use_mc:
-        # one payoff sample per starting state, reduced at every gamma
-        ests = claim_risk_mc(
-            cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, gammas=cfg.gammas
-        )
-    if is_swap:
-        closed = [[None] * cfg.chain.n] * len(cfg.gammas)
-    else:
-        closed = claim_risk_closed(cfg.ou, cfg.chain, [claim], [q], gammas=cfg.gammas)[0, 0].tolist()
+    if use_mc:  # one payoff sample per starting state, reduced at every gamma
+        ests = claim_risk_mc(cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, gammas=cfg.gammas)
     for j, gamma in enumerate(cfg.gammas):
-        oracle = _scalar_oracle(cfg, claim, q, gamma) if not is_swap else None
         for state in range(cfg.chain.n):
-            row: list = [gamma, state, closed[j][state], oracle if state == 0 else None]
-            if ests is not None:
-                e = ests[state][j]
-                z = e.z_score(closed[j][state]) if closed[j][state] is not None else None
-                row += [e.value, e.std_error, z]
-            else:
-                row += [None, None, None]
+            row: list = [gamma, state, closed[j][state], oracle[j] if state == 0 else None]
+            row += [None] * 3 if ests is None else _mc_cells(ests[state][j], closed[j][state])
             rows.append(row)
 
     _write_table(cfg, "risk", provenance(cfg, "risk"), header, rows)
@@ -175,8 +174,8 @@ def cmd_sweep(cfg: RunConfig, use_mc: bool) -> int:
                 gammas=cfg.gammas, states=[cfg.z0],
             )[0]
             for j, (gamma, est) in enumerate(zip(cfg.gammas, ests)):
-                z = est.z_score(cells[i, j])
-                mc_rows.append([hd, gamma, cells[i, j], est.value, est.std_error, z, abs(z) > 3.0])
+                mc = _mc_cells(est, cells[i, j])
+                mc_rows.append([hd, gamma, cells[i, j], *mc, abs(mc[2]) > 3.0])
 
     # variation rows: the change from the first to the last horizon, absolute
     # and in percent of the first-horizon magnitude (None when that is ~0 or

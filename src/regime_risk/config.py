@@ -86,10 +86,10 @@ def _require_keys(section: dict, keys, where: str) -> None:
 def _number(value, path: str, depth: int = 0, integer: bool = False):
     """Read a config number (depth 0), list of numbers (1) or matrix (2).
 
-    Bools, strings, null, NaN and infinities raise ConfigError naming the
-    key path, e.g. ``claim.rates[1]``, as do ragged matrix rows.  With
-    ``integer`` a non-integral value such as 1.7 is rejected rather than
-    truncated.
+    Bools, strings, null, NaN, infinities and ints beyond the float range
+    raise ConfigError naming the key path, e.g. ``claim.rates[1]``, as do
+    ragged matrix rows.  With ``integer`` a non-integral value such as 1.7
+    is rejected rather than truncated.
     """
     if depth:
         if not isinstance(value, list):
@@ -98,8 +98,11 @@ def _number(value, path: str, depth: int = 0, integer: bool = False):
         if depth == 2 and len({len(row) for row in out}) > 1:
             raise ConfigError(f"{path} rows differ in length")
         return out
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    except OverflowError:  # math.isfinite converts an int to a float
+        raise ConfigError(f"{path} must be a finite number, got an int of {value.bit_length()} bits") from None
     if integer and not float(value).is_integer():
         raise ConfigError(f"{path} must be an integer, got {value!r}")
     return int(value) if integer else float(value)

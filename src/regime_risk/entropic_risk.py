@@ -36,11 +36,12 @@ evaluating each (query, claim, gamma) triple on its own.
 Two samplers share the dynamics, one per shape of work.  The Monte-Carlo
 engine (:func:`_simulate_grid`) steps many paths at once over each claim's
 own grid, ``mc_grid(q)``: a terminal claim's is [s, T], a swap's its settlement
-grid.  One :func:`claim_risk_mc` call owns one working set, X, Z and (for
-a simulated yield) Y, one row per grid time and one column per path, and
-each start state's simulation overwrites it whole; Z holds state indices in
-the narrowest signed integer type that holds the chain's states (int8 up to
-128 states, int16 above).  :func:`sample_paths` draws one path over
+grid.  One :func:`claim_risk_mc` call works out its grid, its jump table
+and one working set once, X, Z and (for a simulated yield) Y, one row per
+grid time and one column per path; each start state's stream overwrites it
+whole.  Z holds state indices in the narrowest signed integer type that
+holds the chain's states (int8 up to 128 states, int16 above).
+:func:`sample_paths` draws one path over
 thousands of grid times, as the ``simulate`` command does; it loops over
 scalars, which is several times faster than the engine on one path.  Both
 read one jump law, the exit rates and per-state target CDFs of
@@ -445,13 +446,12 @@ def _working_set(g: Generator, n_times: int, n_paths: int, stochastic_yield: boo
 
 def _simulate_grid(
     ou: OUParams,
-    g: Generator,
     grid: np.ndarray,
     x_s: float,
     state: int,
     rng: np.random.Generator,
     gs: GibsonSchwartzParams | None,
-    regimes: bool,
+    jumps: tuple[np.ndarray, np.ndarray] | None,
     work: tuple,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Exact joint paths of (X, Z[, Y]) started at (x_s, state[, gs.y0]) at grid[0].
@@ -463,12 +463,14 @@ def _simulate_grid(
     order, a spot normal round, then a yield normal round when ``gs`` is
     given (correlated with the spot innovation at the exact per-step
     correlation); then one :func:`_advance_regimes` pass of jump rounds over
-    the whole grid.  A one-step grid (a spot or future claim) so draws its
-    normals, then its jump rounds, as a per-step layout would.  With
-    ``regimes=False`` the stream ends after its normals: no jump round is
-    drawn and every row of Z holds ``state``, which is how a claim whose
-    loading takes one value (bitwise) is simulated, as its payoff does not
-    read Z.
+    the whole grid, on ``jumps``, the chain's :func:`_jump_table`.  A
+    one-step grid (a spot or future claim) so draws its normals, then its
+    jump rounds, as a per-step layout would.  With ``jumps=None`` the
+    stream ends after its normals: no jump round is drawn and every row of
+    Z holds ``state``, which is how a claim whose loading takes one value
+    (bitwise) is simulated, as its payoff does not read Z.  A call is one
+    stream; the grid, ``gs``, ``jumps`` and ``work`` are the caller's, the
+    same for all its streams.
 
     Each row of X and Y is written once, in place: ``bx * X[k] + cx + sdx *
     e1`` as ``bx * X[k]``, then ``+= cx``, then ``+= sdx * e1``, the order
@@ -503,32 +505,21 @@ def _simulate_grid(
             y = np.multiply(by, Y[k], out=Y[k + 1])
             y += cy
             y += sdy * e2
-    if regimes:
-        _advance_regimes(*_jump_table(g), Z, steps, rng)
-    else:
+    if jumps is None:
         Z[1:] = Z[0]
+    else:
+        _advance_regimes(*jumps, Z, steps, rng)
     return X, Z, Y
 
 
-def _payoffs_for_state(ou, g, claim, q, state, seed, work) -> np.ndarray:
+def _payoffs_for_state(ou, claim, q, state, seed, grid, gs, jumps, work) -> np.ndarray:
     """Simulate one starting state's paths on the claim's grid and evaluate the claim.
 
-    The claim states its grid, ``claim.mc_grid(q)``, and simulated yield,
-    ``claim.stochastic_yield``; :func:`_blockwise` evaluates its payoff.  The
-    paths are written into ``work``, the calling :func:`claim_risk_mc`'s
-    working set, and the payoffs are a new array.
-
-    A claim reads the regime path only through ``delta[Z]``, so a claim
-    whose loading takes one value (bitwise) draws no jump rounds: its stream
-    ends after its normals and its paths stay in ``state``, which gives the
-    payoff the bits the simulated regimes would.  Bits, not values: a
-    loading of 0.0 and -0.0 writes either sign of zero, so it runs the
-    kernel.
+    One stream, keyed by (seed, state); its payoffs, from :func:`_blockwise`,
+    are a new array.  ``grid``, ``gs``, ``jumps`` and ``work`` are worked out
+    once by the calling :func:`claim_risk_mc` for all its streams.
     """
-    grid, gs = claim.mc_grid(q), claim.stochastic_yield
-    bits = claim.delta.view(np.uint64)
-    regimes = bool((bits != bits[0]).any())
-    X, Z, Y = _simulate_grid(ou, g, grid, q.x_s, state, _state_rng(seed, state), gs, regimes, work)
+    X, Z, Y = _simulate_grid(ou, grid, q.x_s, state, _state_rng(seed, state), gs, jumps, work)
     return _blockwise(claim, q, X, Z, Y)
 
 
@@ -566,13 +557,13 @@ def claim_risk_mc(
     ``gammas``; ``q`` supplies s, T and x_s.  Each entry is a list of
     :class:`MCEstimate`, one per gamma, in grid order.  Each state's stream
     is keyed by (seed, state) alone, so an estimate does not depend on which
-    other states or gammas are requested.  The call owns one working set
-    (:func:`_working_set`: X, Y for a simulated yield, and Z in the
-    narrowest signed type that holds the chain's states), shaped
-    ``(len(claim.mc_grid(q)), n_paths)``; every state's simulation
-    overwrites it whole.  A claim whose loading takes one value (bitwise)
-    draws no jump rounds: its stream ends after its normals, with the
-    estimates the simulated regimes would give.
+    other states or gammas are requested.  Once per call: the claim's
+    grid ``claim.mc_grid(q)`` and simulated yield, the chain's
+    :func:`_jump_table` and one :func:`_working_set`, which every stream
+    overwrites whole; per stream: the draws, paths and payoffs.  A claim
+    reads the regime path only through ``delta[Z]``, so a loading that
+    takes one value (bitwise; 0.0 and -0.0 differ) builds no jump table and
+    draws no jump rounds, with the estimates the simulated regimes would give.
     """
     # numpy sizes an array by a signed 64-bit count; Philox keys the seed in one 64-bit word
     n_paths = read_int(n_paths, "n_paths", ConfigError, None, 1 << 63)
@@ -585,12 +576,15 @@ def claim_risk_mc(
     states = range(g.n) if states is None else [
         read_int(i, "states entry", StateOutOfRange, 0, g.n) for i in _nonempty_list(states, "states")
     ]
-    grid = _gamma_grid(gammas)
-    work = _working_set(g, len(claim.mc_grid(q)), n_paths, claim.stochastic_yield is not None)
+    gammas = _gamma_grid(gammas)
+    grid, gs = claim.mc_grid(q), claim.stochastic_yield
+    bits = claim.delta.view(np.uint64)
+    jumps = _jump_table(g) if (bits != bits[0]).any() else None
+    work = _working_set(g, len(grid), n_paths, gs is not None)
     out = []
     for state in states:
-        payoffs = _payoffs_for_state(ou, g, claim, q, state, seed, work)
-        out.append([entropic_mc(payoffs, gamma) for gamma in grid])
+        payoffs = _payoffs_for_state(ou, claim, q, state, seed, grid, gs, jumps, work)
+        out.append([entropic_mc(payoffs, gamma) for gamma in gammas])
     return out
 
 

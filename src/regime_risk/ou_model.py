@@ -103,10 +103,11 @@ class PriceSeries:
             raise TooFewPoints(f"need at least 3 observations, got {px.size}")
         if not np.all(ts[1:] > ts[:-1]):
             i = int(np.argmax(~(ts[1:] > ts[:-1]))) + 1
-            raise TimeOrder(f"timestamps not strictly increasing at row {i} ({ts[i]!r})")
+            at = np.datetime_as_string(ts[i]) if ts.dtype.kind == "M" else float(ts[i])
+            raise TimeOrder(f"timestamps not strictly increasing at row {i} ({at})")
         if not np.all(px > 0):
             i = int(np.argmax(~(px > 0)))
-            raise BadDistribution(f"price {px[i]!r} at row {i} is not positive")
+            raise BadDistribution(f"price {float(px[i])} at row {i} is not positive")
         if not self.dt > 0:
             raise TimeOrder(f"dt must be positive, got {self.dt}")
         ts, px = ts.copy(), px.copy()

@@ -106,18 +106,18 @@ def _check_generator(q: np.ndarray) -> None:
     off = q[mask]
     if off.size and off.min() < -_SIGN_TOL:
         i, j = np.unravel_index(int(np.argmin(np.where(mask, q, np.inf))), q.shape)
-        raise NotAGenerator(f"off-diagonal entry ({i},{j})={q[i, j]!r} is negative")
+        raise NotAGenerator(f"off-diagonal entry ({i},{j})={float(q[i, j])} is negative")
     diag = np.diag(q)
     if diag.max() > _SIGN_TOL:
         i = int(np.argmax(diag))
-        raise NotAGenerator(f"diagonal entry ({i},{i})={q[i, i]!r} is positive")
+        raise NotAGenerator(f"diagonal entry ({i},{i})={float(q[i, i])} is positive")
     q[mask & (q < 0)] = 0.0
     np.fill_diagonal(q, np.minimum(diag, 0.0))
     colsums = q.sum(axis=0)
     if np.any(np.abs(colsums) > _COLSUM_TOL):
         j = int(np.argmax(np.abs(colsums)))
         raise NotAGenerator(
-            f"column {j} sums to {colsums[j]!r}, expected 0 within {_COLSUM_TOL} "
+            f"column {j} sums to {float(colsums[j])}, expected 0 within {_COLSUM_TOL} "
             "(column convention: rates out of state j live in column j)"
         )
 
@@ -148,12 +148,12 @@ def from_transition(p, dt: float) -> Generator:
     outside = (mat < -_SIGN_TOL * dt) | (mat > 1 + _SIGN_TOL * dt)
     if outside.any():
         i, j = np.unravel_index(int(np.argmin(np.where(outside, mat, np.inf))), mat.shape)
-        raise NotStochastic(f"entry ({i},{j})={mat[i, j]!r} outside [0, 1]")
+        raise NotStochastic(f"entry ({i},{j})={float(mat[i, j])} outside [0, 1]")
     sums = mat.sum(axis=1)
     off = np.abs(sums - 1.0)
     if np.any(off > _COLSUM_TOL * dt):
         i = int(np.argmax(off))
-        raise NotStochastic(f"row {i} sums to {sums[i]!r}, expected 1 within {_COLSUM_TOL * dt:.3g}")
+        raise NotStochastic(f"row {i} sums to {float(sums[i])}, expected 1 within {_COLSUM_TOL * dt:.3g}")
     return Generator((mat - np.eye(mat.shape[0])).T / dt)
 
 
@@ -188,11 +188,11 @@ def matrix_exp(g: Generator, t) -> np.ndarray:
     if np.any(off > _EXP_COLSUM_TOL):
         m, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise NotAGenerator(
-            f"expm column {j} at t={stack[m]!r} sums to {colsums[m, j]!r}; generator is corrupt"
+            f"expm column {j} at t={float(stack[m])} sums to {float(colsums[m, j])}; generator is corrupt"
         )
     if out.min() < -_SIGN_TOL:
         m, i, j = np.unravel_index(int(np.argmin(out)), out.shape)
-        raise NotAGenerator(f"expm entry ({i},{j}) at t={stack[m]!r} is {out[m, i, j]!r}, negative")
+        raise NotAGenerator(f"expm entry ({i},{j}) at t={float(stack[m])} is {float(out[m, i, j])}, negative")
     np.maximum(out, 0.0, out=out)
     return out if ts.ndim else out[0]
 
@@ -245,5 +245,5 @@ def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
     if np.any(p0 < -_SIGN_TOL):
         raise BadDistribution(f"p0 has negative mass: {p0!r}")
     if abs(p0.sum() - 1.0) > _COLSUM_TOL:
-        raise BadDistribution(f"p0 sums to {p0.sum()!r}, expected 1")
+        raise BadDistribution(f"p0 sums to {float(p0.sum())}, expected 1")
     return matrix_exp(g, t) @ np.maximum(p0, 0.0)

@@ -497,9 +497,9 @@ class TestSimulateOnce:
         calls = []
         real = entropic_risk._payoffs_for_state
 
-        def counting(ou, g, claim, q, state, *args):
+        def counting(ou, claim, q, state, *args):
             calls.append((q.T, state))
-            return real(ou, g, claim, q, state, *args)
+            return real(ou, claim, q, state, *args)
 
         monkeypatch.setattr(entropic_risk, "_payoffs_for_state", counting)
         return calls
@@ -688,12 +688,22 @@ class TestConfigValidation:
              "ConfigError: grids.horizons_days[0] must be a whole number of days for simulate, got 0.3"),
             ("simulate", "grids", "horizons_days", [2.6, 50.0],
              "ConfigError: grids.horizons_days[0] must be a whole number of days for simulate, got 2.6"),
+            ("sweep", "mc", "n_paths", 10**400,
+             "ConfigError: mc.n_paths must be a finite number, got an int of 1329 bits"),
+            ("sweep", "ou", "alpha", 10**400,
+             "ConfigError: ou.alpha must be a finite number, got an int of 1329 bits"),
+            ("sweep", "grids", "n_times", 10**400,
+             "ConfigError: grids.n_times must be a finite number, got an int of 1329 bits"),
+            ("risk", "grids", "horizons_days", None,
+             "ConfigError: config grids.horizons_days must be a nonempty list"),
         ],
         ids=["claim.r_missing", "ou.alpha_negative", "ou.alpha_nan", "ou.sigma_nan",
              "claim.y_nan", "chain_entry_nan", "ou.alpha_text", "ou.alpha_bool",
              "claim.delta_text", "grids.horizons_text", "chain_entry_text", "chain_ragged",
              "claim.type_list", "chain.kind_list", "ou.csv_number", "ou.params_file_number",
-             "output.dir_number", "simulate_fractional_day", "simulate_fractional_days"],
+             "output.dir_number", "simulate_fractional_day", "simulate_fractional_days",
+             "mc.n_paths_past_float", "ou.alpha_past_float", "grids.n_times_past_float",
+             "risk_future_without_horizons"],
     )
     def test_defective_field_rejected(self, tmp_path, capsys, command, section, key, value, error):
         cfg = base_config(claim={"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08})

@@ -965,7 +965,8 @@ class TestSimulateGridBits:
         n, seed, state = 1000, 11, 1
         work = entropic_risk._working_set(TWO_STATE, len(grid), n, gs is not None)
         X, Z, Y = entropic_risk._simulate_grid(
-            CRUDE, TWO_STATE, grid, 61.5, state, entropic_risk._state_rng(seed, state), gs, True, work
+            CRUDE, grid, 61.5, state, entropic_risk._state_rng(seed, state), gs,
+            entropic_risk._jump_table(TWO_STATE), work,
         )
         rng = entropic_risk._state_rng(seed, state)
         x, y = np.full(n, 61.5), None if gs is None else np.full(n, gs.y0)
@@ -1081,7 +1082,9 @@ class TestSimulatedLaw:
         g, state, grid = instance
         rng = entropic_risk._state_rng(seed, state)
         work = entropic_risk._working_set(g, len(grid), self.N_PATHS, False)
-        _, Z, _ = entropic_risk._simulate_grid(CRUDE, g, grid, 60.0, state, rng, None, True, work)
+        _, Z, _ = entropic_risk._simulate_grid(
+            CRUDE, grid, 60.0, state, rng, None, entropic_risk._jump_table(g), work
+        )
         assert np.all(Z[0] == state)
         p = np.eye(g.n)[state]
         for k in range(1, len(grid)):
@@ -1202,9 +1205,9 @@ class TestClaimRiskMC:
         calls = []
         real = entropic_risk._payoffs_for_state
 
-        def counting(ou, g, claim, q, state, *args):
+        def counting(ou, claim, q, state, *args):
             calls.append(state)
-            return real(ou, g, claim, q, state, *args)
+            return real(ou, claim, q, state, *args)
 
         monkeypatch.setattr(entropic_risk, "_payoffs_for_state", counting)
         c = LinearSpotClaim([0.75, 1.25])
@@ -1348,6 +1351,40 @@ class TestWorkingSetReuse:
             assert ests == risk([state], 0)[0], state
 
 
+class TestSetupOncePerCall:
+    """One ``claim_risk_mc`` call reads the claim's grid and builds the
+    chain's jump table once for all its streams, and builds no jump table
+    for a loading of one value, whatever the number of start states."""
+
+    G = Generator(DENSE)
+    RATES = [0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]
+
+    @staticmethod
+    def counted(mp, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        mp.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("states", [None, [2], [3, 1, 3]], ids=["all", "one", "repeated"])
+    @pytest.mark.parametrize(
+        "delta, builds", [([0.6, 0.75, 1.0, 1.1], 1), ([0.8] * 4, 0)], ids=["state_varying", "state_constant"]
+    )
+    def test_grid_read_once_and_jump_table_built_at_most_once(self, monkeypatch, states, delta, builds):
+        claim = SwapClaim(self.RATES, delta, ConstantYield(r=0.02, y=0.06))
+        grids = self.counted(monkeypatch, SwapClaim, "mc_grid")
+        tables = self.counted(monkeypatch, entropic_risk, "_jump_table")
+        q = RiskQuery(0.0, 8.0, CRUDE.x0)
+        claim_risk_mc(CRUDE, self.G, claim, q, 200, seed=7, gammas=[0.5, 5.0], states=states)
+        assert len(grids) == 1
+        assert len(tables) == builds
+
+
 class TestSwapRiskMC:
     def test_zero_yield_means_zero_risk(self):
         c = SwapClaim(rates=[0.05, 0.04, 0.06], delta=[1.0, 1.0], yield_spec=ConstantYield(r=0.0, y=0.0))
@@ -1469,12 +1506,12 @@ def state_constant_instances(draw):
 def risk_with_kernel(ou, g, claim, q, n_paths, seed, gammas):
     """``claim_risk_mc`` of every start state with the regime kernel run on
     each stream, whatever the claim's loading."""
-    grid, gs = claim.mc_grid(q), claim.stochastic_yield
+    grid, gs, jumps = claim.mc_grid(q), claim.stochastic_yield, entropic_risk._jump_table(g)
     work = entropic_risk._working_set(g, len(grid), n_paths, gs is not None)
     out = []
     for state in range(g.n):
         rng = entropic_risk._state_rng(seed, state)
-        paths = entropic_risk._simulate_grid(ou, g, grid, q.x_s, state, rng, gs, True, work)
+        paths = entropic_risk._simulate_grid(ou, grid, q.x_s, state, rng, gs, jumps, work)
         payoffs = entropic_risk._blockwise(claim, q, *paths)
         out.append([entropic_mc(payoffs, gamma) for gamma in gammas])
     return out

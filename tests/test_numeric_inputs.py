@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import regime_risk
-from regime_risk import entropic_risk
+from regime_risk import entropic_risk, regime_chain
 from regime_risk.entropic_risk import (
     MCEstimate,
     RiskQuery,
@@ -29,6 +29,7 @@ from regime_risk.entropic_risk import (
     spot_risk_closed,
 )
 from regime_risk.errors import (
+    BadDistribution,
     ConfigError,
     DimensionError,
     EmptySamples,
@@ -37,6 +38,7 @@ from regime_risk.errors import (
     NotAGenerator,
     NotStochastic,
     StateOutOfRange,
+    TimeOrder,
 )
 from regime_risk.instruments import (
     ConstantYield,
@@ -528,3 +530,46 @@ def test_every_int_argument_has_an_integers_row_or_an_exemption():
     rows = {row[0] for row in INTEGERS}
     assert rows <= arguments
     assert sorted(arg for arg in ints - rows if arg.split(".")[0] not in INT_EXEMPT) == []
+
+
+def expm_returning(out):
+    """A ``matrix_exp(TWO, 0.5)`` call whose ``_expm`` returns ``out`` at every horizon."""
+
+    def call(monkeypatch):
+        monkeypatch.setattr(regime_chain, "_expm", lambda a: np.broadcast_to(out, a.shape).copy())
+        matrix_exp(TWO, 0.5)
+
+    return call
+
+
+DATES = np.array(["2020-01-01", "2020-01-02", "2020-01-02"], dtype="datetime64[D]")
+# Each value a message names is computed by numpy; the message shows it as
+# the plain float it is (a timestamp as its ISO text), never a numpy repr.
+MESSAGES = [
+    (lambda mp: from_transition([[1 + 5e-13, -5e-13], [0.25, 0.75]], 1 / 252),
+     NotStochastic, "entry (0,1)=-5e-13 outside [0, 1]"),
+    (lambda mp: from_transition([[0.5, 0.4], [0.25, 0.75]], 1.0), NotStochastic, "row 0 sums to 0.9,"),
+    (lambda mp: Generator([[-1.0, 0.5], [-0.5, -0.5]]), NotAGenerator, "entry (1,0)=-0.5 is negative"),
+    (lambda mp: Generator([[0.5, 1.0], [0.5, -1.0]]), NotAGenerator, "entry (0,0)=0.5 is positive"),
+    (lambda mp: Generator([[-1.0, 0.5], [0.5, -0.5]]), NotAGenerator, "column 0 sums to -0.5,"),
+    (expm_returning(np.array([[1.5, 0.0], [0.0, 1.0]])), NotAGenerator, "column 0 at t=0.5 sums to 1.5;"),
+    (expm_returning(np.array([[1.5, 0.0], [-0.5, 1.0]])), NotAGenerator, "entry (1,0) at t=0.5 is -0.5,"),
+    (lambda mp: PriceSeries([0.0, 1.0, 2.0], [50.0, -2.0, 52.0]), BadDistribution, "price -2.0 at row 1 "),
+    (lambda mp: PriceSeries(DATES, PRICES[:3]), TimeOrder, "at row 2 (2020-01-02)"),
+    (lambda mp: PriceSeries([0.0, 1.0, 1.0], PRICES[:3]), TimeOrder, "at row 2 (1.0)"),
+    (lambda mp: distribution_at(TWO, [0.6, 0.5], 1.0), BadDistribution, "p0 sums to 1.1,"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    MESSAGES,
+    ids=["transition_entry", "transition_row", "generator_off_diagonal", "generator_diagonal",
+         "generator_column", "expm_column", "expm_entry", "price", "timestamp_date", "timestamp_number",
+         "p0_sum"],
+)
+def test_a_message_shows_a_computed_value_as_a_plain_number(monkeypatch, call, error, text):
+    with pytest.raises(error) as raised:
+        call(monkeypatch)
+    assert text in str(raised.value)
+    assert "np." not in str(raised.value)
