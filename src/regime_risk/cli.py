@@ -98,16 +98,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _scalar_oracle(cfg: RunConfig, claim, q: RiskQuery, gamma: float) -> float | None:
-    """For a single-regime chain the closed form must reduce to
-    d m - d^2 v / (2 gamma); printed alongside as an independent check."""
-    if cfg.chain.n != 1:
-        return None
-    law = conditional_law(cfg.ou, q.x_s, q.s, q.T)
-    d = float(claim.loading(q.horizon)[0])
-    return d * law.mean - d * d * law.variance / (2.0 * gamma)
-
-
 def _mc_cells(est, closed: float | None) -> list:
     """The ``mc_value``, ``mc_std_error`` and ``z_score`` cells of one MC
     estimate against its closed-form value (no z-score without one)."""
@@ -115,20 +105,28 @@ def _mc_cells(est, closed: float | None) -> list:
 
 
 def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
-    """Per-state risk report for the configured claim at each configured gamma."""
+    """Per-state risk report for the configured claim at each configured gamma.
+
+    On a one-state chain the ``oracle`` column holds the one-regime formula
+    d m - d^2 v / (2 gamma), from one conditional law and one loading, as an
+    independent check of ``closed``; on any other chain, and for a swap, it
+    is empty."""
     claim = cfg.claim
     cfg.require("chain", "ou", "claim", "gammas")
+    oracle = [None] * len(cfg.gammas)
     if isinstance(claim, SwapClaim):
         if not use_mc:
             raise ConfigError("swap risk has no closed form; rerun with --mc")
         q = RiskQuery(s=0.0, T=float(claim.n_periods), x_s=cfg.ou.x0)
         closed = [[None] * cfg.chain.n] * len(cfg.gammas)
-        oracle = [None] * len(cfg.gammas)
     else:
         cfg.require("horizons")
         q = RiskQuery(s=0.0, T=horizon_years(cfg.horizons_days[0]), x_s=cfg.ou.x0)
         closed = claim_risk_closed(cfg.ou, cfg.chain, [claim], [q], gammas=cfg.gammas)[0, 0].tolist()
-        oracle = [_scalar_oracle(cfg, claim, q, gamma) for gamma in cfg.gammas]
+        if cfg.chain.n == 1:
+            law = conditional_law(cfg.ou, q.x_s, q.s, q.T)
+            d = float(claim.loading(q.horizon)[0])
+            oracle = [d * law.mean - d * d * law.variance / (2.0 * gamma) for gamma in cfg.gammas]
 
     header = ["gamma", "state", "closed", "oracle", "mc_value", "mc_std_error", "z_score"]
     rows: list[list] = []
@@ -137,7 +135,7 @@ def cmd_risk(cfg: RunConfig, use_mc: bool) -> int:
         ests = claim_risk_mc(cfg.ou, cfg.chain, claim, q, cfg.n_paths, cfg.seed, gammas=cfg.gammas)
     for j, gamma in enumerate(cfg.gammas):
         for state in range(cfg.chain.n):
-            row: list = [gamma, state, closed[j][state], oracle[j] if state == 0 else None]
+            row: list = [gamma, state, closed[j][state], oracle[j]]
             row += [None] * 3 if ests is None else _mc_cells(ests[state][j], closed[j][state])
             rows.append(row)
 

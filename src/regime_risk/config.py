@@ -9,7 +9,6 @@ units; yields and rates are annualized.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -126,9 +125,11 @@ def _section(parent: dict, path: str) -> dict | None:
 
 
 def _read_json(path: Path) -> dict:
+    text = read_text(path)  # outside the try: its ConfigError is a ValueError
     try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    # a bare ValueError past Python's int digit limit, RecursionError past the nesting limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must hold a JSON object")
@@ -330,6 +331,17 @@ def _csv_template(rows: list[list], n_cols: int) -> tuple[str, list[int]]:
     return ",".join(specs), mixed
 
 
+def _open_output(path: Path):
+    """``path`` opened for writing as ``Path.write_text`` opens it, its
+    directory made first; :class:`ConfigError` naming the path when either
+    cannot be done (a file stands where a directory must be, say)."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
     """RFC-4180 table preceded by '#'-prefixed provenance comment lines.
 
@@ -337,7 +349,7 @@ def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
     formatting is locale-free and deterministic, so identical inputs produce
     byte-identical files.  Each row is formatted by one ``%`` template chosen
     from its columns' types; the bytes are those of formatting every cell
-    with :func:`_fmt`.  The file is opened as ``Path.write_text`` opens it and
+    with :func:`_fmt`.  The file is opened by :func:`_open_output` and
     written in pieces, a line at a time, never as one string.
     """
     for i, row in enumerate(rows):
@@ -345,8 +357,7 @@ def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
             raise LengthMismatch(f"{path.name} row {i} has {len(row)} cells, header has {len(header)}")
     template, mixed = _csv_template(rows, len(header))
     line = template + "\r\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with _open_output(path) as fh:
         fh.writelines(f"# {k}={prov[k]}\r\n" for k in sorted(prov))
         fh.write(",".join(header) + "\r\n")
         if mixed:
@@ -360,19 +371,14 @@ def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
             fh.writelines(map(line.__mod__, map(tuple, rows)))
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(indent: str):
-    """The C encoder's ``encode`` with the indented encoder's item separator at ``indent``."""
-    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
-
-
 def _is_flat(values) -> bool:
     return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
 
 
 def _json_rows(rows, indent: str) -> str | None:
-    """The items of a list of nonempty flat rows ``indent`` deep, as
-    :func:`_json` writes them, from one C-encoder call; None for any other list.
+    """The text of a list of nonempty flat rows ``indent`` deep, as
+    :func:`_json` writes it from the first row's first cell to the last
+    row's last cell, from one C-encoder call; None for any other list.
 
     The encoder writes the cells of every row with their item separator
     between all items, and one ``str.replace`` re-indents each row boundary,
@@ -384,59 +390,52 @@ def _json_rows(rows, indent: str) -> str | None:
     if not _is_flat([cell for row in rows for cell in row]):
         return None
     inner = indent + "  "
-    body = _flat_encoder(inner)(rows)[2:-2].replace(f"],\n{inner}[", f"\n{indent}],\n{indent}[\n{inner}")
-    return f"[\n{inner}{body}\n{indent}]"
+    body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(rows)[2:-2]
+    return body.replace(f"],\n{inner}[", f"\n{indent}],\n{indent}[\n{inner}")
 
 
 def _json(value, indent: str = ""):
     """The pieces of ``json.dumps(value, sort_keys=True, indent=2)`` for a
     value ``indent`` deep, in order: joined, they are its text.
 
-    A flat list of scalars goes through the C encoder in one call, with the
-    separators the indented (pure-Python) encoder would write between its
-    items, and so does a list of nonempty flat rows (:func:`_json_rows`).
-    Dicts, and other lists that hold containers, recurse here.
+    A nonempty dict recurses here.  A nonempty flat list is one C-encoder
+    call, with the indented encoder's item separator, and a nonempty list of
+    nonempty flat rows one :func:`_json_rows` call; their brackets are
+    pieces of their own.  Any other container is ``json.dumps`` itself,
+    re-indented at its newlines, which JSON text holds only between items.
     """
+    inner = indent + "  "
     if not isinstance(value, (dict, list, tuple)):
         yield json.dumps(value)
-        return
-    if not value:
-        yield "{}" if isinstance(value, dict) else "[]"
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        opening, closing = "{\n" + inner, "\n" + indent + "}"
+    elif value and isinstance(value, dict):
+        opening = "{\n" + inner
         for k, v in sorted(value.items()):
             # the C encoder turns the key into its JSON string as json.dumps does
             yield opening + json.dumps({k: 0})[1:-4] + ": "
             yield from _json(v, inner)
-            opening = sep
-        yield closing
-        return
-    yield "[\n" + inner
-    if _is_flat(value):
-        yield _flat_encoder(inner)(value)[1:-1]
-    elif (rows := _json_rows(value, inner)) is not None:
+            opening = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif value and _is_flat(value):
+        yield "[\n" + inner
+        yield json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)[1:-1]
+        yield "\n" + indent + "]"
+    elif value and (rows := _json_rows(value, inner)) is not None:
+        yield f"[\n{inner}[\n{inner}  "
         yield rows
+        yield f"\n{inner}]\n{indent}]"
     else:
-        for i, v in enumerate(value):
-            if i:
-                yield sep
-            yield from _json(v, inner)
-    yield "\n" + indent + "]"
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 def write_json(path: Path, prov: dict, data) -> None:
     """``{"provenance": prov, "data": data}`` as ``json.dumps(..., sort_keys=True,
     indent=2)`` writes it, byte for byte, plus a final newline.
 
-    Every piece is encoded before the file is opened, so a value JSON cannot
-    hold raises and leaves no new or truncated file; the pieces are then
-    written in turn, never joined into one string.
+    Every piece is encoded before :func:`_open_output` opens the file, so a
+    value JSON cannot hold raises and leaves no new or truncated file; the
+    pieces are then written in turn, never joined into one string.
     """
     pieces = list(_json({"provenance": prov, "data": data}))
     pieces.append("\n")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
+    with _open_output(path) as fh:
         fh.writelines(pieces)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regime_risk import entropic_risk
+from regime_risk import cli, entropic_risk
 from regime_risk.cli import main
 from regime_risk.config import load_config
 from regime_risk.entropic_risk import RiskQuery, sample_paths, spot_risk_closed
@@ -196,6 +196,24 @@ class TestRiskCommand:
             closed = float(r[header.index("closed")])
             oracle = float(r[header.index("oracle")])
             assert closed == pytest.approx(oracle, abs=1e-10)
+
+    def test_single_regime_oracle_reads_one_law(self, tmp_path, monkeypatch):
+        """The oracle's conditional law is the same at every gamma: one call."""
+        calls = []
+        real = cli.conditional_law
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "conditional_law", counting)
+        cfg = base_config(
+            chain={"kind": "generator", "matrix": [[0.0]], "z0": 0},
+            claim={"type": "linear", "delta": [0.75]},
+        )
+        assert len(cfg["grids"]["gammas"]) == 4
+        assert run(["risk", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(calls) == 1
 
     def test_example_config_mc_z_scores_within_three(self, tmp_path):
         assert run(["risk", "--config", EXAMPLE_CONFIG, "--mc", "--out", tmp_path]) == 0
@@ -574,14 +592,29 @@ class TestConfigValidation:
         [
             (b"{not json", "{file}: invalid JSON"),
             ('{"note": "caf\u00e9"}'.encode("latin-1"), "cannot read {file} as UTF-8 text"),
+            # past Python's 4300-digit limit json.loads raises a bare ValueError
+            (b'{"mc": {"n_paths": ' + b"1" * 5001 + b"}}", "{file}: invalid JSON"),
+            # past the recursion limit it raises RecursionError
+            (b'{"unused": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "{file}: invalid JSON"),
         ],
-        ids=["not_json", "not_utf8"],
+        ids=["not_json", "not_utf8", "int_past_digit_limit", "nested_past_recursion_limit"],
     )
     def test_invalid_json(self, tmp_path, capsys, content, named):
         p = tmp_path / "bad.json"
         p.write_bytes(content)
         assert run(["risk", "--config", p]) == 2
         assert f"ConfigError: {named.format(file=p)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_unwritable_output_path(self, tmp_path, capsys, below):
+        """``--out`` naming a regular file, or a path below one, is refused by
+        name (exit 2), and the file is left as it was."""
+        blocker = tmp_path / "taken"
+        blocker.write_bytes(b"keep me\n")
+        out = blocker / "sub" if below else blocker
+        assert run(["risk", "--config", write_config(tmp_path, base_config()), "--out", out]) == 2
+        assert f"ConfigError: cannot write {out / 'risk.csv'}: " in capsys.readouterr().err
+        assert blocker.read_bytes() == b"keep me\n"
 
     def test_defective_transition_matrix_surfaces(self, tmp_path, capsys):
         cfg = base_config()

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from regime_risk.config import _fmt, write_csv, write_json
@@ -68,6 +68,9 @@ def tables(draw):
 
 @SETTINGS
 @given(prov=provenances, data=json_values)
+# shapes no fast path takes, two levels down: empty containers, and lists
+# that hold other containers
+@example(prov={}, data={"a": [[], [{"b": [1, [2]]}], {}]})
 def test_write_json_is_json_dumps_indent_2(tmp_path_factory, prov, data):
     path = tmp_path_factory.mktemp("json") / "out.json"
     write_json(path, prov, data)
