@@ -1,7 +1,7 @@
 """Command-line interface.
 
-    regime-risk calibrate|simulate|yield-sweep --config cfg.json
-                [--seed N] [--paths N] [--out DIR]
+    regime-risk calibrate|yield-sweep --config cfg.json [--out DIR]
+    regime-risk simulate --config cfg.json [--seed N] [--out DIR]
     regime-risk risk|sweep --config cfg.json
                 [--seed N] [--paths N] [--mc] [--out DIR]
 
@@ -256,11 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in _COMMAND_HELP.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration JSON")
-        p.add_argument("--seed", type=int, default=None, help="override mc.seed")
-        p.add_argument("--paths", type=int, default=None, help="override mc.n_paths")
-        p.add_argument("--out", default=None, help="override output directory")
+        if name in ("simulate", "risk", "sweep"):
+            p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         if name in ("risk", "sweep"):
+            p.add_argument("--paths", type=int, default=None, help="override mc.n_paths")
             p.add_argument("--mc", action="store_true", help="add the Monte-Carlo cross-check")
+        p.add_argument("--out", default=None, help="override output directory")
     return parser
 
 
@@ -274,8 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(
             args.config,
-            seed_override=args.seed,
-            paths_override=args.paths,
+            seed_override=getattr(args, "seed", None),
+            paths_override=getattr(args, "paths", None),
             out_override=args.out,
         )
         if args.command == "calibrate":

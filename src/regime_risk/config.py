@@ -348,27 +348,23 @@ def write_csv(path: Path, prov: dict, header: list[str], rows) -> None:
     ``rows`` is a list of lists or tuples, one cell per header column.  All
     formatting is locale-free and deterministic, so identical inputs produce
     byte-identical files.  Each row is formatted by one ``%`` template chosen
-    from its columns' types; the bytes are those of formatting every cell
-    with :func:`_fmt`.  The file is opened by :func:`_open_output` and
-    written in pieces, a line at a time, never as one string.
+    from its columns' types, its mixed columns' cells first made text by
+    :func:`_fmt`, so the bytes are those of formatting every cell with it.
+    The file is opened by :func:`_open_output` and written in pieces, a line
+    at a time, never as one string.
     """
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise LengthMismatch(f"{path.name} row {i} has {len(row)} cells, header has {len(header)}")
     template, mixed = _csv_template(rows, len(header))
     line = template + "\r\n"
+    if mixed:  # a generator: each row a list, the cells of its mixed columns their _fmt text
+        rows = ([_fmt(v) if j in mixed else v for j, v in enumerate(row)] for row in rows)
     with _open_output(path) as fh:
         fh.writelines(f"# {k}={prov[k]}\r\n" for k in sorted(prov))
         fh.write(",".join(header) + "\r\n")
-        if mixed:
-            for row in rows:
-                cells = list(row)
-                for j in mixed:
-                    cells[j] = _fmt(cells[j])
-                fh.write(line % tuple(cells))
-        else:
-            # ``tuple`` returns a tuple row itself, not a copy
-            fh.writelines(map(line.__mod__, map(tuple, rows)))
+        # ``tuple`` returns a tuple row itself, not a copy
+        fh.writelines(map(line.__mod__, map(tuple, rows)))
 
 
 def _is_flat(values) -> bool:

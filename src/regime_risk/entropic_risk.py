@@ -253,9 +253,9 @@ def claim_risk_closed(ou: OUParams, g: Generator, claims, queries, *, gammas) ->
     mixed = np.einsum("qji,qkgji->qkgi", P, weights)
     mass = np.einsum("qji,qkgji->qkgi", P, np.ones_like(weights))
     risks = -gamma * (shift + np.log(mixed / mass))
-    bad = ~np.isfinite(risks).all(axis=-1)
-    if bad.any():
-        raise NonFinite(f"non-finite risk entries: {risks[tuple(np.argwhere(bad)[0])]!r}")
+    if not np.isfinite(risks).all():
+        q, k, j, i = np.argwhere(~np.isfinite(risks))[0].tolist()
+        raise NonFinite(f"risk at query {q}, claim {k}, gamma {j}, state {i} is {float(risks[q, k, j, i])}")
     risks.setflags(write=False)
     return risks
 

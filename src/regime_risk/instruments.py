@@ -201,8 +201,8 @@ def swap_value(x_path, z_path, c: SwapClaim, y_path=None):
             f"spot/state series must have {T} settlement values, got {x.shape} / {z.shape}"
         )
     if z.size and (z.min() < 0 or z.max() >= c.n_states):
-        bad = (z < 0) | (z >= c.n_states)
-        raise StateOutOfRange(f"state index outside [0, {c.n_states}): {z[bad][:1]!r}")
+        at = tuple(np.argwhere((z < 0) | (z >= c.n_states))[0].tolist())
+        raise StateOutOfRange(f"z_path entry ({','.join(map(str, at))})={int(z[at])} outside [0, {c.n_states})")
     if c.stochastic_yield is None:
         if y_path is not None:
             raise LengthMismatch("y_path must be omitted for a constant yield spec")

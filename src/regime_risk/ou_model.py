@@ -164,16 +164,12 @@ def calibrate(series: PriceSeries) -> CalibrationResult:
 
     Raises
     ------
-    TooFewPoints
-        Fewer than 3 observations (also enforced by PriceSeries).
     NotMeanReverting
         Fitted slope b <= 0 or b >= 1, a constant series, or a slope within
         two standard errors of 1 (unit root not rejected): alpha is not
         identified.
     """
     x = series.prices
-    if x.size < 3:
-        raise TooFewPoints(f"need at least 3 observations, got {x.size}")
     if np.var(x) == 0.0:
         raise NotMeanReverting("constant series: reversion rate not identified")
     dt = series.dt

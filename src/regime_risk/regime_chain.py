@@ -201,10 +201,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """``exp`` of each matrix of a (k, n, n) stack by scaling and squaring
     (Higham 2005, Algorithm 2.3, with the degree-13 approximant alone): scale
     each matrix by 2^-s so that its 1-norm is at most theta_13, take the Padé
-    approximant of the whole stack, and square each matrix its own s times.
-    A 1x1 matrix is the exponential of its entry.  Each step is a stacked
-    ``@`` or ``np.linalg.solve``, which run one BLAS or LAPACK call per
-    matrix, so a matrix's result does not depend on the rest of its stack."""
+    approximant of the whole stack, and square each matrix its own s times,
+    pass j squaring those whose s exceeds j.  A 1x1 matrix is the exponential
+    of its entry.  Each step is a stacked ``@`` or ``np.linalg.solve``, which
+    run one BLAS or LAPACK call per matrix, so a matrix's result does not
+    depend on the rest of its stack, nor on whether a pass squares all of it."""
     if a.shape[1:] == (1, 1):
         return np.exp(a)
     norms = np.abs(a).sum(axis=1).max(axis=1)
@@ -226,10 +227,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ w[:, 0] + w[:, 1])
     v = a6 @ w[:, 2] + w[:, 3]
     r = np.linalg.solve(v - u, v + u)
-    # every matrix is squared min(s) times, then each on to its own count
-    for _ in range(min(s)):
-        r = r @ r
-    for j in range(min(s), max(s)):
+    for j in range(max(s)):
         sq = counts > j
         r[sq] = r[sq] @ r[sq]
     return r
@@ -243,7 +241,8 @@ def distribution_at(g: Generator, p0: np.ndarray, t: float) -> np.ndarray:
     if p0.shape != (g.n,):
         raise DimensionError(f"p0 must have shape ({g.n},), got {p0.shape}")
     if np.any(p0 < -_SIGN_TOL):
-        raise BadDistribution(f"p0 has negative mass: {p0!r}")
+        i = int(np.argmax(p0 < -_SIGN_TOL))
+        raise BadDistribution(f"p0 entry ({i})={float(p0[i])} is negative")
     if abs(p0.sum() - 1.0) > _COLSUM_TOL:
         raise BadDistribution(f"p0 sums to {float(p0.sum())}, expected 1")
     return matrix_exp(g, t) @ np.maximum(p0, 0.0)

@@ -496,6 +496,13 @@ class TestDeterminismAndOverrides:
         assert payload["provenance"]["n_paths"] == 2500
 
 
+def every_command_config(tmp_path: Path) -> Path:
+    """A config every command runs on: a future claim, and OU parameters beside a price CSV."""
+    ou = dict(base_config()["ou"], csv=synthetic_csv(tmp_path, n=500).name)
+    claim = {"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08}
+    return write_config(tmp_path, base_config(ou=ou, claim=claim))
+
+
 class TestWorkersFlag:
     @pytest.mark.parametrize("command", ["calibrate", "simulate", "risk", "sweep", "yield-sweep"])
     def test_offered_only_where_used(self, tmp_path, command):
@@ -504,6 +511,31 @@ class TestWorkersFlag:
         with pytest.raises(SystemExit) as exc:
             run([command, "--config", cfg, "--workers", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("calibrate", "--seed"), ("calibrate", "--paths"), ("yield-sweep", "--seed"), ("yield-sweep", "--paths"),
+         ("simulate", "--paths")],
+    )
+    def test_override_offered_only_where_read(self, tmp_path, capsys, command, flag):
+        """``calibrate`` and ``yield-sweep`` read no seed and no path count,
+        and ``simulate`` no path count: each such override is an unknown
+        option, which exits 2 and writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", every_command_config(tmp_path), flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "args, output, line",
+        [(["simulate", "--seed", "3"], "paths.csv", "# seed=3"),
+         (["risk", "--mc", "--paths", "200"], "risk.csv", "# n_paths=200")],
+        ids=["simulate_seed", "risk_mc_paths"],
+    )
+    def test_override_read_where_offered(self, tmp_path, args, output, line):
+        assert run(args + ["--config", every_command_config(tmp_path)]) == 0
+        assert line in (tmp_path / "out" / output).read_text().splitlines()
 
 
 class TestSimulateOnce:
@@ -596,8 +628,9 @@ class TestConfigValidation:
             (b'{"mc": {"n_paths": ' + b"1" * 5001 + b"}}", "{file}: invalid JSON"),
             # past the recursion limit it raises RecursionError
             (b'{"unused": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "{file}: invalid JSON"),
+            (b"[1, 2]", "{file} must hold a JSON object"),
         ],
-        ids=["not_json", "not_utf8", "int_past_digit_limit", "nested_past_recursion_limit"],
+        ids=["not_json", "not_utf8", "int_past_digit_limit", "nested_past_recursion_limit", "top_level_list"],
     )
     def test_invalid_json(self, tmp_path, capsys, content, named):
         p = tmp_path / "bad.json"
@@ -729,6 +762,12 @@ class TestConfigValidation:
              "ConfigError: grids.n_times must be a finite number, got an int of 1329 bits"),
             ("risk", "grids", "horizons_days", None,
              "ConfigError: config grids.horizons_days must be a nonempty list"),
+            ("calibrate", "ou", "csv", "missing.csv", "ConfigError: ou.csv does not exist: "),
+            ("sweep", "ou", "alpha", None,
+             "ConfigError: ou section needs (alpha, mu, sigma, x0), params_file, or csv"),
+            ("sweep", "claim", "type", "option", "ConfigError: unknown claim type 'option'"),
+            ("sweep", "grids", "horizons_days", [50.0, 0.0], "ConfigError: grids.horizons_days must be positive"),
+            ("yield-sweep", "grids", "n_times", 1, "ConfigError: grids.n_times must be at least 2"),
         ],
         ids=["claim.r_missing", "ou.alpha_negative", "ou.alpha_nan", "ou.sigma_nan",
              "claim.y_nan", "chain_entry_nan", "ou.alpha_text", "ou.alpha_bool",
@@ -736,7 +775,8 @@ class TestConfigValidation:
              "claim.type_list", "chain.kind_list", "ou.csv_number", "ou.params_file_number",
              "output.dir_number", "simulate_fractional_day", "simulate_fractional_days",
              "mc.n_paths_past_float", "ou.alpha_past_float", "grids.n_times_past_float",
-             "risk_future_without_horizons"],
+             "risk_future_without_horizons", "ou.csv_missing", "ou_without_parameters", "claim.type_unknown",
+             "grids.horizons_zero", "grids.n_times_one"],
     )
     def test_defective_field_rejected(self, tmp_path, capsys, command, section, key, value, error):
         cfg = base_config(claim={"type": "future", "delta": [0.75, 0.75], "r": 0.0, "y": 0.08})

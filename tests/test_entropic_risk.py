@@ -211,6 +211,12 @@ def test_out_of_range_arguments_raise_typed_errors(call, error):
         call()
 
 
+@pytest.mark.parametrize("reference, z", [(1.0, 0.0), (1.5, np.inf)], ids=["on_the_value", "off_the_value"])
+def test_z_score_of_an_estimate_without_spread(reference, z):
+    """An estimate whose standard error is 0 scores 0 against its own value and inf against any other."""
+    assert MCEstimate(value=1.0, std_error=0.0, n_paths=2).z_score(reference) == z
+
+
 class TestSpotRiskClosed:
     def test_single_regime_reduces_to_gaussian_certainty_equivalent(self):
         g = Generator([[0.0]])
@@ -851,6 +857,16 @@ class TestNarrowStateType:
         Z = np.zeros((3, 10), dtype=dtype)
         rng, fresh = entropic_risk._state_rng(1, 0), entropic_risk._state_rng(1, 0)
         with pytest.raises(DimensionError, match=f"dtype {np.dtype(dtype)} .* 200-state chain"):
+            entropic_risk._advance_regimes(rates, cum, Z, [0.5, 0.5], rng)
+        assert rng.random() == fresh.random()
+
+    def test_kernel_rejects_a_z_not_in_c_order(self):
+        """The kernel writes Z through a flat view, which a Fortran-ordered Z
+        would make a copy: it raises before the first draw."""
+        rates, cum = entropic_risk._jump_table(dense_chain(4))
+        Z = np.asfortranarray(np.zeros((3, 10), dtype=np.int8))
+        rng, fresh = entropic_risk._state_rng(1, 0), entropic_risk._state_rng(1, 0)
+        with pytest.raises(DimensionError, match="Z must be C-contiguous"):
             entropic_risk._advance_regimes(rates, cum, Z, [0.5, 0.5], rng)
         assert rng.random() == fresh.random()
 

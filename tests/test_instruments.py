@@ -255,10 +255,11 @@ class TestSwapValue:
         flat = z.reshape(-1)
         for at in data.draw(st.lists(st.integers(0, z.size - 1), min_size=1, max_size=3)):
             flat[at] = data.draw(st.sampled_from([-1, n, n + 5]))
-        first = z[(z < 0) | (z >= n)][:1]
+        first = next(i for i, state in enumerate(flat.tolist()) if not 0 <= state < n)
+        at = ",".join(str(int(k)) for k in np.unravel_index(first, z.shape))
         with pytest.raises(StateOutOfRange) as raised:
             swap_value(x, z, c, y)
-        assert str(raised.value) == f"state index outside [0, {n}): {first!r}"
+        assert str(raised.value) == f"z_path entry ({at})={int(flat[first])} outside [0, {n})"
 
     @pytest.mark.parametrize("gibson_schwartz", [False, True], ids=["constant", "gibson_schwartz"])
     def test_working_set_is_one_buffer_of_the_paths(self, rng, gibson_schwartz):

@@ -36,6 +36,7 @@ from regime_risk.errors import (
     LengthMismatch,
     NonFinite,
     NotAGenerator,
+    NotMeanReverting,
     NotStochastic,
     StateOutOfRange,
     TimeOrder,
@@ -48,7 +49,7 @@ from regime_risk.instruments import (
     SwapClaim,
     swap_value,
 )
-from regime_risk.ou_model import ConditionalLaw, OUParams, PriceSeries, conditional_law, load_price_csv
+from regime_risk.ou_model import ConditionalLaw, OUParams, PriceSeries, calibrate, conditional_law, load_price_csv
 from regime_risk.regime_chain import Generator, distribution_at, from_transition, matrix_exp
 
 OU = {"alpha": 1.2, "mu": 60.0, "sigma": 8.0, "x0": 60.0}
@@ -542,6 +543,15 @@ def expm_returning(out):
     return call
 
 
+def overflowing_closed_form(monkeypatch):
+    """A closed form whose second gamma's terms overflow to NaN; the suite
+    turns numpy's RuntimeWarning into an error, so it is silenced here."""
+    ou = OUParams(alpha=1.0, mu=1e300, sigma=1.0, x0=1e300)
+    with np.errstate(all="ignore"):
+        claim_risk_closed(ou, TWO, [LinearSpotClaim([1e10, 1.0])], [RiskQuery(s=0.0, T=1.0, x_s=1e300)],
+                          gammas=[1.0, 1e-300])
+
+
 DATES = np.array(["2020-01-01", "2020-01-02", "2020-01-02"], dtype="datetime64[D]")
 # Each value a message names is computed by numpy; the message shows it as
 # the plain float it is (a timestamp as its ISO text), never a numpy repr.
@@ -558,6 +568,25 @@ MESSAGES = [
     (lambda mp: PriceSeries(DATES, PRICES[:3]), TimeOrder, "at row 2 (2020-01-02)"),
     (lambda mp: PriceSeries([0.0, 1.0, 1.0], PRICES[:3]), TimeOrder, "at row 2 (1.0)"),
     (lambda mp: distribution_at(TWO, [0.6, 0.5], 1.0), BadDistribution, "p0 sums to 1.1,"),
+    (lambda mp: distribution_at(TWO, [-0.1, 1.1], 1.0), BadDistribution, "p0 entry (0)=-0.1 is negative"),
+    (lambda mp: swap_value([50.0], np.array([7], dtype=np.int8), SwapClaim([0.05], [1.0, 1.0], ConstantYield(0, 0))),
+     StateOutOfRange, "z_path entry (0)=7 outside [0, 2)"),
+    (overflowing_closed_form, NonFinite, "risk at query 0, claim 0, gamma 1, state 0 is nan"),
+    # the checks no other test reaches
+    (lambda mp: OUParams(**dict(OU, sigma=-1)), BadDistribution, "sigma must be nonnegative, got -1.0"),
+    (lambda mp: GibsonSchwartzParams(**dict(GS, sigma_y=-0.1)), BadDistribution,
+     "sigma_y must be nonnegative, got -0.1"),
+    (lambda mp: PriceSeries([0.0, 1.0, 2.0], PRICES), LengthMismatch, "timestamps and prices must be equal-length"),
+    (lambda mp: PriceSeries([0.0, 1.0, 2.0], PRICES[:3], dt=0), TimeOrder, "dt must be positive, got 0.0"),
+    (lambda mp: calibrate(PriceSeries(range(5), [10.0, 20.0, 10.0, 20.0, 10.0])), NotMeanReverting,
+     "fitted AR(1) slope b=-1 <= 0"),
+    (lambda mp: calibrate(PriceSeries(range(5), [1.0, 2.0, 4.0, 8.0, 16.0])), NotMeanReverting,
+     "fitted AR(1) slope b=2 >= 1"),
+    (lambda mp: from_transition([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], 1.0), DimensionError,
+     "transition matrix must be square, got shape (2, 3)"),
+    (lambda mp: swap_value([[50.0], [51.0]], [[0], [0]], GS_SWAP, [0.05, 0.05]), LengthMismatch,
+     "y_path shape (2,) != spot shape (2, 1)"),
+    (lambda mp: SwapClaim([0.05], [1.0], "flat"), TypeError, "unsupported yield spec str"),
 ]
 
 
@@ -566,10 +595,13 @@ MESSAGES = [
     MESSAGES,
     ids=["transition_entry", "transition_row", "generator_off_diagonal", "generator_diagonal",
          "generator_column", "expm_column", "expm_entry", "price", "timestamp_date", "timestamp_number",
-         "p0_sum"],
+         "p0_sum", "p0_negative", "swap_state", "closed_form_risk", "ou_sigma", "gs_sigma_y", "price_lengths",
+         "price_dt", "slope_nonpositive", "slope_past_one", "transition_not_square", "y_path_shape",
+         "yield_spec_type"],
 )
 def test_a_message_shows_a_computed_value_as_a_plain_number(monkeypatch, call, error, text):
     with pytest.raises(error) as raised:
         call(monkeypatch)
     assert text in str(raised.value)
     assert "np." not in str(raised.value)
+    assert "array(" not in str(raised.value)

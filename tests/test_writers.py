@@ -71,6 +71,8 @@ def tables(draw):
 # shapes no fast path takes, two levels down: empty containers, and lists
 # that hold other containers
 @example(prov={}, data={"a": [[], [{"b": [1, [2]]}], {}]})
+# a list of nonempty rows, one of which holds a container
+@example(prov={}, data={"a": [[1], [[2]]]})
 def test_write_json_is_json_dumps_indent_2(tmp_path_factory, prov, data):
     path = tmp_path_factory.mktemp("json") / "out.json"
     write_json(path, prov, data)
@@ -80,6 +82,8 @@ def test_write_json_is_json_dumps_indent_2(tmp_path_factory, prov, data):
 
 @SETTINGS
 @given(prov=provenances, table=tables())
+# a column of floats, None, strings and bools beside a column of ints
+@example(prov={}, table=(["c0", "c1"], [[0.5, 1], [None, 2], ['a,"b"', 3], [True, 4], [-0.0, 5]]))
 def test_write_csv_is_the_per_cell_fmt_join(tmp_path_factory, prov, table):
     header, rows = table
     path = tmp_path_factory.mktemp("csv") / "out.csv"
